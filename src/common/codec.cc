@@ -24,16 +24,23 @@ uint32_t HashQuad(const uint8_t* p) {
   return (v * 2654435761u) >> 18;  // top 14 bits
 }
 
+// Hash-chain heads: position + 1 of the latest quad with each hash, 0 when
+// empty. One table per thread, left all-zero between calls, so a call pays
+// for the slots it touches rather than for clearing 16Ki slots up front.
+thread_local std::array<uint32_t, kHashSize> t_head{};
+
 }  // namespace
 
 Bytes CompressBytes(std::span<const uint8_t> input) {
   Bytes out;
+  // Room for an incompressible input plus its token framing, so the token
+  // writes below do not regrow the buffer step by step.
+  out.reserve(input.size() + input.size() / 16 + 16);
   ByteWriter w(out);
   w.WriteVarint(input.size());
   if (input.empty()) return out;
 
-  std::array<int64_t, kHashSize> head;
-  head.fill(-1);
+  std::array<uint32_t, kHashSize>& head = t_head;
 
   size_t i = 0;
   size_t literal_start = 0;
@@ -47,21 +54,21 @@ Bytes CompressBytes(std::span<const uint8_t> input) {
 
   while (i + kMinMatch <= input.size()) {
     uint32_t h = HashQuad(&input[i]);
-    int64_t cand = head[h];
-    head[h] = static_cast<int64_t>(i);
+    const uint32_t slot = head[h];
+    head[h] = static_cast<uint32_t>(i + 1);
 
     size_t best_len = 0;
     size_t best_dist = 0;
-    if (cand >= 0 && i - static_cast<size_t>(cand) <= kWindow &&
-        std::memcmp(&input[static_cast<size_t>(cand)], &input[i], kMinMatch) ==
-            0) {
+    if (slot != 0 && i - (slot - 1) <= kWindow &&
+        std::memcmp(&input[slot - 1], &input[i], kMinMatch) == 0) {
+      const size_t cand = slot - 1;
       size_t len = kMinMatch;
       size_t max_len = input.size() - i;
-      const uint8_t* a = &input[static_cast<size_t>(cand)];
+      const uint8_t* a = &input[cand];
       const uint8_t* b = &input[i];
       while (len < max_len && a[len] == b[len]) ++len;
       best_len = len;
-      best_dist = i - static_cast<size_t>(cand);
+      best_dist = i - cand;
     }
 
     if (best_len >= kMinMatch) {
@@ -72,7 +79,7 @@ Bytes CompressBytes(std::span<const uint8_t> input) {
       // Insert hash entries inside the match so later data can reference it.
       size_t stop = std::min(i + best_len, input.size() - kMinMatch);
       for (size_t j = i + 1; j < stop; ++j) {
-        head[HashQuad(&input[j])] = static_cast<int64_t>(j);
+        head[HashQuad(&input[j])] = static_cast<uint32_t>(j + 1);
       }
       i += best_len;
       literal_start = i;
@@ -81,6 +88,18 @@ Bytes CompressBytes(std::span<const uint8_t> input) {
     }
   }
   flush_literals(input.size());
+
+  // Hand the table back empty. Every slot written above is the hash of some
+  // quad of the input, so re-hashing the quads finds them all. Each re-hash
+  // is a scattered store; past about 2Ki quads one 64 KiB clear is cheaper.
+  if (input.size() >= kMinMatch) {
+    const size_t quads = input.size() - kMinMatch + 1;
+    if (quads > kHashSize / 8) {
+      head.fill(0);
+    } else {
+      for (size_t j = 0; j < quads; ++j) head[HashQuad(&input[j])] = 0;
+    }
+  }
   return out;
 }
 

@@ -20,7 +20,10 @@ namespace adn {
 
 // LZ-class byte compressor (greedy LZ77 with a 64Ki window and a small hash
 // chain). Format: varint original size, then a token stream of literal runs
-// and (distance, length) matches. Self-contained and deterministic.
+// and (distance, length) matches. The hash-chain heads live in a per-thread
+// table that each call leaves empty again, so a call costs O(input) rather
+// than a 16Ki-slot clear. Output is deterministic: the same input gives the
+// same bytes on any thread, whatever that thread compressed before.
 Bytes CompressBytes(std::span<const uint8_t> input);
 Result<Bytes> DecompressBytes(std::span<const uint8_t> compressed);
 

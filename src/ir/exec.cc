@@ -1,8 +1,7 @@
 #include "ir/exec.h"
 
 #include <algorithm>
-#include <list>
-#include <unordered_map>
+#include <cstdint>
 
 #include "common/strings.h"
 #include "ir/state_delta.h"
@@ -18,98 +17,271 @@ using rpc::Row;
 using rpc::Table;
 using rpc::Value;
 
+namespace {
+
+constexpr uint32_t kNone = UINT32_MAX;
+
+// Slots keyed by a 64-bit `.key`, kept in one flat array with a free list
+// (chained through `.next`) and found through an open-addressed, linear
+// probing index of 4-byte slot numbers. Removal shifts later probes back
+// instead of leaving tombstones, so probes stay short under churn. The
+// index doubles at half load; once both arrays have grown to the working
+// set, nothing here allocates.
+template <typename Slot>
+class SlotMap {
+ public:
+  Slot& operator[](uint32_t s) { return slots_[s]; }
+
+  void Clear(size_t expected) {
+    slots_.clear();
+    slots_.reserve(expected);
+    free_ = kNone;
+    count_ = 0;
+    if (cells_.empty()) cells_.resize(64);
+    std::fill(cells_.begin(), cells_.end(), kNone);
+  }
+
+  uint32_t Find(uint64_t key) const {
+    for (size_t c = Home(key);; c = (c + 1) & Mask()) {
+      if (cells_[c] == kNone || slots_[cells_[c]].key == key) return cells_[c];
+    }
+  }
+
+  // A fresh slot for `key`, which must not be present.
+  uint32_t Add(uint64_t key) {
+    uint32_t s = free_;
+    if (s != kNone) {
+      free_ = slots_[s].next;
+    } else {
+      s = static_cast<uint32_t>(slots_.size());
+      slots_.emplace_back();
+    }
+    slots_[s].key = key;
+    if (++count_ * 2 > cells_.size()) Grow();
+    Place(s);
+    return s;
+  }
+
+  void Remove(uint32_t s) {
+    size_t hole = Home(slots_[s].key);
+    while (cells_[hole] != s) hole = (hole + 1) & Mask();
+    // Pull back each later cell of the probe run whose home does not lie
+    // cyclically in (hole, c].
+    for (size_t c = (hole + 1) & Mask(); cells_[c] != kNone;
+         c = (c + 1) & Mask()) {
+      const size_t home = Home(slots_[cells_[c]].key);
+      const bool stays = hole <= c ? (hole < home && home <= c)
+                                   : (hole < home || home <= c);
+      if (stays) continue;
+      cells_[hole] = cells_[c];
+      hole = c;
+    }
+    cells_[hole] = kNone;
+    --count_;
+    slots_[s].next = free_;
+    free_ = s;
+  }
+
+ private:
+  size_t Mask() const { return cells_.size() - 1; }
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ULL) >> 32) & Mask();
+  }
+  void Place(uint32_t s) {
+    size_t c = Home(slots_[s].key);
+    while (cells_[c] != kNone) c = (c + 1) & Mask();
+    cells_[c] = s;
+  }
+  void Grow() {
+    std::vector<uint32_t> old = std::move(cells_);
+    cells_.assign(old.size() * 2, kNone);
+    for (uint32_t s : old) {
+      if (s != kNone) Place(s);
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> cells_;
+  uint32_t free_ = kNone;
+  size_t count_ = 0;
+};
+
+// Doubly linked list threaded through a SlotMap's slots by slot number.
+// `head` is the MRU (newest) end, `tail` the LRU (oldest) end.
+struct SlotList {
+  uint32_t head = kNone;
+  uint32_t tail = kNone;
+  size_t size = 0;
+
+  template <typename Slots>
+  void PushHead(Slots& slots, uint32_t s) {
+    slots[s].prev = kNone;
+    slots[s].next = head;
+    (head != kNone ? slots[head].prev : tail) = s;
+    head = s;
+    ++size;
+  }
+  template <typename Slots>
+  void Unlink(Slots& slots, uint32_t s) {
+    const uint32_t prev = slots[s].prev;
+    const uint32_t next = slots[s].next;
+    (prev != kNone ? slots[prev].next : head) = next;
+    (next != kNone ? slots[next].prev : tail) = prev;
+    --size;
+  }
+};
+
+}  // namespace
+
 // ARC (adaptive replacement cache) bookkeeping for a cache element. Only the
 // response rows live in the state table; this recency/frequency metadata is
 // derived, rebuilt from the rows whenever migration machinery replaces them
 // (InvalidateCacheRuntime), so the table alone defines the element's
 // migratable state. Counters survive rebuilds — they describe the instance,
 // not the current rows.
+//
+// Layout: every key ARC tracks (resident or ghost) owns one slot of a flat
+// SlotMap (2 x capacity slots once warm) and the four ARC lists are
+// intrusive lists over those slots. In-flight misses live the same way in a
+// second SlotMap, linked oldest to newest. Neither a hit nor a fill
+// allocates here once warm.
 struct ElementInstance::CacheRuntime {
-  using LruList = std::list<uint64_t>;
   // Which of the four ARC lists a key is on: T1/T2 hold resident entries
   // (recency / frequency), B1/B2 are ghosts (recently evicted keys, no row).
   enum : uint8_t { kT1 = 0, kT2 = 1, kB1 = 2, kB2 = 3 };
-  struct Loc {
+  struct Entry {
+    uint64_t key;
+    uint32_t prev, next;
+    uint32_t row;  // last known row index of a resident key (a hint)
     uint8_t list;
-    LruList::iterator it;
+  };
+  // An in-flight miss, keyed by rpc id.
+  struct Pending {
+    uint64_t key;
+    uint64_t cache_key;
+    uint32_t prev, next;
   };
 
-  LruList t1, t2, b1, b2;
-  std::unordered_map<uint64_t, Loc> index;
+  SlotMap<Entry> entries;
+  SlotList lists[4];
   size_t p = 0;  // adaptive target size for T1
-  // rpc id -> cache key for in-flight misses awaiting their response.
-  std::unordered_map<uint64_t, uint64_t> pending;
+
+  SlotMap<Pending> pending;
+  SlotList in_flight;  // head = newest, tail = oldest
+
   std::vector<rpc::FieldId> key_fids;
   bool built = false;
-  Bytes scratch;  // fill-path encode buffer, reused across fills
+  Row spare;  // the last evicted row, kept whole so a fill can reuse its blob
 
   uint64_t hits = 0, misses = 0, fills = 0, expired = 0, evicted = 0;
 
-  LruList& ListOf(uint8_t which) {
-    switch (which) {
-      case kT1: return t1;
-      case kT2: return t2;
-      case kB1: return b1;
-      default: return b2;
+  void Reset(size_t capacity) {
+    entries.Clear(2 * capacity);
+    for (SlotList& l : lists) l = SlotList{};
+    p = 0;
+    pending.Clear(0);
+    in_flight = SlotList{};
+  }
+
+  bool Resident(uint32_t e) { return entries[e].list <= kT2; }
+
+  // Track `key` (not yet tracked) at the MRU end of `list`.
+  void PushMru(uint8_t list, uint64_t key, uint32_t row) {
+    const uint32_t e = entries.Add(key);
+    entries[e].row = row;
+    entries[e].list = list;
+    lists[list].PushHead(entries, e);
+  }
+
+  void MoveToMru(uint32_t e, uint8_t list) {
+    lists[entries[e].list].Unlink(entries, e);
+    entries[e].list = list;
+    lists[list].PushHead(entries, e);
+  }
+
+  // Stop tracking the key in slot `e`.
+  void Forget(uint32_t e) {
+    lists[entries[e].list].Unlink(entries, e);
+    entries.Remove(e);
+  }
+
+  // The row backing resident slot `e`, or null. The cached row index is
+  // checked against the row's key and refreshed from the table's index when
+  // rows have moved underneath it.
+  const Row* RowOf(uint32_t e, const Table& table) {
+    Entry& entry = entries[e];
+    const std::vector<Row>& rows = table.rows();
+    if (entry.row < rows.size()) {
+      const Value& k = rows[entry.row][0];
+      if (k.type() == rpc::ValueType::kInt &&
+          static_cast<uint64_t>(k.AsInt()) == entry.key) {
+        return &rows[entry.row];
+      }
     }
+    const Row* row =
+        table.LookupSingleKey(Value(static_cast<int64_t>(entry.key)));
+    entry.row = row != nullptr ? static_cast<uint32_t>(row - rows.data())
+                               : kNone;
+    return row;
   }
 
-  bool Resident(const Loc& loc) const {
-    return loc.list == kT1 || loc.list == kT2;
-  }
-
-  // Unlink `key` from whatever list holds it.
-  void Unlink(uint64_t key) {
-    auto it = index.find(key);
-    if (it == index.end()) return;
-    ListOf(it->second.list).erase(it->second.it);
-    index.erase(it);
-  }
-
-  void PushMru(uint8_t list, uint64_t key) {
-    LruList& l = ListOf(list);
-    l.push_front(key);
-    index[key] = Loc{list, l.begin()};
-  }
-
-  // Move a resident entry to the MRU end of T2 (a hit proves frequency).
-  void PromoteToT2(uint64_t key) {
-    auto it = index.find(key);
-    if (it == index.end()) return;
-    t2.splice(t2.begin(), ListOf(it->second.list), it->second.it);
-    it->second.list = kT2;
-    it->second.it = t2.begin();
+  // Drop resident slot `e`'s row into `spare`. The table fills the hole
+  // with its last row; that row's slot learns its new index.
+  void EraseRow(uint32_t e, Table& table) {
+    const Row* row = RowOf(e, table);
+    const size_t hole =
+        row != nullptr ? static_cast<size_t>(row - table.rows().data())
+                       : SIZE_MAX;
+    table.EraseSingleKey(Value(static_cast<int64_t>(entries[e].key)), spare);
+    if (hole < table.RowCount()) {
+      const Value& moved = table.rows()[hole][0];
+      if (moved.type() != rpc::ValueType::kInt) return;
+      const uint32_t m = entries.Find(static_cast<uint64_t>(moved.AsInt()));
+      if (m != kNone) entries[m].row = static_cast<uint32_t>(hole);
+    }
   }
 
   // ARC REPLACE: evict one resident entry to its ghost list and drop the
   // backing row. `in_b2` is whether the incoming key was a B2 ghost.
   void Replace(Table& table, bool in_b2) {
-    uint64_t victim;
+    const size_t t1 = lists[kT1].size;
+    uint32_t victim;
     uint8_t ghost;
-    if (!t1.empty() && (t1.size() > p || (in_b2 && t1.size() == p))) {
-      victim = t1.back();
-      t1.pop_back();
+    if (t1 > 0 && (t1 > p || (in_b2 && t1 == p))) {
+      victim = lists[kT1].tail;
       ghost = kB1;
-    } else if (!t2.empty()) {
-      victim = t2.back();
-      t2.pop_back();
+    } else if (lists[kT2].size > 0) {
+      victim = lists[kT2].tail;
       ghost = kB2;
     } else {
       return;
     }
-    index.erase(victim);
-    PushMru(ghost, victim);
-    Row key_row;
-    key_row.push_back(Value(static_cast<int64_t>(victim)));
-    table.EraseByKey(key_row);
+    EraseRow(victim, table);
+    MoveToMru(victim, ghost);
     ++evicted;
   }
 
   void DropLru(uint8_t list) {
-    LruList& l = ListOf(list);
-    if (l.empty()) return;
-    index.erase(l.back());
-    l.pop_back();
+    if (lists[list].tail != kNone) Forget(lists[list].tail);
+  }
+
+  // Record an in-flight miss. At `bound` entries the oldest is dropped: an
+  // unresponsive downstream cannot grow this without limit.
+  void AddPending(uint64_t rpc_id, uint64_t cache_key, size_t bound) {
+    uint32_t s = pending.Find(rpc_id);
+    if (s != kNone) {
+      in_flight.Unlink(pending, s);
+    } else {
+      if (in_flight.size >= bound) RemovePending(in_flight.tail);
+      s = pending.Add(rpc_id);
+    }
+    pending[s].cache_key = cache_key;
+    in_flight.PushHead(pending, s);
+  }
+
+  void RemovePending(uint32_t s) {
+    in_flight.Unlink(pending, s);
+    pending.Remove(s);
   }
 };
 
@@ -416,13 +588,7 @@ ElementInstance::CacheRuntime& ElementInstance::EnsureCacheRuntime() {
   if (cache_rt_ == nullptr) cache_rt_ = std::make_unique<CacheRuntime>();
   CacheRuntime& rt = *cache_rt_;
   if (!rt.built) {
-    rt.t1.clear();
-    rt.t2.clear();
-    rt.b1.clear();
-    rt.b2.clear();
-    rt.index.clear();
-    rt.pending.clear();
-    rt.p = 0;
+    rt.Reset(code_->cache_op->capacity);
     rt.key_fids.clear();
     for (const std::string& f : code_->cache_op->key_fields) {
       rt.key_fids.push_back(rpc::InternFieldName(f));
@@ -434,9 +600,11 @@ ElementInstance::CacheRuntime& ElementInstance::EnsureCacheRuntime() {
     // snapshot/restore/split/merge.
     if (const Table* table = FindTable(code_->cache_op->table);
         table != nullptr) {
-      for (const Row& row : table->rows()) {
-        rt.PushMru(CacheRuntime::kT1,
-                   static_cast<uint64_t>(row[0].AsInt()));
+      const std::vector<Row>& rows = table->rows();
+      for (size_t i = 0; i < rows.size(); ++i) {
+        if (rows[i][0].type() != rpc::ValueType::kInt) continue;
+        rt.PushMru(CacheRuntime::kT1, static_cast<uint64_t>(rows[i][0].AsInt()),
+                   static_cast<uint32_t>(i));
       }
     }
     rt.built = true;
@@ -475,12 +643,11 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
   for (rpc::FieldId fid : rt.key_fids) {
     key = (key ^ rpc::HashValue(m.GetFieldOrNull(fid))) * 0x100000001B3ULL;
   }
-  const Value key_value(static_cast<int64_t>(key));
 
   if (m.kind() == rpc::MessageKind::kRequest) {
-    auto it = rt.index.find(key);
-    if (it != rt.index.end() && rt.Resident(it->second)) {
-      const Row* row = table->LookupSingleKey(key_value);
+    const uint32_t e = rt.entries.Find(key);
+    if (e != kNone && rt.Resident(e)) {
+      const Row* row = rt.RowOf(e, *table);
       bool stale = row == nullptr;
       if (!stale && cfg.ttl_ns > 0 &&
           now_ns - (*row)[2].AsInt() >= cfg.ttl_ns) {
@@ -496,7 +663,7 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
           // to the frequency list, stop the chain. Zero heap allocations on
           // arena-backed messages — the decode binds arena slices.
           m.set_kind(rpc::MessageKind::kResponse);
-          rt.PromoteToT2(key);
+          rt.MoveToMru(e, CacheRuntime::kT2);
           ++rt.hits;
           ProcessResult r;
           r.outcome = ProcessOutcome::kReply;
@@ -506,88 +673,86 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
       }
       // Expired or unreadable: remove row + residency (no ghost — the entry
       // did not lose a capacity contest, it timed out).
-      rt.Unlink(key);
-      Row key_row;
-      key_row.push_back(key_value);
-      table->EraseByKey(key_row);
+      rt.EraseRow(e, *table);
+      rt.Forget(e);
     }
     ++rt.misses;
-    rt.pending[m.id()] = key;
-    // In-flight misses are bounded; drop the oldest hash-order entry if an
-    // unresponsive downstream lets them pile up.
-    if (rt.pending.size() > cfg.capacity * 4 + 64) {
-      rt.pending.erase(rt.pending.begin());
-    }
+    rt.AddPending(m.id(), key, cfg.capacity * 4 + 64);
     return ProcessResult::Pass();
   }
 
   // Response path: fill the pending entry for this rpc id, if any.
-  auto pit = rt.pending.find(m.id());
-  if (pit == rt.pending.end()) return ProcessResult::Pass();
-  const uint64_t fill_key = pit->second;
-  rt.pending.erase(pit);
-  const Value fill_key_value(static_cast<int64_t>(fill_key));
+  const uint32_t pending = rt.pending.Find(m.id());
+  if (pending == kNone) return ProcessResult::Pass();
+  const uint64_t fill_key = rt.pending[pending].cache_key;
+  rt.RemovePending(pending);
 
-  rt.scratch.clear();
-  if (!rpc::EncodeFieldsFlat(m, rt.scratch).ok()) return ProcessResult::Pass();
-  Row row;
-  row.reserve(3);
-  row.push_back(fill_key_value);
-  row.push_back(Value(Bytes(rt.scratch)));
-  row.push_back(Value(now_ns));
+  // Encode the response straight into the new row's blob. The row is the
+  // last evicted one when there is one, so the blob's buffer is reused;
+  // otherwise it takes a spare row's capacity from the table.
+  Row row = std::move(rt.spare);
+  rt.spare.clear();
+  if (row.size() != 3 || row[1].type() != rpc::ValueType::kBytes ||
+      row[1].is_borrowed()) {
+    row = table->TakeSpareRow();
+    row.resize(3);
+    row[1] = Value(Bytes());
+  }
+  row[0] = Value(static_cast<int64_t>(fill_key));
+  row[1].MutableBytes().clear();
+  row[2] = Value(now_ns);
+  if (!rpc::EncodeFieldsFlat(m, row[1].MutableBytes()).ok()) {
+    return ProcessResult::Pass();
+  }
 
   const size_t c = cfg.capacity;
-  auto it = rt.index.find(fill_key);
-  if (it != rt.index.end() && rt.Resident(it->second)) {
+  const uint32_t e = rt.entries.Find(fill_key);
+  if (e != kNone && rt.Resident(e)) {
     // A concurrent request already filled it; refresh the row in place.
     (void)table->Insert(std::move(row));
-    rt.PromoteToT2(fill_key);
+    rt.MoveToMru(e, CacheRuntime::kT2);
     ++rt.fills;
     return ProcessResult::Pass();
   }
-  if (it != rt.index.end() && it->second.list == CacheRuntime::kB1) {
+  const size_t t1 = rt.lists[CacheRuntime::kT1].size;
+  const size_t b1 = rt.lists[CacheRuntime::kB1].size;
+  const size_t t2 = rt.lists[CacheRuntime::kT2].size;
+  const size_t b2 = rt.lists[CacheRuntime::kB2].size;
+  uint8_t admit_to = CacheRuntime::kT1;
+  if (e != kNone && rt.entries[e].list == CacheRuntime::kB1) {
     // Recency ghost hit: T1 was too small — grow its target.
-    const size_t delta =
-        rt.b1.empty() ? 1 : std::max<size_t>(1, rt.b2.size() / rt.b1.size());
+    const size_t delta = std::max<size_t>(1, b2 / b1);
     rt.p = std::min(c, rt.p + delta);
     rt.Replace(*table, /*in_b2=*/false);
-    rt.Unlink(fill_key);
-    rt.PushMru(CacheRuntime::kT2, fill_key);
-  } else if (it != rt.index.end() && it->second.list == CacheRuntime::kB2) {
-    // Frequency ghost hit: shrink T1's target.
-    const size_t delta =
-        rt.b2.empty() ? 1 : std::max<size_t>(1, rt.b1.size() / rt.b2.size());
+    rt.Forget(e);
+    admit_to = CacheRuntime::kT2;
+  } else if (e != kNone) {
+    // Frequency ghost hit (B2): shrink T1's target.
+    const size_t delta = std::max<size_t>(1, b1 / b2);
     rt.p = rt.p > delta ? rt.p - delta : 0;
     rt.Replace(*table, /*in_b2=*/true);
-    rt.Unlink(fill_key);
-    rt.PushMru(CacheRuntime::kT2, fill_key);
-  } else {
-    // Brand-new key.
-    const size_t l1 = rt.t1.size() + rt.b1.size();
-    if (l1 >= c) {
-      if (rt.t1.size() < c) {
-        rt.DropLru(CacheRuntime::kB1);
-        rt.Replace(*table, /*in_b2=*/false);
-      } else {
-        // T1 itself is full: evict its LRU row outright.
-        uint64_t victim = rt.t1.back();
-        rt.Unlink(victim);
-        Row victim_row;
-        victim_row.push_back(Value(static_cast<int64_t>(victim)));
-        table->EraseByKey(victim_row);
-        ++rt.evicted;
-      }
+    rt.Forget(e);
+    admit_to = CacheRuntime::kT2;
+  } else if (t1 + b1 >= c) {
+    // Brand-new key, L1 full.
+    if (t1 < c) {
+      rt.DropLru(CacheRuntime::kB1);
+      rt.Replace(*table, /*in_b2=*/false);
     } else {
-      const size_t total =
-          l1 + rt.t2.size() + rt.b2.size();
-      if (total >= c) {
-        if (total >= 2 * c) rt.DropLru(CacheRuntime::kB2);
-        rt.Replace(*table, /*in_b2=*/false);
-      }
+      // T1 itself is full: evict its LRU row outright.
+      const uint32_t victim = rt.lists[CacheRuntime::kT1].tail;
+      rt.EraseRow(victim, *table);
+      rt.Forget(victim);
+      ++rt.evicted;
     }
-    rt.PushMru(CacheRuntime::kT1, fill_key);
+  } else if (t1 + b1 + t2 + b2 >= c) {
+    if (t1 + b1 + t2 + b2 >= 2 * c) rt.DropLru(CacheRuntime::kB2);
+    rt.Replace(*table, /*in_b2=*/false);
   }
   (void)table->Insert(std::move(row));
+  // Insert appends a new key's row, so the slot's row hint is the last row.
+  rt.PushMru(admit_to, fill_key,
+             static_cast<uint32_t>(table->RowCount() - 1));
   ++rt.fills;
   return ProcessResult::Pass();
 }

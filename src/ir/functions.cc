@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <initializer_list>
+#include <optional>
 
 #include "common/codec.h"
 #include "common/rng.h"
@@ -18,6 +20,30 @@ Error WrongType(std::string_view fn, std::string_view what) {
   return Error(ErrorCode::kTypeError,
                std::string(fn) + ": unexpected argument type (" +
                    std::string(what) + ")");
+}
+
+// Payload UDFs read their arguments through unchecked accessors, and a
+// message field may carry any type at run time. Returns the result such a
+// call must give instead of running: NULL when an argument is NULL (SQL
+// semantics), a type error (which aborts the RPC with its reason) when one
+// has the wrong type, nothing when all arguments match `want`.
+std::optional<Result<Value>> RejectArgs(std::string_view fn,
+                                        const std::vector<Value>& args,
+                                        std::initializer_list<ValueType> want) {
+  bool any_null = false;
+  size_t i = 0;
+  for (ValueType t : want) {
+    const Value& arg = args[i++];
+    if (arg.is_null()) {
+      any_null = true;
+    } else if (arg.type() != t) {
+      return WrongType(fn, "want " + std::string(rpc::ValueTypeName(t)) +
+                               ", got " +
+                               std::string(rpc::ValueTypeName(arg.type())));
+    }
+  }
+  if (any_null) return Result<Value>(Value::Null());
+  return std::nullopt;
 }
 
 // Canonical byte image of a value for hashing (stable across runs/platforms).
@@ -258,6 +284,10 @@ std::shared_ptr<FunctionRegistry> BuildBuiltins() {
     auto def = Simple("compress", {ValueType::kBytes}, ValueType::kBytes,
                       [](const FunctionContext&, std::vector<Value>& args)
                           -> Result<Value> {
+                        if (auto r = RejectArgs("compress", args,
+                                                {ValueType::kBytes})) {
+                          return *std::move(r);
+                        }
                         return Value(CompressBytes(args[0].AsBytes()));
                       });
     def.per_byte_cost_ns = 1.9;
@@ -267,6 +297,10 @@ std::shared_ptr<FunctionRegistry> BuildBuiltins() {
     auto def = Simple("decompress", {ValueType::kBytes}, ValueType::kBytes,
                       [](const FunctionContext&, std::vector<Value>& args)
                           -> Result<Value> {
+                        if (auto r = RejectArgs("decompress", args,
+                                                {ValueType::kBytes})) {
+                          return *std::move(r);
+                        }
                         ADN_ASSIGN_OR_RETURN(
                             Bytes plain, DecompressBytes(args[0].AsBytes()));
                         return Value(std::move(plain));
@@ -279,6 +313,11 @@ std::shared_ptr<FunctionRegistry> BuildBuiltins() {
                       ValueType::kBytes,
                       [](const FunctionContext& ctx, std::vector<Value>& args)
                           -> Result<Value> {
+                        if (auto r = RejectArgs(
+                                "encrypt", args,
+                                {ValueType::kBytes, ValueType::kText})) {
+                          return *std::move(r);
+                        }
                         return Value(EncryptBytes(args[0].AsBytes(),
                                                   args[1].AsText(),
                                                   ctx.nonce));
@@ -293,6 +332,11 @@ std::shared_ptr<FunctionRegistry> BuildBuiltins() {
                       ValueType::kBytes,
                       [](const FunctionContext&, std::vector<Value>& args)
                           -> Result<Value> {
+                        if (auto r = RejectArgs(
+                                "decrypt", args,
+                                {ValueType::kBytes, ValueType::kText})) {
+                          return *std::move(r);
+                        }
                         ADN_ASSIGN_OR_RETURN(
                             Bytes plain,
                             DecryptBytes(args[0].AsBytes(), args[1].AsText()));
@@ -306,6 +350,10 @@ std::shared_ptr<FunctionRegistry> BuildBuiltins() {
     auto def = Simple("crc32", {ValueType::kBytes}, ValueType::kInt,
                       [](const FunctionContext&, std::vector<Value>& args)
                           -> Result<Value> {
+                        if (auto r = RejectArgs("crc32", args,
+                                                {ValueType::kBytes})) {
+                          return *std::move(r);
+                        }
                         return Value(static_cast<int64_t>(
                             Crc32c(args[0].AsBytes())));
                       });

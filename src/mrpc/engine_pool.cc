@@ -344,6 +344,11 @@ int EnginePool::Submit(rpc::Message message) {
     // oversubscribed host it donates the timeslice to the worker).
     std::this_thread::yield();
   }
+  // The push's tail store is only a release: without a full fence the load
+  // of `sleeping` below may be ordered before it. The worker could then
+  // check an empty ring, park, and sleep out its timed wait on a non-empty
+  // one. The fence pairs with the one the worker issues before that check.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
   if (worker.sleeping.load(std::memory_order_seq_cst)) {
     std::lock_guard<std::mutex> lock(worker.mu);
     worker.cv.notify_one();
@@ -452,6 +457,7 @@ void EnginePool::WorkerLoop(int index) {
     // belt-and-braces fallback.
     std::unique_lock<std::mutex> lock(w.mu);
     w.sleeping.store(true, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
     if (w.ring.empty() && !stop_.load(std::memory_order_acquire) &&
         !w.ctrl_pending.load(std::memory_order_seq_cst)) {
       w.cv.wait_for(lock, std::chrono::milliseconds(1));

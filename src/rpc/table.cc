@@ -290,30 +290,49 @@ size_t Table::EraseByKey(const Row& key) {
       }
     }
     if (!match) continue;
-    // Swap-and-pop instead of erase+reindex: the live-migration delta
-    // replay calls this per deleted key, and an O(n) reindex per call would
-    // put a full re-hash of the table inside the reconfiguration window.
-    const size_t hole = it->second;
-    const size_t last = rows_.size() - 1;
-    key_index_.erase(it);
-    if (hole != last) {
-      const uint64_t last_hash = KeyHashOf(rows_[last]);
-      auto [lb, le] = key_index_.equal_range(last_hash);
-      for (auto lit = lb; lit != le; ++lit) {
-        if (lit->second == last) {
-          lit->second = hole;
-          break;
-        }
-      }
-      StashSpare(std::move(rows_[hole]));
-      rows_[hole] = std::move(rows_[last]);
-    } else {
-      StashSpare(std::move(rows_[hole]));
-    }
-    rows_.pop_back();
+    EraseIndexed(it, nullptr);
     return 1;
   }
   return 0;
+}
+
+size_t Table::EraseSingleKey(const Value& key, Row& erased) {
+  if (pk_indexes_.size() != 1) return 0;
+  auto [begin, end] = key_index_.equal_range(HashSingleKey(key));
+  for (auto it = begin; it != end; ++it) {
+    if (rows_[it->second][pk_indexes_[0]].CompareTo(key) == 0) {
+      EraseIndexed(it, &erased);
+      return 1;
+    }
+  }
+  return 0;
+}
+
+void Table::EraseIndexed(
+    std::unordered_multimap<uint64_t, size_t>::iterator it, Row* erased) {
+  // Swap-and-pop instead of erase+reindex: the live-migration delta replay
+  // calls this per deleted key, and an O(n) reindex per call would put a
+  // full re-hash of the table inside the reconfiguration window.
+  const size_t hole = it->second;
+  const size_t last = rows_.size() - 1;
+  key_index_.erase(it);
+  if (hole != last) {
+    const uint64_t last_hash = KeyHashOf(rows_[last]);
+    auto [lb, le] = key_index_.equal_range(last_hash);
+    for (auto lit = lb; lit != le; ++lit) {
+      if (lit->second == last) {
+        lit->second = hole;
+        break;
+      }
+    }
+  }
+  if (erased != nullptr) {
+    *erased = std::move(rows_[hole]);
+  } else {
+    StashSpare(std::move(rows_[hole]));
+  }
+  if (hole != last) rows_[hole] = std::move(rows_[last]);
+  rows_.pop_back();
 }
 
 void Table::ForEachKeySlotRow(

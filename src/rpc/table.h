@@ -102,6 +102,12 @@ class Table {
   // last row swaps into the hole (append order is not preserved — only
   // keyless append logs rely on it, and they never match here).
   size_t EraseByKey(const Row& key);
+  // EraseByKey for a single-column primary key, the mirror of
+  // LookupSingleKey: no key row to build, same swap-and-pop. The erased row
+  // is moved into `erased`, values and all, instead of being parked as a
+  // spare, so a caller about to insert a row of the same shape can reuse
+  // its payload buffers.
+  size_t EraseSingleKey(const Value& key, Row& erased);
   // Visit every keyed row whose key hash lands in slot `slot` — an index
   // walk over the cached hashes (one integer mod per row, no re-hashing),
   // the primitive that keeps live-cutover work off the full table scan.
@@ -127,6 +133,10 @@ class Table {
   bool KeysEqual(const Row& a, const Row& b) const;
   void ReindexAll();
   void StashSpare(Row&& row);
+  // Swap-and-pop erase of the row `it` indexes. The row moves into
+  // `*erased` when given, else it is parked as a spare.
+  void EraseIndexed(std::unordered_multimap<uint64_t, size_t>::iterator it,
+                    Row* erased);
 
   std::string name_;
   Schema schema_;

@@ -4,6 +4,9 @@
 // the hit-rate-aware placement of caches toward the client.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "compiler/backend.h"
 #include "compiler/compiler.h"
 #include "compiler/lower.h"
@@ -334,6 +337,146 @@ TEST(CacheMigration, EraseSliceInvalidatesResidency) {
   Message req = Request(50, 2);
   EXPECT_EQ(inst.Process(req, 0).outcome, ProcessOutcome::kPass);
   EXPECT_EQ(inst.cache_hits(), 0u);
+}
+
+TEST(CacheExec, PendingOverflowDropsTheOldestMiss) {
+  auto code = LowerNamed(kCacheSrc, "C");  // capacity 4: 4*4+64 = 80 pending
+  ir::ElementInstance inst(code, 1);
+  constexpr uint64_t kBound = 80;
+  std::vector<Message> requests;
+  for (uint64_t id = 1; id <= kBound; ++id) {
+    requests.push_back(Request(id, static_cast<int64_t>(id)));
+    ASSERT_EQ(inst.Process(requests.back(), 0).outcome, ProcessOutcome::kPass);
+  }
+  // Answering #1 frees its entry; #81 refills the map to the bound and #82
+  // overflows it, which must push out #2, now the oldest.
+  auto answer = [&](uint64_t id) {
+    Message resp = ResponseFor(requests[id - 1], static_cast<int64_t>(id));
+    EXPECT_EQ(inst.Process(resp, 0).outcome, ProcessOutcome::kPass);
+  };
+  answer(1);
+  EXPECT_EQ(inst.cache_fills(), 1u);
+  for (uint64_t id = kBound + 1; id <= kBound + 2; ++id) {
+    requests.push_back(Request(id, static_cast<int64_t>(id)));
+    ASSERT_EQ(inst.Process(requests.back(), 0).outcome, ProcessOutcome::kPass);
+  }
+  answer(2);
+  EXPECT_EQ(inst.cache_fills(), 1u) << "#2 was the oldest and was dropped";
+  for (uint64_t id = 3; id <= kBound + 2; ++id) answer(id);
+  EXPECT_EQ(inst.cache_fills(), kBound + 1) << "every newer miss fills";
+}
+
+// --- ARC equivalence -----------------------------------------------------------
+
+// What one seeded stream leaves behind: the runtime's counters and the
+// object ids whose responses are resident at the end.
+struct ArcOutcome {
+  uint64_t hits = 0, misses = 0, fills = 0, evicted = 0, expired = 0;
+  std::vector<int64_t> resident;
+};
+
+std::ostream& operator<<(std::ostream& os, const ArcOutcome& o) {
+  os << "{" << o.hits << ", " << o.misses << ", " << o.fills << ", "
+     << o.evicted << ", " << o.expired << ", {";
+  for (size_t i = 0; i < o.resident.size(); ++i) {
+    os << (i > 0 ? ", " : "") << o.resident[i];
+  }
+  return os << "}}";
+}
+
+bool operator==(const ArcOutcome& a, const ArcOutcome& b) {
+  return a.hits == b.hits && a.misses == b.misses && a.fills == b.fills &&
+         a.evicted == b.evicted && a.expired == b.expired &&
+         a.resident == b.resident;
+}
+
+// Drives `requests` zipf(1)-skewed requests over `universe` objects through
+// one cache instance, 10 µs apart. Misses stay in flight and are answered
+// out of order, at most a few at a time (well under the pending bound), so
+// two misses on one key can race to fill it. Halfway through, the instance
+// restores its own snapshot, which rebuilds the ARC metadata from the rows.
+// The weights are integer-only so the stream is the same on every platform.
+ArcOutcome RunArcStream(size_t capacity, int64_t ttl_ms, int64_t universe,
+                        uint64_t seed, int requests) {
+  const std::string src = "CACHE C (capacity => " + std::to_string(capacity) +
+                          ", ttl_ms => " + std::to_string(ttl_ms) +
+                          ") KEY (object_id);\n";
+  auto code = LowerNamed(src, "C");
+  ir::ElementInstance inst(code, 1);
+
+  std::vector<uint64_t> cdf;
+  uint64_t total = 0;
+  for (int64_t k = 0; k < universe; ++k) {
+    total += 1'000'000 / static_cast<uint64_t>(k + 1);
+    cdf.push_back(total);
+  }
+  Rng rng(seed);
+  std::vector<Message> in_flight;
+  uint64_t id = 1;
+  int64_t now = 0;
+  auto respond = [&](size_t i) {
+    Message resp =
+        ResponseFor(in_flight[i], in_flight[i].GetFieldOrNull("object_id").AsInt());
+    EXPECT_EQ(inst.Process(resp, now).outcome, ProcessOutcome::kPass);
+    in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(i));
+  };
+  for (int n = 0; n < requests; ++n) {
+    if (n == requests / 2) {
+      EXPECT_TRUE(inst.RestoreState(inst.SnapshotState()).ok());
+    }
+    now += 10'000;
+    const uint64_t draw = rng.NextBelow(total);
+    const int64_t object = static_cast<int64_t>(
+        std::upper_bound(cdf.begin(), cdf.end(), draw) - cdf.begin());
+    Message req = Request(id++, object);
+    if (inst.Process(req, now).outcome == ProcessOutcome::kPass) {
+      in_flight.push_back(std::move(req));
+    }
+    while (in_flight.size() > rng.NextBelow(4)) {
+      respond(rng.NextBelow(in_flight.size()));
+    }
+  }
+  while (!in_flight.empty()) respond(0);
+
+  // Map cache keys back to object ids: fill every object once into a cache
+  // large enough to hold them all and read each new row's key.
+  auto big = LowerNamed("CACHE C (capacity => " + std::to_string(universe) +
+                            ", ttl_ms => 0) KEY (object_id);\n",
+                        "C");
+  ir::ElementInstance keys(big, 1);
+  std::map<int64_t, int64_t> object_of;
+  for (int64_t k = 0; k < universe; ++k) {
+    (void)Fill(keys, static_cast<uint64_t>(k + 1), k, 0);
+    object_of[keys.FindTable("__cache_C")->rows().back()[0].AsInt()] = k;
+  }
+
+  ArcOutcome out;
+  out.hits = inst.cache_hits();
+  out.misses = inst.cache_misses();
+  out.fills = inst.cache_fills();
+  out.evicted = inst.cache_evicted();
+  out.expired = inst.cache_expired();
+  for (const rpc::Row& row : inst.FindTable("__cache_C")->rows()) {
+    out.resident.push_back(object_of.at(row[0].AsInt()));
+  }
+  std::sort(out.resident.begin(), out.resident.end());
+  return out;
+}
+
+// Golden outcomes recorded on the std::list/unordered_map ARC runtime this
+// one replaced. Each stream was checked (by instrumenting that runtime) to
+// take B1 and B2 ghost hits, TTL expiries and the mid-stream rebuild, so an
+// exact match pins every branch of the replacement policy.
+TEST(CacheArc, MatchesRecordedOutcomesAtCapacity4) {
+  const ArcOutcome got = RunArcStream(4, 1, 64, 11, 20'000);
+  EXPECT_EQ(got, (ArcOutcome{5206, 14794, 14793, 14074, 6, {1, 14, 17, 36}}))
+      << got;
+}
+
+TEST(CacheArc, MatchesRecordedOutcomesAtCapacity64) {
+  const ArcOutcome got = RunArcStream(64, 2, 1000, 12, 20'000);
+  EXPECT_EQ(got, (ArcOutcome{5717, 14283, 14281, 13939, 112,
+                             {0, 1, 2, 3, 5, 6, 74, 111}})) << got;
 }
 
 // --- Aggregation primitives --------------------------------------------------

@@ -2,6 +2,8 @@
 // real compression/encryption codecs.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "common/bytes.h"
 #include "common/codec.h"
 #include "common/rng.h"
@@ -309,6 +311,129 @@ TEST(Compress, BadTokenRejected) {
   w.WriteVarint(10);
   w.WriteU8(0x7F);  // unknown token tag
   EXPECT_FALSE(DecompressBytes(stream).ok());
+}
+
+// Golden compressor output. The fixtures were produced by the original
+// compressor, which cleared a fresh 16Ki-slot table on every call; the
+// per-thread table that replaced it must emit the very same token stream.
+// Outputs up to 96 bytes are pinned byte for byte; longer ones by length and
+// FNV-1a-64 of the output bytes.
+
+Bytes RandomInput(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(n);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.NextBelow(256));
+  return data;
+}
+
+// Text-like input: a few short tokens in random order, so matches are short
+// and frequent.
+Bytes RepetitiveInput(size_t n, uint64_t seed) {
+  static const char* kWords[] = {"user=", "alice", "bob", "&object_id=",
+                                 "42",    "1337",  " payload ", "\n"};
+  Rng rng(seed);
+  Bytes data;
+  while (data.size() < n) {
+    for (const char* p = kWords[rng.NextBelow(8)];
+         *p != '\0' && data.size() < n; ++p) {
+      data.push_back(static_cast<uint8_t>(*p));
+    }
+  }
+  return data;
+}
+
+std::string Hex(const Bytes& b) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t x : b) {
+    out.push_back(kDigits[x >> 4]);
+    out.push_back(kDigits[x & 15]);
+  }
+  return out;
+}
+
+struct CompressGolden {
+  bool repetitive;
+  size_t size;
+  size_t packed_size;
+  uint64_t packed_fnv;
+  const char* packed_hex;  // empty when the output is longer than 96 bytes
+};
+
+constexpr CompressGolden kCompressGolden[] = {
+    {false, 0, 1, 0xaf63bd4c8601b7dfULL, "00"},
+    {false, 1, 4, 0xad2d8f77479a28faULL, "010001a1"},
+    {false, 3, 6, 0x1e5ace2282bc0002ULL, "03000395d418"},
+    {false, 4, 7, 0x7b8363bf83d8bc54ULL, "0400040b3f7570"},
+    {false, 5, 8, 0x4e0a916be91603b6ULL, "05000542b1ff05f4"},
+    {false, 64, 67, 0x4b77c4815aae406bULL,
+     "400040c6102d4ce88f55d6a7c74c11c44e3c7cb376037a6b396c3fd985c606589c3df7"
+     "d884ae794f0adc03551fd218d9d4b2857e49c62769f9ca7afa226a3ef304b3aa"},
+    {false, 1024, 1029, 0xf4b143861ecc1dafULL, ""},
+    {false, 16384, 16391, 0x404f468eb4f9ad30ULL, ""},
+    {false, 70 * 1024, 71687, 0x05536ef8daa93498ULL, ""},
+    {true, 0, 1, 0xaf63bd4c8601b7dfULL, "00"},
+    {true, 1, 4, 0xad2e4f77479b6f3aULL, "01000161"},
+    {true, 3, 6, 0x809931246d646328ULL, "030003313333"},
+    {true, 4, 7, 0x634296702a2d2d28ULL, "040004266f626a"},
+    {true, 5, 8, 0x4a559b717d709d03ULL, "050005626f62616c"},
+    {true, 64, 58, 0x9f13bc9a80107386ULL,
+     "400014207061796c6f616420757365723d313333373432010b0500010a010c04011e09"
+     "000b0a0a3432616c696365343201140900053432343226"},
+    {true, 1024, 509, 0x304480ca409c2156ULL, ""},
+    {true, 16384, 7002, 0xded693cd46753c9fULL, ""},
+    {true, 70 * 1024, 30405, 0xd9a894b6c6074cb7ULL, ""},
+};
+
+void ExpectGolden(const Bytes& packed, const CompressGolden& g) {
+  EXPECT_EQ(packed.size(), g.packed_size);
+  EXPECT_EQ(Fnv1a64(packed.data(), packed.size()), g.packed_fnv);
+  if (g.packed_hex[0] != '\0') {
+    EXPECT_EQ(Hex(packed), g.packed_hex);
+  }
+}
+
+TEST(CompressGoldenOutput, MatchesRecordedStreams) {
+  for (const CompressGolden& g : kCompressGolden) {
+    SCOPED_TRACE((g.repetitive ? "repetitive " : "random ") +
+                 std::to_string(g.size));
+    const Bytes input = g.repetitive ? RepetitiveInput(g.size, g.size + 11)
+                                     : RandomInput(g.size, g.size + 11);
+    const Bytes packed = CompressBytes(input);
+    ExpectGolden(packed, g);
+    auto restored = DecompressBytes(packed);
+    ASSERT_TRUE(restored.ok()) << restored.error().ToString();
+    EXPECT_EQ(restored.value(), input);
+  }
+}
+
+TEST(CompressGoldenOutput, RepeatBeyondWindowIsNotMatched) {
+  // The tail repeats bytes 66000 back, past the 65535-byte window: the
+  // compressor must not reference them.
+  Bytes input = RandomInput(70 * 1024, 7);
+  for (size_t i = 66000; i < input.size(); ++i) input[i] = input[i - 66000];
+  const Bytes packed = CompressBytes(input);
+  EXPECT_EQ(packed.size(), 71692u);
+  EXPECT_EQ(Fnv1a64(packed.data(), packed.size()), 0x1c9a43c841baf174ULL);
+  auto restored = DecompressBytes(packed);
+  ASSERT_TRUE(restored.ok()) << restored.error().ToString();
+  EXPECT_EQ(restored.value(), input);
+}
+
+TEST(CompressGoldenOutput, LargeCallLeavesNoStaleSlots) {
+  // A 16 KiB call fills the calling thread's table; the 64-B call after it
+  // must see an empty table, exactly as a fresh thread does.
+  const Bytes big = RepetitiveInput(16384, 5);
+  const Bytes small = RepetitiveInput(64, 64 + 11);
+  Bytes fresh_thread;
+  std::thread([&] { fresh_thread = CompressBytes(small); }).join();
+  (void)CompressBytes(big);
+  const Bytes after_big = CompressBytes(small);
+  EXPECT_EQ(after_big, fresh_thread);
+  ExpectGolden(after_big, kCompressGolden[14]);
+  // Same after a call small enough to be cleaned slot by slot.
+  (void)CompressBytes(RandomInput(1024, 9));
+  EXPECT_EQ(CompressBytes(small), fresh_thread);
 }
 
 // --- Encryption ------------------------------------------------------------------

@@ -213,6 +213,10 @@ struct FeasibilityCase {
   bool p4;
 };
 
+// Print the case by name: gtest's default byte dump of the struct would show
+// the (ASLR-randomized) pointer value, which ends up in the ctest test name.
+void PrintTo(const FeasibilityCase& c, std::ostream* os) { *os << c.element; }
+
 class BackendMatrix : public ::testing::TestWithParam<FeasibilityCase> {};
 
 TEST_P(BackendMatrix, MatchesExpectations) {

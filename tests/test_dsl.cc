@@ -266,6 +266,10 @@ struct BadProgramCase {
   const char* expect_substring;
 };
 
+// Print the case by name: gtest's default byte dump of the struct would show
+// the (ASLR-randomized) pointer values, which end up in the ctest test name.
+void PrintTo(const BadProgramCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserErrors : public ::testing::TestWithParam<BadProgramCase> {};
 
 TEST_P(ParserErrors, RejectsWithUsefulMessage) {

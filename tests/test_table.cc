@@ -226,6 +226,24 @@ TEST(Table, EraseByKeyRemovesExactlyThatRow) {
   EXPECT_EQ(log.EraseByKey({Value(1)}), 0u);  // keyless: never matches
 }
 
+TEST(Table, EraseSingleKeyHandsBackTheRowAndKeepsTheIndex) {
+  Table t("ac", AclSchema());
+  for (const char* u : {"a", "b", "c"}) {
+    ASSERT_TRUE(t.Insert({Value(u), Value(std::string(u) + "-perm")}).ok());
+  }
+  Row erased;
+  EXPECT_EQ(t.EraseSingleKey(Value("a"), erased), 1u);
+  ASSERT_EQ(erased.size(), 2u);
+  EXPECT_EQ(erased[1].AsText(), "a-perm") << "the row moves out whole";
+  EXPECT_EQ(t.spare_rows(), 0u);
+  EXPECT_EQ(t.EraseSingleKey(Value("a"), erased), 0u);
+  // The last row filled the hole and is still found through the index.
+  EXPECT_EQ(t.rows()[0][0].AsText(), "c");
+  ASSERT_NE(t.LookupSingleKey(Value("c")), nullptr);
+  EXPECT_EQ((*t.LookupSingleKey(Value("c")))[1].AsText(), "c-perm");
+  EXPECT_EQ((*t.LookupSingleKey(Value("b")))[1].AsText(), "b-perm");
+}
+
 TEST(Table, SliceAndEraseKeySlotPartition) {
   constexpr size_t kSlots = 16;
   Table t("ac", AclSchema());

@@ -7,13 +7,16 @@
 // every test here must stay TSan-clean.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/codec.h"
 #include "compiler/lower.h"
 #include "dsl/parser.h"
 #include "elements/library.h"
@@ -597,6 +600,124 @@ TEST(EnginePool, MissingShardKeyFallsBackToIdRouting) {
   pool.Stop();
   // Id hashing spreads load across every worker.
   for (int count : seen) EXPECT_GT(count, 0);
+}
+
+// Single-message ping-pong: the producer submits one RPC and waits for it
+// before the next, so the worker parks between nearly every pair. Submit's
+// fence between its ring push and its load of the worker's `sleeping` flag
+// is what keeps a parked worker from missing the push; a miss shows up as a
+// round trip stuck in the worker's 1 ms timed wait.
+TEST(EnginePool, PingPongWakesAParkedWorkerEveryTime) {
+  constexpr int kRoundTrips = 400;
+  std::atomic<uint64_t> done{0};
+  EnginePool::Config config;
+  config.workers = 1;
+  config.on_done = [&](int, const rpc::Message&, const ir::ProcessResult&) {
+    done.fetch_add(1, std::memory_order_release);
+  };
+  EnginePool pool(LogAclElements(), {}, config);
+  SeedUsers(pool, 1);
+  ASSERT_TRUE(pool.Start().ok());
+  std::vector<int64_t> round_trip_ns;
+  round_trip_ns.reserve(kRoundTrips);
+  for (uint64_t id = 1; id <= kRoundTrips; ++id) {
+    const auto start = std::chrono::steady_clock::now();
+    pool.Submit(MakeReq(id, UserName(0)));
+    while (done.load(std::memory_order_acquire) < id) {
+      std::this_thread::yield();
+    }
+    round_trip_ns.push_back(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+  }
+  pool.Stop();
+  EXPECT_EQ(pool.processed(), static_cast<uint64_t>(kRoundTrips));
+  EXPECT_EQ(pool.dropped(), 0u);
+  std::sort(round_trip_ns.begin(), round_trip_ns.end());
+  EXPECT_LT(round_trip_ns[kRoundTrips / 2], 500'000)
+      << "the median round trip waited out the worker's timed park";
+}
+
+// Payload UDFs read their argument unchecked. A field of the wrong type
+// must abort that RPC with a reason, an absent one must pass as NULL, and
+// the worker must live on to serve the next, well-typed RPC.
+TEST(EnginePool, IllTypedPayloadAbortsWithoutKillingTheWorker) {
+  auto parsed = dsl::ParseProgram(std::string(elements::CompressSql()));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto lowered = compiler::LowerProgram(*parsed);
+  ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+
+  struct Seen {
+    ir::ProcessOutcome outcome;
+    std::string reason;
+    rpc::ValueType payload_type;
+    Bytes payload;
+  };
+  std::vector<Seen> seen;  // written by the one worker, read after Stop()
+  EnginePool::Config config;
+  config.workers = 1;
+  config.on_done = [&](int, const rpc::Message& m,
+                       const ir::ProcessResult& r) {
+    const Value payload = m.GetFieldOrNull("payload");
+    Seen s{r.outcome, r.abort_message, payload.type(), {}};
+    if (payload.type() == rpc::ValueType::kBytes) {
+      BytesView b = payload.AsBytes();
+      s.payload.assign(b.begin(), b.end());
+    }
+    seen.push_back(std::move(s));
+  };
+  EnginePool pool({lowered->FindElement("Compress")}, {}, config);
+  ASSERT_TRUE(pool.Start().ok());
+  const Bytes body(256, 0x5A);
+  pool.Submit(rpc::Message::MakeRequest(1, "Obj.Put",
+                                        {{"payload", Value(int64_t{7})}}));
+  pool.Submit(rpc::Message::MakeRequest(2, "Obj.Put", {}));
+  pool.Submit(
+      rpc::Message::MakeRequest(3, "Obj.Put", {{"payload", Value(body)}}));
+  pool.Stop();
+
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].outcome, ir::ProcessOutcome::kDropAbort);
+  EXPECT_NE(seen[0].reason.find("compress"), std::string::npos)
+      << seen[0].reason;
+  EXPECT_EQ(seen[1].outcome, ir::ProcessOutcome::kPass);
+  EXPECT_EQ(seen[1].payload_type, rpc::ValueType::kNull);
+  EXPECT_EQ(seen[2].outcome, ir::ProcessOutcome::kPass);
+  auto plain = DecompressBytes(seen[2].payload);
+  ASSERT_TRUE(plain.ok()) << plain.error().ToString();
+  EXPECT_EQ(plain.value(), body);
+  EXPECT_EQ(pool.processed(), 3u);
+  EXPECT_EQ(pool.dropped(), 1u);
+}
+
+// CompressBytes keeps its hash-chain heads in a per-thread table; threads
+// compressing at once must neither share it nor see each other's slots.
+TEST(CompressStress, ConcurrentCallersGetDeterministicOutput) {
+  std::vector<Bytes> inputs;
+  for (size_t n : {16384u, 64u, 1024u, 70u * 1024u, 5u}) {
+    Bytes data(n);
+    for (size_t i = 0; i < n; ++i) {
+      data[i] = static_cast<uint8_t>((i * 31 + n) % 11 + (i % 97 == 0 ? i : 0));
+    }
+    inputs.push_back(std::move(data));
+  }
+  std::vector<Bytes> expected;
+  for (const Bytes& in : inputs) expected.push_back(CompressBytes(in));
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        for (size_t k = 0; k < inputs.size(); ++k) {
+          const size_t i = (k + static_cast<size_t>(t)) % inputs.size();
+          if (CompressBytes(inputs[i]) != expected[i]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --- Live reconfiguration (docs/RECONFIG.md) ----------------------------------
