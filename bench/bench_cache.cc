@@ -83,8 +83,8 @@ int64_t NowNs() {
 }
 
 // The cached chain on one engine: per-element GeneratedStage over seeded
-// state tables. The cache stage stays on the interpreter tier (caches
-// decline the compiled tier); the SQL elements run the ChainExecutor.
+// state tables. Every stage runs the ChainExecutor; the cache stage's
+// program is a single kCacheProbe.
 struct Harness {
   mrpc::EngineChain chain;
   ir::ElementInstance* cache = nullptr;

@@ -27,7 +27,6 @@
 #include "core/network.h"
 #include "dsl/parser.h"
 #include "elements/library.h"
-#include "ir/analysis.h"
 #include "mrpc/engine_pool.h"
 
 #ifndef ADN_GIT_SHA
@@ -63,7 +62,7 @@ std::string ThreadUser(uint64_t i) {
   return buf;
 }
 
-std::vector<rpc::Message> ThreadStream(size_t n, bool with_blob) {
+std::vector<rpc::Message> ThreadStream(size_t n) {
   std::vector<rpc::Message> stream;
   stream.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -71,9 +70,6 @@ std::vector<rpc::Message> ThreadStream(size_t n, bool with_blob) {
     std::vector<rpc::Field> fields = {
         {"username", rpc::Value(ThreadUser(i * 2654435761ULL))},
         {"payload", rpc::Value(std::move(payload))}};
-    if (with_blob) {
-      fields.push_back({"blob", rpc::Value(Bytes(64, 0x5A))});
-    }
     stream.push_back(
         rpc::Message::MakeRequest(i + 1, "Obj.Put", std::move(fields)));
   }
@@ -93,15 +89,13 @@ struct PoolRunResult {
 
 PoolRunResult RunPool(
     const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,
-    const std::vector<int>& groups, const std::vector<rpc::Message>& stream,
-    int workers, uint64_t messages, mrpc::EnginePool::GroupMode mode) {
+    const std::vector<rpc::Message>& stream, int workers, uint64_t messages) {
   mrpc::EnginePool::Config config;
   config.workers = workers;
   config.shard_key_field = "username";
-  config.group_mode = mode;
   config.processor = "bench-threads";
   config.measure_exec = true;
-  mrpc::EnginePool pool(elements, groups, config);
+  mrpc::EnginePool pool(elements, {}, config);
   if (ir::ElementInstance* acl = pool.FindTemplateInstance("Acl")) {
     rpc::Table* tab = acl->FindTable("ac_tab");
     for (uint64_t i = 0; i < kThreadUsers; ++i) {
@@ -153,18 +147,14 @@ int RunThreadsBench() {
   std::vector<std::shared_ptr<const ir::ElementIr>> elements = {
       lowered->FindElement("Logging"), lowered->FindElement("Acl"),
       lowered->FindElement("Fault")};
-  std::vector<const ir::ElementIr*> raw;
-  for (const auto& e : elements) raw.push_back(e.get());
-  const std::vector<int> groups = ir::PartitionIntoParallelGroups(raw);
 
   constexpr uint64_t kMessages = 400'000;
   // 256 distinct messages, cycled — the same stream shape the exec-tier
   // baseline (bench_breakdown) uses, so the gated number below compares
   // apples to apples.
-  const std::vector<rpc::Message> stream = ThreadStream(256, false);
+  const std::vector<rpc::Message> stream = ThreadStream(256);
   // Warmup run (also validates the pipeline end to end).
-  (void)RunPool(elements, groups, stream, 1, 50'000,
-                mrpc::EnginePool::GroupMode::kSequential);
+  (void)RunPool(elements, stream, 1, 50'000);
 
   std::printf("%-8s %13s %12s %12s %15s %s\n", "workers", "wall ns/msg",
               "cpu ns/msg", "exec ns/msg", "capacity(Mrps)",
@@ -173,8 +163,7 @@ int RunThreadsBench() {
               "----------------------------------------------------------------------------------------");
   std::vector<PoolRunResult> rows;
   for (int workers : {1, 2, 4}) {
-    PoolRunResult r = RunPool(elements, groups, stream, workers, kMessages,
-                              mrpc::EnginePool::GroupMode::kSequential);
+    PoolRunResult r = RunPool(elements, stream, workers, kMessages);
     std::string per_worker;
     for (double v : r.per_worker_cpu_ns_per_msg) {
       char buf[32];
@@ -201,7 +190,7 @@ int RunThreadsBench() {
     config.shard_key_field = "username";
     config.processor = "bench-threads-gate";
     config.measure_exec = true;
-    mrpc::EnginePool pool(elements, groups, config);
+    mrpc::EnginePool pool(elements, {}, config);
     rpc::Table* acl = pool.FindTemplateInstance("Acl")->FindTable("ac_tab");
     for (uint64_t i = 0; i < kThreadUsers; ++i) {
       (void)acl->Insert({rpc::Value(ThreadUser(i)), rpc::Value("W")});
@@ -237,55 +226,6 @@ int RunThreadsBench() {
       "msgs per CPU-ns — the throughput the pool sustains with a core per\n"
       "worker; on this %u-CPU host wall clock cannot show the scaling).\n",
       speedup_4w, std::thread::hardware_concurrency());
-
-  // Group-mode ablation on the provably-parallel chain (bench_parallel's
-  // field-disjoint transforms -> one group of 3).
-  const char* kIndep = R"(
-ELEMENT Encrypt ON REQUEST {
-  INPUT (payload BYTES);
-  SELECT *, encrypt(payload, 'key') AS payload FROM input;
-}
-ELEMENT CompressBlob ON REQUEST {
-  INPUT (blob BYTES);
-  SELECT *, compress(blob) AS blob FROM input;
-}
-ELEMENT UserDigest ON REQUEST {
-  INPUT (username TEXT);
-  SELECT *, hash(username) AS user_digest FROM input;
-}
-)";
-  auto indep_parsed = dsl::ParseProgram(kIndep);
-  auto indep = compiler::LowerProgram(*indep_parsed);
-  if (!indep.ok()) return 1;
-  std::vector<std::shared_ptr<const ir::ElementIr>> indep_elements = {
-      indep->FindElement("Encrypt"), indep->FindElement("CompressBlob"),
-      indep->FindElement("UserDigest")};
-  std::vector<const ir::ElementIr*> indep_raw;
-  for (const auto& e : indep_elements) indep_raw.push_back(e.get());
-  const std::vector<int> indep_groups =
-      ir::PartitionIntoParallelGroups(indep_raw);
-
-  // Fault-free chain: both modes process every message, so ns/msg compares
-  // the execution strategy alone.
-  constexpr uint64_t kAblationMessages = 100'000;
-  const std::vector<rpc::Message> indep_stream = ThreadStream(4096, true);
-  PoolRunResult seq = RunPool(indep_elements, indep_groups, indep_stream, 1,
-                              kAblationMessages,
-                              mrpc::EnginePool::GroupMode::kSequential);
-  PoolRunResult con = RunPool(indep_elements, indep_groups, indep_stream, 1,
-                              kAblationMessages,
-                              mrpc::EnginePool::GroupMode::kConcurrent);
-  std::printf(
-      "\nParallel-group execution ablation (1 worker, Encrypt || CompressBlob "
-      "|| UserDigest):\n"
-      "  sequential-within-worker  %10.1f exec ns/msg\n"
-      "  fused concurrent segment  %10.1f exec ns/msg  (%.1fx %s)\n"
-      "Fork-join synchronization costs microseconds; these elements cost\n"
-      "nanoseconds, so sequential-within-worker wins and stays the default —\n"
-      "pool parallelism comes from sharding RPCs across workers instead.\n",
-      seq.exec_ns_per_msg, con.exec_ns_per_msg,
-      con.exec_ns_per_msg / seq.exec_ns_per_msg,
-      con.exec_ns_per_msg > seq.exec_ns_per_msg ? "slower" : "faster");
 
   // BENCH_threads.json — schema documented in EXPERIMENTS.md.
   // `compiled_ns_per_msg` is the 1-worker chain-executor cost (transport
@@ -324,15 +264,7 @@ ELEMENT UserDigest ON REQUEST {
     }
     std::fprintf(f, "]}");
   }
-  std::fprintf(f,
-               "\n  ],\n"
-               "  \"group_ablation\": {\"chain\": \"Encrypt || CompressBlob "
-               "|| UserDigest\", \"sequential_exec_ns_per_msg\": %.1f, "
-               "\"concurrent_exec_ns_per_msg\": %.1f, \"winner\": \"%s\"}\n"
-               "}\n",
-               seq.exec_ns_per_msg, con.exec_ns_per_msg,
-               con.exec_ns_per_msg > seq.exec_ns_per_msg ? "sequential"
-                                                         : "concurrent");
+  std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   std::printf("\nWrote BENCH_threads.json\n");
   return 0;

@@ -347,12 +347,6 @@ Status ProgramBuilder::AddElement(const ElementIr& element, uint16_t elem_idx,
                  "filter element " + element.name +
                      " has no SQL body to compile; use its FilterOp stage");
   }
-  if (element.IsCache()) {
-    return Error(ErrorCode::kUnsupported,
-                 "cache element " + element.name +
-                     " has no SQL body to compile; it runs through the "
-                     "interpreter's dedicated cache path");
-  }
   ChainProgram::ElementSeg seg;
   seg.name = element.name;
   seg.direction = element.direction;
@@ -365,6 +359,10 @@ Status ProgramBuilder::AddElement(const ElementIr& element, uint16_t elem_idx,
         {Instr::Op::kSkipUnlessKind, KindMask(element.direction)});
   }
   Emit({Instr::Op::kBeginElement, 0, 0, elem_idx});
+  if (element.IsCache()) {
+    // The whole cache is one probe over the instance's CacheRuntime.
+    Emit({Instr::Op::kCacheProbe, 0, 0, elem_idx});
+  }
   for (const StmtIr& stmt : element.statements) {
     ADN_RETURN_IF_ERROR(AddStatement(element, elem_idx, stmt));
   }

@@ -36,9 +36,10 @@ struct ChainCompileOptions {
 };
 
 // Lower an ordered element list (an optimized chain) into one ChainProgram.
-// Elements must be SQL elements — filter elements (retry/timeout/...) carry
-// opaque operators and stay on their FilterOp implementations; passing one
-// is an error and callers fall back to the interpreter tier.
+// SQL elements lower to register code; a CACHE element lowers to a single
+// kCacheProbe. Filter elements (retry/timeout/...) carry opaque operators
+// and stay on their FilterOp stages: passing one is a kUnsupported error
+// naming the element.
 Result<std::shared_ptr<const ir::ChainProgram>> CompileChainProgram(
     const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,
     const ChainCompileOptions& options = {});

@@ -347,6 +347,10 @@ ProcessResult ElementInstance::Process(Message& m, int64_t now_ns) {
   };
   if (code_->IsCache()) {
     ProcessResult r = RunCache(m, now_ns);
+    if (r.outcome != ProcessOutcome::kPass &&
+        r.outcome != ProcessOutcome::kReply) {
+      ++dropped_;
+    }
     finish();
     return r;
   }

@@ -73,6 +73,12 @@ class ElementInstance {
   uint64_t BumpNonce() { return ++nonce_counter_; }
   void NoteProcessed() { ++processed_; }
   void NoteDropped() { ++dropped_; }
+  // Cache elements' per-message work: request-path lookup (kReply on hit,
+  // pending record on miss) and response-path fill with ARC admission/
+  // eviction. See docs/ARCHITECTURE.md "Reply-path short-circuit". Counts
+  // nothing in processed/dropped: Process and kCacheProbe's kBeginElement
+  // do that around it.
+  ProcessResult RunCache(rpc::Message& m, int64_t now_ns);
 
   // --- Migration support ----------------------------------------------------
   // Snapshot/restore every table (format: varint count, then table snaps).
@@ -118,11 +124,6 @@ class ElementInstance {
 
   ProcessResult RunStatement(const StmtIr& stmt, rpc::Message& m,
                              EvalContext& ctx);
-  // Per-message entry point for cache elements: request-path lookup
-  // (kReply on hit, pending record on miss) and response-path fill with
-  // ARC admission/eviction. See docs/ARCHITECTURE.md "Reply-path
-  // short-circuit".
-  ProcessResult RunCache(rpc::Message& m, int64_t now_ns);
   // ARC recency/frequency metadata lives outside the state table and is
   // rebuilt lazily from the rows after anything replaces or merges the
   // tables (restore/merge/slice-erase/hot-reload) — the table alone is the

@@ -37,6 +37,7 @@ std::string_view OpName(Instr::Op op) {
     case Instr::Op::kDeleteRows: return "delete_rows";
     case Instr::Op::kDrop: return "drop";
     case Instr::Op::kBeginElement: return "begin_element";
+    case Instr::Op::kCacheProbe: return "cache_probe";
     case Instr::Op::kSkipUnlessKind: return "skip_unless_kind";
     case Instr::Op::kReturnPass: return "return_pass";
     case Instr::Op::kReturnValue: return "return_value";
@@ -116,6 +117,7 @@ std::string ChainProgram::DebugString() const {
         out += " '" + strings[in.b] + "'";
         break;
       case Instr::Op::kBeginElement:
+      case Instr::Op::kCacheProbe:
         out += " " + elements[in.b].name;
         break;
       case Instr::Op::kSkipUnlessKind:
@@ -647,6 +649,18 @@ ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
           }
         }
         break;
+      }
+      case Instr::Op::kCacheProbe: {
+        // The element's one cache implementation (its flat CacheRuntime);
+        // kBeginElement already counted the message, so RunCache, not
+        // Process, or processed would be counted twice.
+        ProcessResult r = instances_[in.b]->RunCache(m, now_ns);
+        if (r.outcome == ProcessOutcome::kPass) break;
+        end_segment();
+        if (r.outcome != ProcessOutcome::kReply) {
+          instances_[in.b]->NoteDropped();
+        }
+        return r;
       }
       case Instr::Op::kSkipUnlessKind:
         if ((in.aux & (1u << static_cast<uint8_t>(m.kind()))) == 0) {

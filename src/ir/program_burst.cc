@@ -110,6 +110,11 @@ void ChainExecutor::AnalyzeBurst() {
           burst_safe_ = false;
         }
         break;
+      case Instr::Op::kCacheProbe:
+        // A cache hit rewrites the lane into a response and fills mutate
+        // the ARC lists in message order: scalar loop only.
+        burst_safe_ = false;
+        break;
       case Instr::Op::kLookupPk:
       case Instr::Op::kLookupScan:
         tables[table_key(in.b)].second++;
@@ -640,6 +645,14 @@ void ChainExecutor::RunBurst(Message* msgs, size_t k, int64_t now_ns,
           if (lane_ip_[l] != ip) continue;
           abort_lane(l, Status(ErrorCode::kInternal,
                                "return_value reached outside a subprogram")
+                            .ToString());
+        }
+        break;
+      case Instr::Op::kCacheProbe:  // AnalyzeBurst keeps caches scalar
+        for (size_t l = 0; l < k; ++l) {
+          if (lane_ip_[l] != ip) continue;
+          abort_lane(l, Status(ErrorCode::kInternal,
+                               "cache_probe reached on the burst path")
                             .ToString());
         }
         break;

@@ -18,13 +18,22 @@ obs::NameId RpcRootNameId() {
 GeneratedStage::GeneratedStage(std::shared_ptr<const ir::ElementIr> code,
                                uint64_t seed)
     : instance_(std::move(code), seed) {
-  // Lower to the compiled tier; fall back to the tree-walking interpreter
-  // when the element has no SQL body (filter ops).
   auto program = compiler::CompileElementProgram(instance_.code());
-  if (program.ok()) {
-    program_ = std::move(program).value();
-    executor_.emplace(program_, std::vector<ir::ElementInstance*>{&instance_});
+  if (!program.ok()) {
+    compile_error_ = program.status().ToString();
+    return;
   }
+  program_ = std::move(program).value();
+  executor_.emplace(program_, std::vector<ir::ElementInstance*>{&instance_});
+}
+
+ir::ProcessResult GeneratedStage::Reject() {
+  instance_.NoteProcessed();
+  instance_.NoteDropped();
+  ir::ProcessResult r;
+  r.outcome = ir::ProcessOutcome::kDropAbort;
+  r.abort_message = compile_error_;
+  return r;
 }
 
 double GeneratedStage::CostNs(const sim::CostModel& model,

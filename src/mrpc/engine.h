@@ -54,10 +54,11 @@ class EngineStage {
 
 // A compiler-generated stage. The element is lowered to a flat ChainProgram
 // at construction and executed by the register-based ChainExecutor; the
-// StmtIr tree stays on the ElementInstance as reference semantics (and as
-// the fallback for anything the lowering declines, e.g. filter elements).
-// State lives in the ElementInstance either way, so controller-side
-// seeding, snapshot and migration code is tier-agnostic.
+// StmtIr tree stays on the ElementInstance as reference semantics only.
+// State lives in the ElementInstance, so controller-side seeding, snapshot
+// and migration code is tier-agnostic. An element the lowering declines (a
+// filter, which belongs on its FilterOp stage) aborts every message with
+// the compile error instead of passing it unexamined.
 class GeneratedStage : public EngineStage {
  public:
   explicit GeneratedStage(std::shared_ptr<const ir::ElementIr> code,
@@ -69,17 +70,15 @@ class GeneratedStage : public EngineStage {
   }
   ir::ProcessResult Process(rpc::Message& message, int64_t now_ns) override {
     if (executor_.has_value()) return executor_->Process(message, now_ns);
-    return instance_.Process(message, now_ns);
+    return Reject();
   }
   void ProcessBurst(rpc::Message* messages, size_t n, int64_t now_ns,
                     ir::ProcessResult* results) override {
-    if (executor_.has_value()) {
-      executor_->ProcessBurst(messages, n, now_ns, results);
+    if (!executor_.has_value()) {
+      EngineStage::ProcessBurst(messages, n, now_ns, results);
       return;
     }
-    for (size_t i = 0; i < n; ++i) {
-      results[i] = instance_.Process(messages[i], now_ns);
-    }
+    executor_->ProcessBurst(messages, n, now_ns, results);
   }
   double CostNs(const sim::CostModel& model,
                 size_t payload_bytes) const override;
@@ -87,7 +86,8 @@ class GeneratedStage : public EngineStage {
     if (executor_.has_value()) executor_->set_trace_identity(tier, processor_id);
   }
 
-  // True when this stage runs the compiled tier (vs the interpreter).
+  // False only when the element did not compile (a filter): every message
+  // is then aborted with the compile error.
   bool compiled() const { return executor_.has_value(); }
   const ir::ChainProgram* program() const { return program_.get(); }
 
@@ -95,9 +95,12 @@ class GeneratedStage : public EngineStage {
   const ir::ElementInstance& instance() const { return instance_; }
 
  private:
+  ir::ProcessResult Reject();
+
   ir::ElementInstance instance_;
   std::shared_ptr<const ir::ChainProgram> program_;
   std::optional<ir::ChainExecutor> executor_;  // bound to &instance_
+  std::string compile_error_;                  // set when executor_ is empty
 };
 
 // An engine chain bound to one processor site.

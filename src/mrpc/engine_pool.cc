@@ -48,76 +48,12 @@ void EmitReconfigEvent(obs::EventKind kind, std::string_view name,
 
 }  // namespace
 
-// --- GroupRunner --------------------------------------------------------------
-
-GroupRunner::GroupRunner(int helpers) {
-  threads_.reserve(static_cast<size_t>(std::max(helpers, 0)));
-  for (int i = 0; i < helpers; ++i) {
-    threads_.emplace_back([this, i] { HelperLoop(i); });
-  }
-}
-
-GroupRunner::~GroupRunner() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void GroupRunner::HelperLoop(int index) {
-  uint64_t seen_epoch = 0;
-  for (;;) {
-    const std::vector<std::function<void()>>* tasks = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [&] { return stop_ || (epoch_ != seen_epoch &&
-                                           tasks_ != nullptr); });
-      if (stop_) return;
-      seen_epoch = epoch_;
-      tasks = tasks_;
-    }
-    // Helper i owns tasks[i + 1] (task 0 runs on the caller).
-    const size_t mine = static_cast<size_t>(index) + 1;
-    if (mine < tasks->size()) (*tasks)[mine]();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--remaining_ == 0) done_cv_.notify_one();
-    }
-  }
-}
-
-void GroupRunner::Run(const std::vector<std::function<void()>>& tasks) {
-  if (tasks.empty()) return;
-  // Tasks beyond the helper pool run inline after task 0.
-  const size_t dispatched =
-      std::min(tasks.size() - 1, threads_.size());
-  if (dispatched > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_ = &tasks;
-    remaining_ = static_cast<int>(threads_.size());
-    ++epoch_;
-    work_cv_.notify_all();
-  }
-  tasks[0]();
-  for (size_t i = threads_.size() + 1; i < tasks.size(); ++i) tasks[i]();
-  if (dispatched > 0) {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [&] { return remaining_ == 0; });
-    tasks_ = nullptr;
-  }
-}
-
 // --- EnginePool ---------------------------------------------------------------
 
 EnginePool::EnginePool(
     std::vector<std::shared_ptr<const ir::ElementIr>> elements,
-    std::vector<int> parallel_groups, Config config)
-    : elements_(std::move(elements)),
-      parallel_groups_(std::move(parallel_groups)),
-      config_(std::move(config)) {
+    std::vector<int> /*parallel_groups*/, Config config)
+    : elements_(std::move(elements)), config_(std::move(config)) {
   if (config_.workers < 1) config_.workers = 1;
   if (!config_.shard_key_field.empty()) {
     shard_key_fid_ = rpc::InternFieldName(config_.shard_key_field);
@@ -128,25 +64,13 @@ EnginePool::EnginePool(
     template_instances_.push_back(std::make_unique<ir::ElementInstance>(
         elements_[i], config_.seed + i + 1));
   }
-  // Compiled forms. The whole-chain program is the sequential fast path; the
-  // per-element programs serve concurrent segments and the fallback path.
-  element_programs_.resize(elements_.size());
-  bool all_compiled = true;
-  for (size_t i = 0; i < elements_.size(); ++i) {
-    auto program = compiler::CompileElementProgram(*elements_[i]);
-    if (program.ok()) {
-      element_programs_[i] = std::move(program).value();
-    } else {
-      all_compiled = false;
-    }
-  }
-  if (all_compiled && config_.group_mode == GroupMode::kSequential) {
-    auto chain = compiler::CompileChainProgram(elements_, {});
-    if (chain.ok()) whole_chain_program_ = std::move(chain).value();
-  }
-  if (whole_chain_program_ != nullptr) {
+  auto chain = compiler::CompileChainProgram(elements_, {});
+  if (chain.ok()) {
+    whole_chain_program_ = std::move(chain).value();
     program_version_.store(whole_chain_program_->version,
                            std::memory_order_relaxed);
+  } else {
+    compile_status_ = chain.status();
   }
   // Initial routing: slots dealt round-robin across workers. Start() shards
   // tables with the same (slot % workers) assignment, so routing and state
@@ -154,65 +78,9 @@ EnginePool::EnginePool(
   for (size_t s = 0; s < kRouteSlots; ++s) {
     route_[s] = static_cast<int32_t>(s % static_cast<size_t>(config_.workers));
   }
-  BuildSegments();
 }
 
 EnginePool::~EnginePool() { Stop(); }
-
-void EnginePool::BuildSegments() {
-  segments_.clear();
-  max_fused_width_ = 1;
-  size_t i = 0;
-  while (i < elements_.size()) {
-    Segment seg;
-    seg.begin = i;
-    seg.end = i + 1;
-    if (i < parallel_groups_.size()) {
-      const int group = parallel_groups_[i];
-      while (seg.end < elements_.size() && seg.end < parallel_groups_.size() &&
-             parallel_groups_[seg.end] == group) {
-        ++seg.end;
-      }
-    }
-    // A fused concurrent segment must be provably safe on one shared
-    // Message: every member compiled, and no member reshapes the field
-    // vector (projection) or steers routing mid-group. Written fields are
-    // collected so RunFusedSegment can pre-create them — after that, every
-    // kStoreField lands in an existing slot and never reallocates.
-    if (seg.end - seg.begin > 1) {
-      bool safe = true;
-      for (size_t e = seg.begin; e < seg.end && safe; ++e) {
-        const ir::ChainProgram* program = element_programs_[e].get();
-        if (program == nullptr) {
-          safe = false;
-          break;
-        }
-        for (const ir::Instr& instr : program->code) {
-          if (instr.op == ir::Instr::Op::kProject ||
-              instr.op == ir::Instr::Op::kRouteDest) {
-            safe = false;
-            break;
-          }
-          if (instr.op == ir::Instr::Op::kStoreField) {
-            seg.precreate_fields.push_back(
-                rpc::InternFieldName(program->field_names[instr.b]));
-          }
-        }
-      }
-      seg.fused = safe;
-      if (!safe) seg.precreate_fields.clear();
-      std::sort(seg.precreate_fields.begin(), seg.precreate_fields.end());
-      seg.precreate_fields.erase(
-          std::unique(seg.precreate_fields.begin(), seg.precreate_fields.end()),
-          seg.precreate_fields.end());
-      if (seg.fused) {
-        max_fused_width_ = std::max(max_fused_width_, seg.end - seg.begin);
-      }
-    }
-    segments_.push_back(std::move(seg));
-    i = segments_.back().end;
-  }
-}
 
 ir::ElementInstance* EnginePool::TemplateInstance(size_t element) {
   if (element >= template_instances_.size()) return nullptr;
@@ -230,6 +98,7 @@ Status EnginePool::Start() {
   if (started_) {
     return Status(ErrorCode::kInvalidArgument, "EnginePool already started");
   }
+  ADN_RETURN_IF_ERROR(compile_status_);
   const int n = config_.workers;
   // Shard the template state under the two-level slot partition
   // ((key hash % kRouteSlots) % workers) so table placement matches the
@@ -262,29 +131,12 @@ Status EnginePool::Start() {
       ADN_RETURN_IF_ERROR(inst->RestoreState(shards[e][w]));
       worker->instances.push_back(std::move(inst));
     }
-    if (whole_chain_program_ != nullptr) {
-      std::vector<ir::ElementInstance*> raw;
-      for (auto& inst : worker->instances) raw.push_back(inst.get());
-      worker->chain_exec = std::make_unique<ir::ChainExecutor>(
-          whole_chain_program_, std::move(raw));
-      worker->chain_exec->set_trace_identity(obs::Tier::kEngine,
-                                             worker->trace_processor_id);
-    } else {
-      worker->element_exec.resize(elements_.size());
-      for (size_t e = 0; e < elements_.size(); ++e) {
-        if (element_programs_[e] == nullptr) continue;
-        worker->element_exec[e] = std::make_unique<ir::ChainExecutor>(
-            element_programs_[e],
-            std::vector<ir::ElementInstance*>{worker->instances[e].get()});
-        worker->element_exec[e]->set_trace_identity(
-            obs::Tier::kEngine, worker->trace_processor_id);
-      }
-      if (config_.group_mode == GroupMode::kConcurrent &&
-          max_fused_width_ > 1) {
-        worker->group_runner = std::make_unique<GroupRunner>(
-            static_cast<int>(max_fused_width_) - 1);
-      }
-    }
+    std::vector<ir::ElementInstance*> raw;
+    for (auto& inst : worker->instances) raw.push_back(inst.get());
+    worker->chain_exec = std::make_unique<ir::ChainExecutor>(
+        whole_chain_program_, std::move(raw));
+    worker->chain_exec->set_trace_identity(obs::Tier::kEngine,
+                                           worker->trace_processor_id);
     workers_.push_back(std::move(worker));
   }
   stop_.store(false, std::memory_order_release);
@@ -376,7 +228,6 @@ void EnginePool::Stop() {
   }
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
-    worker->group_runner.reset();  // joins helper threads
   }
   stopped_ = true;
 }
@@ -392,7 +243,7 @@ void EnginePool::WorkerLoop(int index) {
   // TryPopBurst moves up to burst_size messages per head/tail round trip
   // into a fixed worker-local array (no per-batch heap traffic), then
   // ProcessBatch runs the burst executor (or the per-message path when the
-  // chain is not burst-compiled / observability is on).
+  // chain is not burst-vectorizable and observability is on).
   //
   // measure_exec wraps only the ProcessBatch call in a
   // CLOCK_THREAD_CPUTIME_ID window: thread CPU time excludes preemption
@@ -526,8 +377,7 @@ void EnginePool::ProcessBatch(Worker& w, rpc::Message* msgs, size_t n,
   // to this worker's event ring) and the pool counters batch to one Inc(n)
   // here. Only a chain the analysis could not vectorize takes the
   // per-message path when obs is on, keeping its per-RPC trace scopes.
-  if (w.chain_exec != nullptr &&
-      (!obs::Enabled() || w.chain_exec->burst_vectorizable())) {
+  if (!obs::Enabled() || w.chain_exec->burst_vectorizable()) {
     const bool timing = obs::Enabled();
     w.chain_exec->ProcessBurst(msgs, n, now_ns, results);
     if (timing) {
@@ -557,76 +407,12 @@ ir::ProcessResult EnginePool::ProcessMessage(Worker& w, rpc::Message& m,
     scope.emplace(m.id(), obs::Tier::kEngine, w.trace_processor_id,
                   PoolRpcNameId());
   }
-  ir::ProcessResult result = ir::ProcessResult::Pass();
-  if (w.chain_exec != nullptr) {
-    result = w.chain_exec->Process(m, now_ns);
-  } else {
-    for (const Segment& seg : segments_) {
-      if (seg.fused && w.group_runner != nullptr) {
-        result = RunFusedSegment(w, seg, m, now_ns);
-      } else {
-        for (size_t e = seg.begin; e < seg.end; ++e) {
-          result = RunElement(w, e, m, now_ns);
-          if (result.outcome != ir::ProcessOutcome::kPass) break;
-        }
-      }
-      if (result.outcome != ir::ProcessOutcome::kPass) break;
-    }
-  }
+  ir::ProcessResult result = w.chain_exec->Process(m, now_ns);
   if (timing && result.outcome != ir::ProcessOutcome::kPass &&
       result.outcome != ir::ProcessOutcome::kReply) {
     w.drops_counter->Inc();
   }
   return result;
-}
-
-ir::ProcessResult EnginePool::RunElement(Worker& w, size_t element,
-                                         rpc::Message& m, int64_t now_ns) {
-  ir::ElementInstance& inst = *w.instances[element];
-  if (!inst.AppliesTo(m.kind())) return ir::ProcessResult::Pass();
-  if (w.element_exec[element] != nullptr) {
-    return w.element_exec[element]->Process(m, now_ns);
-  }
-  return inst.Process(m, now_ns);
-}
-
-ir::ProcessResult EnginePool::RunFusedSegment(Worker& w, const Segment& seg,
-                                              rpc::Message& m,
-                                              int64_t now_ns) {
-  // Collect applicable members; a group that degenerates to one member runs
-  // inline with no fork-join cost.
-  std::vector<size_t> members;
-  members.reserve(seg.end - seg.begin);
-  for (size_t e = seg.begin; e < seg.end; ++e) {
-    if (w.instances[e]->AppliesTo(m.kind())) members.push_back(e);
-  }
-  if (members.empty()) return ir::ProcessResult::Pass();
-  if (members.size() == 1) return RunElement(w, members[0], m, now_ns);
-
-  // Pre-create every field the segment writes: after this, member stores
-  // overwrite existing slots in place and the field vector never moves while
-  // the helpers run. The effect analysis already guarantees the members'
-  // read/write field sets are pairwise disjoint.
-  for (const rpc::FieldId field : seg.precreate_fields) {
-    if (!m.HasField(field)) m.SetField(field, rpc::Value());
-  }
-
-  std::vector<ir::ProcessResult> results(members.size());
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(members.size());
-  for (size_t k = 0; k < members.size(); ++k) {
-    tasks.push_back([this, &w, &m, &results, &members, k, now_ns] {
-      results[k] = w.element_exec[members[k]]->Process(m, now_ns);
-    });
-  }
-  w.group_runner->Run(tasks);
-  // All members saw the same input snapshot; the first non-pass in chain
-  // order decides the message's fate (CheckParallelizable admits at most
-  // one dropper per group).
-  for (const ir::ProcessResult& r : results) {
-    if (r.outcome != ir::ProcessOutcome::kPass) return r;
-  }
-  return ir::ProcessResult::Pass();
 }
 
 uint64_t EnginePool::processed() const {
@@ -867,11 +653,6 @@ Status EnginePool::SwapProgram(
   if (!started_ || stopped_) {
     return Status(ErrorCode::kFailedPrecondition,
                   "SwapProgram: pool is not running");
-  }
-  if (whole_chain_program_ == nullptr) {
-    return Status(ErrorCode::kFailedPrecondition,
-                  "SwapProgram: hot reload requires the whole-chain compiled "
-                  "tier (sequential mode, SQL-only elements)");
   }
   if (swap_pending_.load(std::memory_order_acquire) != 0) {
     return Status(ErrorCode::kFailedPrecondition,

@@ -24,19 +24,15 @@
 // unsharded hash exactly when the shards partition the rows — the PR 4
 // migration invariant, now continuously checkable on a live pool).
 //
-// Parallel groups (paper §5.2): the compiler's effect analysis marks runs of
-// elements that may execute concurrently on one message. GroupMode picks how
-// a worker honors that:
-//  - kSequential (default): group members run back-to-back on the worker.
-//    Pool parallelism comes from sharding across workers — zero per-message
-//    synchronization.
-//  - kConcurrent: members of a size>1 group run as one fused concurrent
-//    segment on per-worker helper threads (fork-join per message). Only
-//    groups whose members are provably safe on a shared Message are fused
-//    (no projection/routing, written fields pre-created so the field vector
-//    never reallocates mid-flight); unsafe groups fall back to sequential.
-// bench_scaling --threads measures both; see EXPERIMENTS.md for why
-// sequential-within-worker wins for ns-scale elements.
+// One execution tier: every worker runs the whole chain as one compiled
+// ChainProgram (SQL elements as register code, caches as one kCacheProbe
+// each). A chain that does not compile whole — one with a filter element,
+// which belongs on its FilterOp stage — is rejected by Start(). The
+// compiler's parallel groups (paper §5.2) run back-to-back on the worker:
+// pool parallelism comes from sharding across workers, with zero
+// per-message synchronization. A fork-join mode that ran a group's members
+// on helper threads was removed; its last measurements are in
+// EXPERIMENTS.md E7.
 #pragma once
 
 #include <array>
@@ -63,38 +59,8 @@
 
 namespace adn::mrpc {
 
-// Fork-join runner for one fused concurrent segment: `helpers` persistent
-// threads wait for a task batch; Run() executes tasks[0] on the calling
-// worker thread and tasks[1..] on helpers, returning when all finish.
-class GroupRunner {
- public:
-  explicit GroupRunner(int helpers);
-  ~GroupRunner();
-
-  GroupRunner(const GroupRunner&) = delete;
-  GroupRunner& operator=(const GroupRunner&) = delete;
-
-  // Blocks until every task has run. Tasks beyond the helper count run on
-  // the calling thread.
-  void Run(const std::vector<std::function<void()>>& tasks);
-
- private:
-  void HelperLoop(int index);
-
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t epoch_ = 0;
-  const std::vector<std::function<void()>>* tasks_ = nullptr;
-  int remaining_ = 0;
-  bool stop_ = false;
-};
-
 class EnginePool {
  public:
-  enum class GroupMode { kSequential, kConcurrent };
-
   // Keys hash into this many fixed route slots; a slot maps to one worker
   // (route_). Live migration moves ownership of one slot at a time.
   static constexpr size_t kRouteSlots = 64;
@@ -133,7 +99,6 @@ class EnginePool {
     // message: route by hash of the RPC/connection id instead.
     std::string shard_key_field;
     size_t ring_capacity = 1024;
-    GroupMode group_mode = GroupMode::kSequential;
     // Base seed for per-worker instance RNG/nonce streams.
     uint64_t seed = 1;
     // Observability identity: workers count into
@@ -153,17 +118,17 @@ class EnginePool {
     // [1, ir::ChainExecutor::kMaxBurstLanes]. The default is the measured
     // knee on the fig5 chain — see bench_burst / BENCH_burst.json.
     size_t burst_size = 32;
-    // Invoked on the WORKER thread after each message (any mode). Must be
+    // Invoked on the WORKER thread after each message. Must be
     // thread-safe across workers; keep it cheap.
     std::function<void(int worker, const rpc::Message&,
                        const ir::ProcessResult&)>
         on_done;
   };
 
-  // `parallel_groups[i]` is element i's compiler-assigned group id
-  // (compiler::CompiledChain::parallel_groups); empty = every element its
-  // own group. Elements must be SQL elements for the compiled tier; filter
-  // elements make that element fall back to the interpreter.
+  // Compiles the chain into one ChainProgram; Start() reports the compile
+  // error if it does not compile (a filter element). `parallel_groups` is
+  // unused — groups run sequentially in a worker — and is kept so existing
+  // callers that pass the compiler's group ids still build.
   EnginePool(std::vector<std::shared_ptr<const ir::ElementIr>> elements,
              std::vector<int> parallel_groups, Config config);
   ~EnginePool();
@@ -178,7 +143,8 @@ class EnginePool {
   ir::ElementInstance* FindTemplateInstance(std::string_view name);
 
   // Shard the template state across `workers` instance sets and spawn the
-  // worker threads. Error to call twice.
+  // worker threads. Error to call twice, and an error (the compile error,
+  // e.g. kUnsupported for a filter element) when the chain did not compile.
   Status Start();
   bool started() const { return started_; }
 
@@ -207,7 +173,7 @@ class EnginePool {
   const LiveMigrationStats& migration_stats() const;
 
   // DSL hot-reload: recompile-and-swap the running chain without stopping
-  // the workers. Requires the whole-chain compiled tier and state-compatible
+  // the workers. Requires state-compatible
   // elements (same table names/schemas per element — ir::CheckStateCompatible;
   // incompatible or non-compiling chains are rejected and the running
   // program is untouched). Each worker swaps at a burst boundary, keeping
@@ -221,8 +187,8 @@ class EnginePool {
 
   // Blocks until every submitted message has been fully processed.
   void Drain();
-  // Drain, then join every worker (and helper) thread. Idempotent; the
-  // destructor calls it.
+  // Drain, then join every worker thread. Idempotent; the destructor calls
+  // it.
   void Stop();
 
   // --- Merge-on-read ---------------------------------------------------------
@@ -253,21 +219,11 @@ class EnginePool {
   // equivalent unsharded instance when the shards partition the rows.
   uint64_t MergedStateHash(size_t element) const;
 
-  // True when worker threads execute the whole chain as one compiled
-  // ChainProgram (SQL-only chain, sequential mode); false = per-element
-  // dispatch (concurrent mode or interpreter fallback).
+  // True when the chain compiled into one ChainProgram, which is the only
+  // way the pool runs: false means Start() will refuse the chain.
   bool whole_chain_compiled() const { return whole_chain_program_ != nullptr; }
 
  private:
-  struct Segment {
-    size_t begin = 0;  // element index range [begin, end)
-    size_t end = 0;
-    bool fused = false;  // safe to run concurrently in kConcurrent mode
-    // Interned ids of fields kStoreField writes anywhere in the segment:
-    // pre-created on the message before forking so no member's store
-    // reallocates the field buffer.
-    std::vector<rpc::FieldId> precreate_fields;
-  };
 
   // A reconfiguration step to run on the worker thread, between bursts,
   // only after the worker has finished every message that was submitted
@@ -285,12 +241,8 @@ class EnginePool {
 
     SpscRing<rpc::Message> ring;
     std::vector<std::unique_ptr<ir::ElementInstance>> instances;
-    // Sequential fast path: one executor over the whole chain.
+    // One executor over the whole chain.
     std::unique_ptr<ir::ChainExecutor> chain_exec;
-    // Per-element executors (concurrent mode / fallback); null entry =
-    // interpreter for that element.
-    std::vector<std::unique_ptr<ir::ChainExecutor>> element_exec;
-    std::unique_ptr<GroupRunner> group_runner;
     std::thread thread;
 
     std::atomic<uint64_t> submitted{0};  // producer-side
@@ -348,19 +300,13 @@ class EnginePool {
   // messages the next burst may pop without crossing the next op's barrier.
   size_t RunPendingControl(Worker& w, size_t burst_max);
   // Process msgs[0..n) on worker w, filling results[0..n). Takes the burst
-  // executor when the whole chain is compiled and observability is off;
+  // executor when observability is off or the chain is burst-vectorizable;
   // otherwise the per-message path (which owns trace scopes / counters).
   void ProcessBatch(Worker& w, rpc::Message* msgs, size_t n, int64_t now_ns,
                     ir::ProcessResult* results);
   ir::ProcessResult ProcessMessage(Worker& w, rpc::Message& m, int64_t now_ns);
-  ir::ProcessResult RunElement(Worker& w, size_t element, rpc::Message& m,
-                               int64_t now_ns);
-  ir::ProcessResult RunFusedSegment(Worker& w, const Segment& seg,
-                                    rpc::Message& m, int64_t now_ns);
-  void BuildSegments();
 
   std::vector<std::shared_ptr<const ir::ElementIr>> elements_;
-  std::vector<int> parallel_groups_;
   Config config_;
   // Interned once at construction so the Submit hot path routes by integer
   // field-id compare instead of a name scan. 0-and-false when no shard key.
@@ -370,12 +316,10 @@ class EnginePool {
   // Unsharded reference state (seeded pre-Start, sharded at Start).
   std::vector<std::unique_ptr<ir::ElementInstance>> template_instances_;
 
+  // Shared by every worker's executor; null when the chain did not compile,
+  // with the reason in compile_status_.
   std::shared_ptr<const ir::ChainProgram> whole_chain_program_;
-  // Per-element programs, shared by every worker's executors; null entry =
-  // no compiled form (filter element) -> interpreter.
-  std::vector<std::shared_ptr<const ir::ChainProgram>> element_programs_;
-  std::vector<Segment> segments_;
-  size_t max_fused_width_ = 1;
+  Status compile_status_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};

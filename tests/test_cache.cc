@@ -1,6 +1,7 @@
 // The Cache element (ISSUE 10 tentpole): DSL surface, ARC hit/miss/fill
 // semantics, TTL expiry, capacity eviction, tier parity (interpreter vs
-// engine stage vs burst), migration invariance, aggregation primitives and
+// engine stage vs burst vs whole-chain program), migration invariance,
+// aggregation primitives and
 // the hit-rate-aware placement of caches toward the client.
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <map>
 
 #include "compiler/backend.h"
+#include "compiler/chain_compile.h"
 #include "compiler/compiler.h"
 #include "compiler/lower.h"
 #include "controller/placement.h"
@@ -15,6 +17,7 @@
 #include "elements/filter_ops.h"
 #include "elements/library.h"
 #include "ir/exec.h"
+#include "ir/program.h"
 #include "mrpc/engine.h"
 
 namespace adn {
@@ -223,79 +226,160 @@ TEST(CacheExec, ArcKeepsFrequentKeyThroughScans) {
 
 // --- Tier parity -------------------------------------------------------------
 
-// The cache has exactly one implementation (the interpreter's RunCache), but
-// it is reachable through three execution paths: direct interpreter calls,
-// a GeneratedStage on an engine (compiled tier declines caches and falls
-// back), and the engine's stage-major burst loop. All three must produce
-// identical outcomes, message rewrites, counters and state hashes.
-TEST(CacheParity, ScalarStageAndBurstAgree) {
-  auto code = LowerNamed(
-      "CACHE C (capacity => 8, ttl_ms => 0) KEY (object_id);\n", "C");
-  ir::ElementInstance interp(code, 3);
-  mrpc::GeneratedStage scalar(code, 3);
-  EXPECT_FALSE(scalar.compiled()) << "caches must decline the compiled tier";
+// The cached chain RespCache -> Logging -> Acl -> HashLb -> Compress
+// (elements::CacheChainSource), seeded so every request is admitted.
+constexpr int kParityUsers = 8;
+constexpr const char* kCachedChain[] = {"RespCache", "Logging", "Acl",
+                                        "HashLb", "Compress"};
 
-  mrpc::EngineChain chain;
-  auto burst_owner = std::make_unique<mrpc::GeneratedStage>(code, 3);
-  mrpc::GeneratedStage* burst = burst_owner.get();
-  chain.AddStage(std::move(burst_owner));
+void SeedParity(ir::ElementInstance& inst) {
+  if (rpc::Table* acl = inst.FindTable("ac_tab")) {
+    for (int u = 0; u < kParityUsers; ++u) {
+      ASSERT_TRUE(acl->Insert({Value("u" + std::to_string(u)), Value("W")})
+                      .ok());
+    }
+  }
+  if (rpc::Table* endpoints = inst.FindTable("endpoints")) {
+    for (int64_t shard = 0; shard < elements::kLbShards; ++shard) {
+      ASSERT_TRUE(endpoints->Insert({Value(shard), Value(100 + shard)}).ok());
+    }
+  }
+}
+
+Message ChainRequest(uint64_t id, int64_t object_id) {
+  return Message::MakeRequest(
+      id, "Get",
+      {{"username", Value("u" + std::to_string(object_id % kParityUsers))},
+       {"object_id", Value(object_id)},
+       {"payload", Value(Bytes(24, static_cast<uint8_t>(object_id)))}});
+}
+
+Message ChainResponse(const Message& request) {
+  const int64_t object_id = request.GetFieldOrNull("object_id").AsInt();
+  return Message::MakeResponse(
+      request,
+      {{"username", Value("u" + std::to_string(object_id % kParityUsers))},
+       {"result", Value("v" + std::to_string(object_id))},
+       {"payload", Value(Bytes(16, static_cast<uint8_t>(object_id)))}});
+}
+
+// The cache has one implementation (ElementInstance::RunCache over its flat
+// CacheRuntime), reached through four paths over the whole cached chain:
+// the interpreter element by element (the oracle), GeneratedStages one
+// message at a time, the same stages' burst loop, and one whole-chain
+// ChainExecutor, where the cache is a single kCacheProbe. All four must
+// produce identical outcomes, message rewrites, counters and state hashes.
+TEST(CacheParity, ScalarStageAndBurstAgree) {
+  auto parsed = dsl::ParseProgram(elements::CacheChainSource());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto lowered = compiler::LowerProgram(*parsed);
+  ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+  std::vector<std::shared_ptr<const ir::ElementIr>> codes;
+  for (const char* name : kCachedChain) {
+    codes.push_back(lowered->FindElement(name));
+    ASSERT_NE(codes.back(), nullptr) << name;
+  }
+  const size_t n = codes.size();
+
+  std::vector<std::unique_ptr<ir::ElementInstance>> interp, whole_state;
+  mrpc::EngineChain scalar, burst;
+  for (size_t e = 0; e < n; ++e) {
+    interp.push_back(std::make_unique<ir::ElementInstance>(codes[e], 3));
+    whole_state.push_back(std::make_unique<ir::ElementInstance>(codes[e], 3));
+    auto scalar_stage = std::make_unique<mrpc::GeneratedStage>(codes[e], 3);
+    auto burst_stage = std::make_unique<mrpc::GeneratedStage>(codes[e], 3);
+    EXPECT_TRUE(scalar_stage->compiled()) << codes[e]->name;
+    for (ir::ElementInstance* inst :
+         {interp.back().get(), whole_state.back().get(),
+          &scalar_stage->instance(), &burst_stage->instance()}) {
+      SeedParity(*inst);
+    }
+    scalar.AddStage(std::move(scalar_stage));
+    burst.AddStage(std::move(burst_stage));
+  }
+  auto program = compiler::CompileChainProgram(codes);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  std::vector<ir::ElementInstance*> raw;
+  for (auto& inst : whole_state) raw.push_back(inst.get());
+  ir::ChainExecutor whole(std::move(program).value(), std::move(raw));
+  EXPECT_FALSE(whole.burst_vectorizable()) << "kCacheProbe stays scalar";
+
+  auto run_interp = [&](Message& m, int64_t now) {
+    for (auto& inst : interp) {
+      if (!inst->AppliesTo(m.kind())) continue;
+      ProcessResult r = inst->Process(m, now);
+      if (r.outcome != ProcessOutcome::kPass) return r;
+    }
+    return ProcessResult::Pass();
+  };
+  // Every path over one batch; returns the oracle's outcomes.
+  auto run_all = [&](const std::vector<Message>& base, int64_t now) {
+    const size_t k = base.size();
+    std::vector<Message> m1 = base, m2 = base, m3 = base, m4 = base;
+    std::vector<ProcessResult> r3(k), r4(k);
+    burst.ProcessBurst(m3.data(), k, now, r3.data());
+    whole.ProcessBurst(m4.data(), k, now, r4.data());
+    std::vector<ProcessOutcome> outcomes;
+    for (size_t i = 0; i < k; ++i) {
+      const ProcessResult r1 = run_interp(m1[i], now);
+      const ProcessResult r2 = scalar.Process(m2[i], now);
+      EXPECT_EQ(r1.outcome, r2.outcome) << "lane " << i;
+      EXPECT_EQ(r1.outcome, r3[i].outcome) << "lane " << i;
+      EXPECT_EQ(r1.outcome, r4[i].outcome) << "lane " << i;
+      for (const Message* other : {&m2[i], &m3[i], &m4[i]}) {
+        EXPECT_EQ(m1[i].DebugString(), other->DebugString());
+        EXPECT_EQ(m1[i].destination(), other->destination());
+      }
+      outcomes.push_back(r1.outcome);
+    }
+    return outcomes;
+  };
 
   Rng rng(2026);
   uint64_t next_id = 1;
   constexpr size_t kBurst = 8;
   for (int round = 0; round < 60; ++round) {
     const int64_t now = round;
-    // A burst of skewed requests.
-    std::vector<Message> base;
+    // A burst of skewed requests: the min of two draws favours small keys,
+    // a rough zipf-ish skew without pulling in the sampler.
+    std::vector<Message> requests;
     for (size_t i = 0; i < kBurst; ++i) {
-      // Favor small keys: key = r % 6 with two draws gives a rough zipf-ish
-      // skew without pulling in the sampler.
       uint64_t draw = std::min(rng.NextBelow(12), rng.NextBelow(12));
-      base.push_back(Request(next_id++, static_cast<int64_t>(draw)));
+      requests.push_back(ChainRequest(next_id++, static_cast<int64_t>(draw)));
     }
-    std::vector<Message> m1 = base, m2 = base, m3 = base;
-    std::vector<ProcessResult> r3(kBurst);
-    chain.ProcessBurst(m3.data(), kBurst, now, r3.data());
+    const std::vector<ProcessOutcome> outcomes = run_all(requests, now);
+    // Misses get responses, through every path again.
+    std::vector<Message> responses;
     for (size_t i = 0; i < kBurst; ++i) {
-      ProcessResult r1 = interp.Process(m1[i], now);
-      ProcessResult r2 = scalar.Process(m2[i], now);
-      ASSERT_EQ(r1.outcome, r2.outcome) << "round " << round << " lane " << i;
-      ASSERT_EQ(r1.outcome, r3[i].outcome)
-          << "round " << round << " lane " << i;
-      ASSERT_EQ(m1[i].DebugString(), m2[i].DebugString());
-      ASSERT_EQ(m1[i].DebugString(), m3[i].DebugString());
-    }
-    // Misses get responses, again burst vs scalar.
-    std::vector<Message> resp_base;
-    for (size_t i = 0; i < kBurst; ++i) {
-      if (r3[i].outcome == ProcessOutcome::kPass) {
-        resp_base.push_back(
-            ResponseFor(base[i], base[i].GetFieldOrNull("object_id").AsInt()));
+      if (outcomes[i] == ProcessOutcome::kPass) {
+        responses.push_back(ChainResponse(requests[i]));
       }
     }
-    if (resp_base.empty()) continue;
-    std::vector<Message> p1 = resp_base, p2 = resp_base, p3 = resp_base;
-    std::vector<ProcessResult> pr3(resp_base.size());
-    chain.ProcessBurst(p3.data(), p3.size(), now, pr3.data());
-    for (size_t i = 0; i < resp_base.size(); ++i) {
-      ASSERT_EQ(interp.Process(p1[i], now).outcome, ProcessOutcome::kPass);
-      ASSERT_EQ(scalar.Process(p2[i], now).outcome, ProcessOutcome::kPass);
-      ASSERT_EQ(pr3[i].outcome, ProcessOutcome::kPass);
+    for (ProcessOutcome o : run_all(responses, now)) {
+      EXPECT_EQ(o, ProcessOutcome::kPass);
     }
   }
 
-  ir::ElementInstance& stage_state = scalar.instance();
-  ir::ElementInstance& burst_state = burst->instance();
-  EXPECT_GT(interp.cache_hits(), 0u);
-  EXPECT_GT(interp.cache_misses(), 0u);
-  EXPECT_EQ(interp.cache_hits(), stage_state.cache_hits());
-  EXPECT_EQ(interp.cache_hits(), burst_state.cache_hits());
-  EXPECT_EQ(interp.cache_misses(), stage_state.cache_misses());
-  EXPECT_EQ(interp.cache_misses(), burst_state.cache_misses());
-  EXPECT_EQ(interp.cache_fills(), burst_state.cache_fills());
-  EXPECT_EQ(interp.StateContentHash(), stage_state.StateContentHash());
-  EXPECT_EQ(interp.StateContentHash(), burst_state.StateContentHash());
-  EXPECT_EQ(chain.dropped(), 0u) << "cache replies must not count as drops";
+  EXPECT_GT(interp[0]->cache_hits(), 0u);
+  EXPECT_GT(interp[0]->cache_misses(), 0u);
+  for (size_t e = 0; e < n; ++e) {
+    const ir::ElementInstance& want = *interp[e];
+    auto& scalar_stage = dynamic_cast<mrpc::GeneratedStage&>(scalar.stage(e));
+    auto& burst_stage = dynamic_cast<mrpc::GeneratedStage&>(burst.stage(e));
+    for (const ir::ElementInstance* got :
+         {&scalar_stage.instance(), &burst_stage.instance(),
+          whole_state[e].get()}) {
+      EXPECT_EQ(want.processed(), got->processed()) << want.name();
+      EXPECT_EQ(want.dropped(), got->dropped()) << want.name();
+      EXPECT_EQ(want.cache_hits(), got->cache_hits()) << want.name();
+      EXPECT_EQ(want.cache_misses(), got->cache_misses()) << want.name();
+      EXPECT_EQ(want.cache_fills(), got->cache_fills()) << want.name();
+      EXPECT_EQ(want.StateContentHash(), got->StateContentHash())
+          << want.name();
+    }
+  }
+  EXPECT_EQ(scalar.dropped(), 0u) << "cache replies must not count as drops";
+  EXPECT_EQ(burst.dropped(), 0u);
 }
 
 // --- Migration ---------------------------------------------------------------

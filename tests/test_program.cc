@@ -11,6 +11,7 @@
 #include "dsl/parser.h"
 #include "elements/library.h"
 #include "ir/program.h"
+#include "mrpc/engine.h"
 #include "stack/mesh_path.h"
 
 namespace adn {
@@ -88,7 +89,19 @@ TEST(ChainProgram, FilterElementsAreRejected) {
   auto filter = program.FindElement("Limiter");
   ASSERT_NE(filter, nullptr);
   auto compiled = compiler::CompileElementProgram(*filter);
-  EXPECT_FALSE(compiled.ok());
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.error().code(), ErrorCode::kUnsupported);
+
+  // A GeneratedStage over it has no interpreter to fall back on: it aborts
+  // every message with the reason instead of passing it unexamined.
+  mrpc::GeneratedStage stage(filter, 1);
+  EXPECT_FALSE(stage.compiled());
+  Message m = Message::MakeRequest(1, "Get", {{"username", Value("alice")}});
+  const ir::ProcessResult r = stage.Process(m, 0);
+  EXPECT_EQ(r.outcome, ProcessOutcome::kDropAbort);
+  EXPECT_NE(r.abort_message.find("Limiter"), std::string::npos)
+      << r.abort_message;
+  EXPECT_EQ(stage.instance().dropped(), 1u);
 }
 
 TEST(ChainProgram, CompileSourceAttachesProgramToChain) {

@@ -1,7 +1,8 @@
 // Concurrency tests: the SPSC ring under a real producer/consumer pair, the
 // obs metrics registry under concurrent writers + snapshot readers + Reset,
 // and the multi-worker EnginePool (shard routing, merge-on-read state
-// invariants, fused concurrent parallel groups).
+// invariants, live reconfiguration, the cached chain on the one compiled
+// tier).
 //
 // This whole file is the ThreadSanitizer CI target (ci.yml `tsan` job):
 // every test here must stay TSan-clean.
@@ -17,10 +18,10 @@
 
 #include "common/arena.h"
 #include "common/codec.h"
+#include "common/rng.h"
 #include "compiler/lower.h"
 #include "dsl/parser.h"
 #include "elements/library.h"
-#include "ir/analysis.h"
 #include "mrpc/engine_pool.h"
 #include "mrpc/ring.h"
 #include "obs/event_ring.h"
@@ -939,90 +940,242 @@ ELEMENT Acl ON REQUEST {
   EXPECT_EQ(pool.dropped(), 0u);
 }
 
-// --- Fused concurrent parallel groups ----------------------------------------
+// --- One execution tier: caches compile, filters are refused ----------------
 
-std::vector<std::shared_ptr<const ir::ElementIr>> IndependentElements() {
-  // The bench_parallel chain: three field-disjoint transforms the compiler
-  // proves parallelizable (one group).
-  const char* kProgram = R"(
-ELEMENT Encrypt ON REQUEST {
-  INPUT (payload BYTES);
-  SELECT *, encrypt(payload, 'key') AS payload FROM input;
+// A filter element has no compiled form. The pool used to run it as an
+// interpreter no-op that passed every message; now Start() refuses the
+// chain and names the element.
+TEST(EnginePool, FilterElementIsRejectedAtStart) {
+  auto parsed = dsl::ParseProgram(std::string(elements::LogTableSql()) +
+                                  std::string(elements::LoggingSql()) +
+                                  std::string(elements::RateLimitFilterSql()));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto lowered = compiler::LowerProgram(*parsed);
+  ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+  EnginePool pool(
+      {lowered->FindElement("Logging"), lowered->FindElement("Limiter")}, {},
+      EnginePool::Config{});
+  EXPECT_FALSE(pool.whole_chain_compiled());
+  const Status started = pool.Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_EQ(started.error().code(), ErrorCode::kUnsupported);
+  EXPECT_NE(started.error().message().find("Limiter"), std::string::npos)
+      << started.error().message();
+  EXPECT_FALSE(pool.started());
 }
-ELEMENT CompressBlob ON REQUEST {
-  INPUT (blob BYTES);
-  SELECT *, compress(blob) AS blob FROM input;
-}
-ELEMENT UserDigest ON REQUEST {
-  INPUT (username TEXT);
-  SELECT *, hash(username) AS user_digest FROM input;
-}
-)";
-  auto parsed = dsl::ParseProgram(kProgram);
+
+// RespCache -> Logging -> Acl -> HashLb -> Compress
+// (elements::CacheChainSource), seeded so every request is admitted.
+constexpr int kCacheUsers = 16;
+
+std::vector<std::shared_ptr<const ir::ElementIr>> CachedElements() {
+  auto parsed = dsl::ParseProgram(elements::CacheChainSource());
   auto lowered = compiler::LowerProgram(*parsed);
   EXPECT_TRUE(lowered.ok());
-  return {lowered->FindElement("Encrypt"), lowered->FindElement("CompressBlob"),
-          lowered->FindElement("UserDigest")};
-}
-
-rpc::Message MakeIndepReq(uint64_t id) {
-  Bytes payload(256), blob(256);
-  for (size_t i = 0; i < payload.size(); ++i) {
-    payload[i] = static_cast<uint8_t>((id + i) % 251);
-    blob[i] = static_cast<uint8_t>(i % 13);
+  std::vector<std::shared_ptr<const ir::ElementIr>> out;
+  for (const char* name : {"RespCache", "Logging", "Acl", "HashLb",
+                           "Compress"}) {
+    out.push_back(lowered->FindElement(name));
   }
-  return rpc::Message::MakeRequest(
-      id, "Indep.Call",
-      {{"username", Value("alice")},
-       {"payload", Value(std::move(payload))},
-       {"blob", Value(std::move(blob))}});
+  return out;
 }
 
-TEST(EnginePoolStress, ConcurrentGroupMatchesSequentialExecution) {
-  auto elements = IndependentElements();
-  std::vector<const ir::ElementIr*> raw;
-  for (const auto& e : elements) raw.push_back(e.get());
-  const std::vector<int> groups = ir::PartitionIntoParallelGroups(raw);
-  ASSERT_EQ(groups, (std::vector<int>{0, 0, 0}))
-      << "effect analysis should prove the chain one parallel group";
-
-  constexpr uint64_t kMessages = 2'000;
-  auto run = [&](EnginePool::GroupMode mode) {
-    EnginePool::Config config;
-    config.workers = 1;
-    config.group_mode = mode;
-    std::map<uint64_t, rpc::Message> outputs;
-    config.on_done = [&outputs](int, const rpc::Message& m,
-                                const ir::ProcessResult&) {
-      outputs.emplace(m.id(), m);  // single worker: no synchronization needed
-    };
-    EnginePool pool(elements, groups, config);
-    EXPECT_EQ(pool.whole_chain_compiled(),
-              mode == EnginePool::GroupMode::kSequential);
-    EXPECT_TRUE(pool.Start().ok());
-    for (uint64_t id = 1; id <= kMessages; ++id) {
-      pool.Submit(MakeIndepReq(id));
+void SeedCached(ir::ElementInstance& inst) {
+  if (rpc::Table* acl = inst.FindTable("ac_tab")) {
+    for (int i = 0; i < kCacheUsers; ++i) {
+      ASSERT_TRUE(acl->Insert({Value(UserName(i)), Value("W")}).ok());
     }
-    pool.Stop();
-    EXPECT_EQ(pool.processed(), kMessages);
-    EXPECT_EQ(pool.dropped(), 0u);
-    return outputs;
+  }
+  if (rpc::Table* endpoints = inst.FindTable("endpoints")) {
+    for (int64_t shard = 0; shard < elements::kLbShards; ++shard) {
+      ASSERT_TRUE(endpoints->Insert({Value(shard), Value(100 + shard)}).ok());
+    }
+  }
+}
+
+rpc::Message MakeObjReq(uint64_t id, int64_t object) {
+  return rpc::Message::MakeRequest(
+      id, "Obj.Get",
+      {{"username", Value(UserName(static_cast<int>(object % kCacheUsers)))},
+       {"object_id", Value(object)},
+       {"payload", Value(Bytes(32, static_cast<uint8_t>(object)))}});
+}
+
+// The server's reply to a request that missed the cache.
+rpc::Message MakeObjResp(const rpc::Message& request) {
+  const int64_t object = request.GetFieldOrNull("object_id").AsInt();
+  return rpc::Message::MakeResponse(
+      request,
+      {{"username", Value(UserName(static_cast<int>(object % kCacheUsers)))},
+       {"result", Value("v" + std::to_string(object))},
+       {"payload", Value(Bytes(16, static_cast<uint8_t>(object)))}});
+}
+
+// Skewed object draw: the min of two uniform draws favours small ids, so
+// the stream mixes repeat hits with cold misses.
+int64_t SkewedObject(Rng& rng) {
+  return static_cast<int64_t>(std::min(rng.NextBelow(40), rng.NextBelow(40)));
+}
+
+struct Completion {
+  uint64_t id = 0;
+  ir::ProcessOutcome outcome = ir::ProcessOutcome::kPass;
+  rpc::Message message;
+};
+
+TEST(EnginePool, CachedChainMatchesInterpreterOracle) {
+  const auto elements = CachedElements();
+  std::vector<Completion> done;  // written by the one worker, read after Drain
+  EnginePool::Config config;
+  config.workers = 1;
+  config.shard_key_field = "object_id";
+  config.on_done = [&done](int, const rpc::Message& m,
+                           const ir::ProcessResult& r) {
+    done.push_back({m.id(), r.outcome, m});
+  };
+  EnginePool pool(elements, {}, config);
+  for (size_t e = 0; e < pool.element_count(); ++e) {
+    SeedCached(*pool.TemplateInstance(e));
+  }
+  ASSERT_TRUE(pool.Start().ok());
+  ASSERT_TRUE(pool.whole_chain_compiled());
+
+  // The oracle: the same chain on interpreter instances, element by element.
+  std::vector<std::unique_ptr<ir::ElementInstance>> oracle;
+  for (size_t e = 0; e < elements.size(); ++e) {
+    oracle.push_back(std::make_unique<ir::ElementInstance>(elements[e], 1));
+    SeedCached(*oracle.back());
+  }
+  auto run_oracle = [&oracle](rpc::Message& m) {
+    for (auto& inst : oracle) {
+      if (!inst->AppliesTo(m.kind())) continue;
+      ir::ProcessResult r = inst->Process(m, 0);
+      if (r.outcome != ir::ProcessOutcome::kPass) return r.outcome;
+    }
+    return ir::ProcessOutcome::kPass;
+  };
+  // Submit `batch` to the pool and the oracle; every completion must match.
+  auto run_both = [&](std::vector<rpc::Message> batch) {
+    const size_t first = done.size();
+    for (const rpc::Message& m : batch) pool.Submit(m);
+    pool.Drain();
+    EXPECT_EQ(done.size() - first, batch.size());
+    for (size_t i = 0; i < batch.size() && first + i < done.size(); ++i) {
+      const Completion& c = done[first + i];
+      const ir::ProcessOutcome expect = run_oracle(batch[i]);
+      EXPECT_EQ(c.id, batch[i].id());
+      EXPECT_EQ(c.outcome, expect) << "rpc " << c.id;
+      EXPECT_EQ(c.message.DebugString(), batch[i].DebugString());
+      EXPECT_EQ(c.message.destination(), batch[i].destination());
+    }
+    return first;
   };
 
-  auto sequential = run(EnginePool::GroupMode::kSequential);
-  auto concurrent = run(EnginePool::GroupMode::kConcurrent);
-  ASSERT_EQ(sequential.size(), concurrent.size());
-  for (const auto& [id, seq_msg] : sequential) {
-    const auto it = concurrent.find(id);
-    ASSERT_NE(it, concurrent.end());
-    const rpc::Message& con_msg = it->second;
-    for (const rpc::Field& f : seq_msg.fields()) {
-      const Value* v = con_msg.FindField(f.name());
-      ASSERT_NE(v, nullptr) << f.name();
-      EXPECT_EQ(f.value.CompareTo(*v), 0)
-          << "field " << f.name() << " diverged on message " << id;
+  Rng rng(2026);
+  uint64_t next_id = 1;
+  for (int round = 0; round < 30; ++round) {
+    std::vector<rpc::Message> requests;
+    for (int i = 0; i < 32; ++i) {
+      requests.push_back(MakeObjReq(next_id++, SkewedObject(rng)));
+    }
+    const std::vector<rpc::Message> sent = requests;
+    const size_t first = run_both(std::move(requests));
+    std::vector<rpc::Message> responses;
+    for (size_t i = 0; i < sent.size(); ++i) {
+      if (done[first + i].outcome == ir::ProcessOutcome::kPass) {
+        responses.push_back(MakeObjResp(sent[i]));
+      }
+    }
+    run_both(std::move(responses));
+  }
+  pool.Stop();
+
+  const ir::ElementInstance& cache = pool.WorkerInstance(0, 0);
+  EXPECT_GT(cache.cache_hits(), 0u);
+  EXPECT_GT(cache.cache_misses(), 0u);
+  EXPECT_EQ(cache.cache_hits(), oracle[0]->cache_hits());
+  EXPECT_EQ(cache.cache_misses(), oracle[0]->cache_misses());
+  EXPECT_EQ(cache.cache_fills(), oracle[0]->cache_fills());
+  EXPECT_EQ(pool.processed(), done.size());
+  EXPECT_EQ(pool.dropped(), 0u);
+  for (size_t e = 0; e < elements.size(); ++e) {
+    EXPECT_EQ(pool.MergedStateHash(e), oracle[e]->StateContentHash())
+        << "element " << elements[e]->name;
+    EXPECT_EQ(pool.WorkerInstance(0, e).processed(), oracle[e]->processed());
+  }
+}
+
+// Hot reload of a cached chain: RPCs in flight across the swap, and the
+// responses filling their misses, all complete with the right output.
+TEST(EnginePoolReconfig, CachedChainHotSwapCompletesEveryRpc) {
+  // One worker: HashLb's endpoints table is keyed by shard, so a sharded
+  // pool would split it away from the objects that route to it.
+  std::vector<Completion> done;  // written by the worker, read after Drain
+  EnginePool::Config config;
+  config.workers = 1;
+  config.shard_key_field = "object_id";
+  config.on_done = [&done](int, const rpc::Message& m,
+                           const ir::ProcessResult& r) {
+    done.push_back({m.id(), r.outcome, m});
+  };
+  EnginePool pool(CachedElements(), {}, config);
+  for (size_t e = 0; e < pool.element_count(); ++e) {
+    SeedCached(*pool.TemplateInstance(e));
+  }
+  ASSERT_TRUE(pool.Start().ok());
+  ASSERT_TRUE(pool.whole_chain_compiled());
+  const uint64_t v0 = pool.program_version();
+
+  constexpr int kRounds = 10;
+  constexpr int kPerRound = 64;
+  Rng rng(7);
+  uint64_t next_id = 1;
+  std::map<uint64_t, int64_t> object_of;  // request id -> object id
+  size_t seen = 0;
+  size_t replies_after_swap = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int i = 0; i < kPerRound; ++i) {
+      if (round == kRounds / 2 && i == kPerRound / 2) {
+        // Mid-stream, with requests still queued on the worker.
+        ASSERT_TRUE(pool.SwapProgram(CachedElements()).ok());
+      }
+      const int64_t object = SkewedObject(rng);
+      object_of[next_id] = object;
+      pool.Submit(MakeObjReq(next_id++, object));
+    }
+    pool.Drain();
+    std::vector<rpc::Message> responses;
+    for (; seen < done.size(); ++seen) {
+      const Completion& c = done[seen];
+      ASSERT_EQ(c.message.kind(), c.outcome == ir::ProcessOutcome::kReply
+                                      ? rpc::MessageKind::kResponse
+                                      : rpc::MessageKind::kRequest)
+          << "rpc " << c.id << ": " << c.message.DebugString();
+      if (c.outcome == ir::ProcessOutcome::kReply) {
+        EXPECT_EQ(c.message.GetFieldOrNull("result").AsText(),
+                  "v" + std::to_string(object_of[c.id]));
+        if (round >= kRounds / 2) ++replies_after_swap;
+      } else {
+        ASSERT_EQ(c.outcome, ir::ProcessOutcome::kPass) << "rpc " << c.id;
+        EXPECT_GE(c.message.destination(), 100u) << "HashLb routed it";
+        responses.push_back(MakeObjResp(MakeObjReq(c.id, object_of[c.id])));
+      }
+    }
+    for (rpc::Message& r : responses) pool.Submit(std::move(r));
+    pool.Drain();
+    for (; seen < done.size(); ++seen) {
+      const Completion& c = done[seen];
+      EXPECT_EQ(c.outcome, ir::ProcessOutcome::kPass) << "response " << c.id;
+      EXPECT_EQ(c.message.GetFieldOrNull("result").AsText(),
+                "v" + std::to_string(object_of[c.id]));
     }
   }
+  EXPECT_TRUE(pool.SwapComplete());
+  EXPECT_GT(pool.program_version(), v0);
+  pool.Stop();
+  EXPECT_EQ(pool.dropped(), 0u);
+  EXPECT_EQ(pool.processed(), done.size());
+  EXPECT_GT(replies_after_swap, 0u) << "the swapped cache kept serving hits";
 }
 
 TEST(EnginePoolStress, ManyWorkersManyMessages) {
