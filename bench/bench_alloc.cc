@@ -31,7 +31,6 @@
 #include "compiler/lower.h"
 #include "dsl/parser.h"
 #include "elements/library.h"
-#include "ir/analysis.h"
 #include "mrpc/engine_pool.h"
 #include "rpc/intern.h"
 
@@ -63,14 +62,14 @@ struct Harness {
   std::unique_ptr<mrpc::EnginePool> pool;
 
   explicit Harness(
-      const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,
-      const std::vector<int>& groups) {
+      const std::vector<std::shared_ptr<const ir::ElementIr>>& elements) {
     mrpc::EnginePool::Config config;
     config.workers = 1;
     config.shard_key_field = "username";
     config.processor = "bench-alloc";
     config.measure_exec = true;
-    pool = std::make_unique<mrpc::EnginePool>(elements, groups, config);
+    pool = std::make_unique<mrpc::EnginePool>(elements, std::vector<int>{},
+                                              config);
     rpc::Table* acl = pool->FindTemplateInstance("Acl")->FindTable("ac_tab");
     for (uint64_t i = 0; i < kUsers; ++i) {
       (void)acl->Insert({rpc::Value(User(i)), rpc::Value("W")});
@@ -121,9 +120,6 @@ int Run() {
   std::vector<std::shared_ptr<const ir::ElementIr>> elements = {
       lowered->FindElement("Logging"), lowered->FindElement("Acl"),
       lowered->FindElement("Fault")};
-  std::vector<const ir::ElementIr*> raw;
-  for (const auto& e : elements) raw.push_back(e.get());
-  const std::vector<int> groups = ir::PartitionIntoParallelGroups(raw);
 
   // --- Phase 1: legacy heap messages, copy per Submit ----------------------
   std::vector<rpc::Message> stream;
@@ -139,7 +135,7 @@ int Run() {
 
   PhaseResult legacy;
   {
-    Harness h(elements, groups);
+    Harness h(elements);
     if (!h.Start()) return 1;
     auto submit = [&](uint64_t i) {
       h.pool->Submit(stream[i % stream.size()]);  // lvalue: deep copy
@@ -159,7 +155,7 @@ int Run() {
   common::ArenaPool arena_pool(1024);
   PhaseResult arena;
   {
-    Harness h(elements, groups);
+    Harness h(elements);
     if (!h.Start()) return 1;
     uint8_t payload[64];
     auto submit = [&](uint64_t i) {

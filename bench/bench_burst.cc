@@ -27,7 +27,6 @@
 #include "compiler/lower.h"
 #include "dsl/parser.h"
 #include "elements/library.h"
-#include "ir/analysis.h"
 #include "ir/program.h"
 #include "mrpc/engine_pool.h"
 
@@ -73,15 +72,14 @@ struct SweepRow {
 // log_tab cleared between reps while the pool is drained and parked).
 double MeasureBurst(
     const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,
-    const std::vector<int>& groups, const std::vector<rpc::Message>& stream,
-    size_t burst) {
+    const std::vector<rpc::Message>& stream, size_t burst) {
   mrpc::EnginePool::Config config;
   config.workers = 1;
   config.shard_key_field = "username";
   config.processor = "bench-burst";
   config.measure_exec = true;
   config.burst_size = burst;
-  mrpc::EnginePool pool(elements, groups, config);
+  mrpc::EnginePool pool(elements, {}, config);
   rpc::Table* acl = pool.FindTemplateInstance("Acl")->FindTable("ac_tab");
   for (uint64_t i = 0; i < kUsers; ++i) {
     (void)acl->Insert({rpc::Value(User(i)), rpc::Value("W")});
@@ -111,15 +109,15 @@ double MeasureBurst(
 // messages per CPU-ns — the throughput with a core per worker.
 double MeasureCapacity(
     const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,
-    const std::vector<int>& groups, const std::vector<rpc::Message>& stream,
-    size_t burst, int workers, uint64_t messages) {
+    const std::vector<rpc::Message>& stream, size_t burst, int workers,
+    uint64_t messages) {
   mrpc::EnginePool::Config config;
   config.workers = workers;
   config.shard_key_field = "username";
   config.processor = "bench-burst-cap";
   config.measure_exec = true;
   config.burst_size = burst;
-  mrpc::EnginePool pool(elements, groups, config);
+  mrpc::EnginePool pool(elements, {}, config);
   rpc::Table* acl = pool.FindTemplateInstance("Acl")->FindTable("ac_tab");
   for (uint64_t i = 0; i < kUsers; ++i) {
     (void)acl->Insert({rpc::Value(User(i)), rpc::Value("W")});
@@ -149,9 +147,6 @@ int Run() {
   std::vector<std::shared_ptr<const ir::ElementIr>> elements = {
       lowered->FindElement("Logging"), lowered->FindElement("Acl"),
       lowered->FindElement("Fault")};
-  std::vector<const ir::ElementIr*> raw;
-  for (const auto& e : elements) raw.push_back(e.get());
-  const std::vector<int> groups = ir::PartitionIntoParallelGroups(raw);
 
   const std::vector<rpc::Message> stream = Stream(256);
   const size_t default_burst = mrpc::EnginePool::Config{}.burst_size;
@@ -162,7 +157,7 @@ int Run() {
       kReps, static_cast<unsigned long long>(kRepMessages / 1000));
 
   // Warmup (also validates the pipeline end to end).
-  (void)MeasureBurst(elements, groups, stream, 1);
+  (void)MeasureBurst(elements, stream, 1);
 
   std::printf("%-8s %12s %14s %10s\n", "burst", "ns/msg", "1-core Mrps",
               "vs scalar");
@@ -174,7 +169,7 @@ int Run() {
                        size_t{32}, size_t{64}}) {
     SweepRow r;
     r.burst = burst;
-    r.ns_per_msg = MeasureBurst(elements, groups, stream, burst);
+    r.ns_per_msg = MeasureBurst(elements, stream, burst);
     if (r.ns_per_msg <= 0) return 1;
     r.mrps = 1e3 / r.ns_per_msg;
     if (burst == 1) scalar_ns = r.ns_per_msg;
@@ -192,9 +187,8 @@ int Run() {
 
   constexpr int kCapWorkers = 4;
   constexpr uint64_t kCapMessages = 400'000;
-  const double cap_mrps = MeasureCapacity(elements, groups, stream,
-                                          default_burst, kCapWorkers,
-                                          kCapMessages);
+  const double cap_mrps = MeasureCapacity(elements, stream, default_burst,
+                                          kCapWorkers, kCapMessages);
 
   std::printf(
       "\nDefault burst %zu: %.1f ns/msg, %.2fx over scalar.\n"

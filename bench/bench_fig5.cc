@@ -18,7 +18,6 @@
 #include "dsl/parser.h"
 #include "elements/handcoded.h"
 #include "elements/library.h"
-#include "ir/analysis.h"
 #include "mrpc/adn_path.h"
 #include "mrpc/engine_pool.h"
 #include "stack/mesh_path.h"
@@ -180,14 +179,12 @@ double PoolCapacityMrps(int workers) {
   std::vector<std::shared_ptr<const ir::ElementIr>> chain = {
       lowered->FindElement("Logging"), lowered->FindElement("Acl"),
       lowered->FindElement("Fault")};
-  std::vector<const ir::ElementIr*> raw;
-  for (const auto& e : chain) raw.push_back(e.get());
 
   mrpc::EnginePool::Config config;
   config.workers = workers;
   config.shard_key_field = "username";
   config.processor = "fig5-pool";
-  mrpc::EnginePool pool(chain, ir::PartitionIntoParallelGroups(raw), config);
+  mrpc::EnginePool pool(chain, {}, config);
   rpc::Table* acl = pool.FindTemplateInstance("Acl")->FindTable("ac_tab");
   constexpr int kUsers = 1024;  // spread the shard-key routing
   for (int i = 0; i < kUsers; ++i) {

@@ -40,7 +40,6 @@
 #include "compiler/lower.h"
 #include "dsl/parser.h"
 #include "elements/library.h"
-#include "ir/analysis.h"
 #include "mrpc/engine_pool.h"
 #include "obs/event_ring.h"
 #include "obs/metrics.h"
@@ -92,7 +91,6 @@ void SetObs(bool on) {
 // Best-of-reps 1-worker executor ns/msg (bench_burst methodology: log_tab
 // cleared and event rings drained between reps while the pool is parked).
 double Measure(const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,
-               const std::vector<int>& groups,
                const std::vector<rpc::Message>& stream, size_t burst,
                bool obs_on) {
   SetObs(obs_on);
@@ -102,7 +100,7 @@ double Measure(const std::vector<std::shared_ptr<const ir::ElementIr>>& elements
   config.processor = "bench-obs";
   config.measure_exec = true;
   config.burst_size = burst;
-  mrpc::EnginePool pool(elements, groups, config);
+  mrpc::EnginePool pool(elements, {}, config);
   rpc::Table* acl = pool.FindTemplateInstance("Acl")->FindTable("ac_tab");
   for (uint64_t i = 0; i < kUsers; ++i) {
     (void)acl->Insert({rpc::Value(User(i)), rpc::Value("W")});
@@ -133,15 +131,14 @@ double Measure(const std::vector<std::shared_ptr<const ir::ElementIr>>& elements
 // (bench_alloc methodology; counter is process-global so the window covers
 // producer, worker, and every telemetry emission in between).
 double MeasureAllocs(
-    const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,
-    const std::vector<int>& groups) {
+    const std::vector<std::shared_ptr<const ir::ElementIr>>& elements) {
   SetObs(true);
   mrpc::EnginePool::Config config;
   config.workers = 1;
   config.shard_key_field = "username";
   config.processor = "bench-obs";
   config.measure_exec = true;
-  mrpc::EnginePool pool(elements, groups, config);
+  mrpc::EnginePool pool(elements, {}, config);
   rpc::Table* acl = pool.FindTemplateInstance("Acl")->FindTable("ac_tab");
   for (uint64_t i = 0; i < kUsers; ++i) {
     (void)acl->Insert({rpc::Value(User(i)), rpc::Value("W")});
@@ -195,9 +192,6 @@ int Run() {
   std::vector<std::shared_ptr<const ir::ElementIr>> elements = {
       lowered->FindElement("Logging"), lowered->FindElement("Acl"),
       lowered->FindElement("Fault")};
-  std::vector<const ir::ElementIr*> raw;
-  for (const auto& e : elements) raw.push_back(e.get());
-  const std::vector<int> groups = ir::PartitionIntoParallelGroups(raw);
 
   const std::vector<rpc::Message> stream = Stream(256);
   const size_t default_burst = mrpc::EnginePool::Config{}.burst_size;
@@ -210,19 +204,19 @@ int Run() {
       static_cast<unsigned long long>(kSampleEvery));
 
   // Warmup (also validates the pipeline end to end).
-  (void)Measure(elements, groups, stream, default_burst, false);
+  (void)Measure(elements, stream, default_burst, false);
 
   const double off_ns =
-      Measure(elements, groups, stream, default_burst, false);
-  const double on_ns = Measure(elements, groups, stream, default_burst, true);
-  const double scalar_on_ns = Measure(elements, groups, stream, 1, true);
+      Measure(elements, stream, default_burst, false);
+  const double on_ns = Measure(elements, stream, default_burst, true);
+  const double scalar_on_ns = Measure(elements, stream, 1, true);
   if (off_ns <= 0 || on_ns <= 0 || scalar_on_ns <= 0) return 1;
 
   const uint64_t ring_dropped = obs::EventRingRegistry::Default().TotalDropped();
   const double obs_overhead = on_ns / off_ns - 1.0;
   const double speedup = scalar_on_ns / on_ns;
 
-  const double allocs_per_msg = MeasureAllocs(elements, groups);
+  const double allocs_per_msg = MeasureAllocs(elements);
   if (allocs_per_msg < 0) return 1;
   SetObs(false);
 

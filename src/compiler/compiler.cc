@@ -76,13 +76,14 @@ Result<CompiledChain> Compiler::CompileChain(
                           options.app_reads, priority_fields));
 
   // Lower the whole optimized chain to one flat ChainProgram, with field IDs
-  // following the wire-header field order just synthesized. Chains with
-  // filter elements keep per-stage execution (program stays null).
-  bool all_sql = !optimized.chain.elements.empty();
+  // following the wire-header field order just synthesized. Filter elements
+  // have no lowering (CompileChainProgram rejects them), so a chain with one
+  // keeps a null program.
+  bool compilable = !optimized.chain.elements.empty();
   for (const auto& element : optimized.chain.elements) {
-    if (element->IsFilter() || element->IsCache()) all_sql = false;
+    if (element->IsFilter()) compilable = false;
   }
-  if (all_sql) {
+  if (compilable) {
     ChainCompileOptions cc_options;
     if (!out.headers.schemas.empty()) {
       for (const rpc::Column& c : out.headers.schemas[0].columns()) {

@@ -53,8 +53,8 @@ struct CompiledChain {
   rpc::Schema request_schema;
 
   // Whole-chain compiled program (ir/program.h), field IDs seeded from the
-  // wire-header field order. Null when any element is a filter (those run on
-  // FilterOp stages, so the chain stays on per-stage execution).
+  // wire-header field order. Null when any element is a filter, which has
+  // no lowering into a ChainProgram.
   std::shared_ptr<const ir::ChainProgram> program;
 };
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 
 #include "compiler/backend.h"
 #include "compiler/chain_compile.h"
@@ -227,8 +228,11 @@ TEST(CacheExec, ArcKeepsFrequentKeyThroughScans) {
 // --- Tier parity -------------------------------------------------------------
 
 // The cached chain RespCache -> Logging -> Acl -> HashLb -> Compress
-// (elements::CacheChainSource), seeded so every request is admitted.
+// (elements::CacheChainSource), seeded so every request is admitted. Its
+// RespCache is shrunk to 8 rows with no TTL, so a skewed stream over 12
+// keys evicts and refills through every path, not only hits and misses.
 constexpr int kParityUsers = 8;
+constexpr size_t kParityCapacity = 8;
 constexpr const char* kCachedChain[] = {"RespCache", "Logging", "Acl",
                                         "HashLb", "Compress"};
 
@@ -244,6 +248,16 @@ void SeedParity(ir::ElementInstance& inst) {
       ASSERT_TRUE(endpoints->Insert({Value(shard), Value(100 + shard)}).ok());
     }
   }
+}
+
+std::string SmallCacheChainSource() {
+  std::string src = elements::CacheChainSource();
+  const std::string_view cache = elements::ResponseCacheSql();
+  src.replace(src.find(cache), cache.size(),
+              "CACHE RespCache (capacity => " +
+                  std::to_string(kParityCapacity) +
+                  ", ttl_ms => 0) KEY (object_id);\n");
+  return src;
 }
 
 Message ChainRequest(uint64_t id, int64_t object_id) {
@@ -270,7 +284,7 @@ Message ChainResponse(const Message& request) {
 // ChainExecutor, where the cache is a single kCacheProbe. All four must
 // produce identical outcomes, message rewrites, counters and state hashes.
 TEST(CacheParity, ScalarStageAndBurstAgree) {
-  auto parsed = dsl::ParseProgram(elements::CacheChainSource());
+  auto parsed = dsl::ParseProgram(SmallCacheChainSource());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   auto lowered = compiler::LowerProgram(*parsed);
   ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
@@ -362,6 +376,7 @@ TEST(CacheParity, ScalarStageAndBurstAgree) {
 
   EXPECT_GT(interp[0]->cache_hits(), 0u);
   EXPECT_GT(interp[0]->cache_misses(), 0u);
+  EXPECT_GT(interp[0]->cache_evicted(), 0u) << "the stream must overflow";
   for (size_t e = 0; e < n; ++e) {
     const ir::ElementInstance& want = *interp[e];
     auto& scalar_stage = dynamic_cast<mrpc::GeneratedStage&>(scalar.stage(e));
@@ -374,9 +389,21 @@ TEST(CacheParity, ScalarStageAndBurstAgree) {
       EXPECT_EQ(want.cache_hits(), got->cache_hits()) << want.name();
       EXPECT_EQ(want.cache_misses(), got->cache_misses()) << want.name();
       EXPECT_EQ(want.cache_fills(), got->cache_fills()) << want.name();
+      EXPECT_EQ(want.cache_evicted(), got->cache_evicted()) << want.name();
       EXPECT_EQ(want.StateContentHash(), got->StateContentHash())
           << want.name();
     }
+  }
+  // Every path evicted and refilled: more fills than the cache can hold.
+  auto& scalar_cache = dynamic_cast<mrpc::GeneratedStage&>(scalar.stage(0));
+  auto& burst_cache = dynamic_cast<mrpc::GeneratedStage&>(burst.stage(0));
+  for (const ir::ElementInstance* cache :
+       {interp[0].get(), &scalar_cache.instance(), &burst_cache.instance(),
+        whole_state[0].get()}) {
+    const size_t resident = cache->FindTable("__cache_RespCache")->RowCount();
+    EXPECT_LE(resident, kParityCapacity);
+    EXPECT_GT(cache->cache_fills(), resident);
+    EXPECT_GT(cache->cache_evicted(), 0u);
   }
   EXPECT_EQ(scalar.dropped(), 0u) << "cache replies must not count as drops";
   EXPECT_EQ(burst.dropped(), 0u);

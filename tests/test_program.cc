@@ -237,6 +237,55 @@ TEST(ChainExecutor, RunsInsideMeshSidecar) {
   EXPECT_NEAR(drop_rate, 0.5, 0.05);
 }
 
+// A deployed cached chain compiles whole (the cache is one kCacheProbe), so
+// the sidecar runs it as one program like any other chain.
+TEST(ChainExecutor, RunsCachedChainInsideMeshSidecar) {
+  compiler::Compiler c;
+  auto compiled = c.CompileSource(elements::CacheChainSource(), {});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  const compiler::CompiledChain* chain = compiled->FindChain("cached");
+  ASSERT_NE(chain, nullptr);
+  ASSERT_NE(chain->program, nullptr);
+  ASSERT_EQ(chain->program->elements.size(), chain->elements.size());
+
+  rpc::Schema schema;
+  ASSERT_TRUE(schema.AddColumn({"username", rpc::ValueType::kText, false}).ok());
+  ASSERT_TRUE(schema.AddColumn({"object_id", rpc::ValueType::kInt, false}).ok());
+  ASSERT_TRUE(schema.AddColumn({"payload", rpc::ValueType::kBytes, false}).ok());
+
+  stack::MeshConfig config;
+  config.concurrency = 16;
+  config.measured_requests = 2'000;
+  config.warmup_requests = 200;
+  config.request_schema = schema;
+  config.make_request = core::MakeDefaultRequestFactory();
+  stack::AdnChainConfig adn;
+  adn.program = chain->program;
+  for (const compiler::CompiledElement& ce : chain->elements) {
+    adn.elements.push_back(ce.ir);
+  }
+  adn.seed_state = [](stack::AdnChainFilter& filter) {
+    for (size_t i = 0; i < filter.instance_count(); ++i) {
+      if (rpc::Table* acl = filter.instance(i).FindTable("ac_tab")) {
+        for (const char* user : {"alice", "bob", "carol", "dave"}) {
+          ASSERT_TRUE(acl->Insert({Value(std::string(user)), Value("W")}).ok());
+        }
+      }
+      if (rpc::Table* endpoints = filter.instance(i).FindTable("endpoints")) {
+        for (int64_t shard = 0; shard < elements::kLbShards; ++shard) {
+          ASSERT_TRUE(
+              endpoints->Insert({Value(shard), Value(100 + shard)}).ok());
+        }
+      }
+    }
+  };
+  config.adn_chain = std::move(adn);
+
+  stack::MeshResult result = stack::RunMeshExperiment(config);
+  EXPECT_EQ(result.stats.completed, 2'200u);
+  EXPECT_EQ(result.stats.dropped, 0u) << "every user may write";
+}
+
 // --- Migration invariance -------------------------------------------------------
 
 std::shared_ptr<const ir::ElementIr> QuotaElement() {

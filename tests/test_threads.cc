@@ -13,6 +13,7 @@
 #include <chrono>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -965,11 +966,20 @@ TEST(EnginePool, FilterElementIsRejectedAtStart) {
 }
 
 // RespCache -> Logging -> Acl -> HashLb -> Compress
-// (elements::CacheChainSource), seeded so every request is admitted.
+// (elements::CacheChainSource), seeded so every request is admitted. The
+// RespCache is shrunk to 8 rows with no TTL, so the 40-object stream below
+// evicts and refills on the worker as well as hitting.
 constexpr int kCacheUsers = 16;
+constexpr size_t kCacheCapacity = 8;
 
 std::vector<std::shared_ptr<const ir::ElementIr>> CachedElements() {
-  auto parsed = dsl::ParseProgram(elements::CacheChainSource());
+  std::string source = elements::CacheChainSource();
+  const std::string_view cache = elements::ResponseCacheSql();
+  source.replace(source.find(cache), cache.size(),
+                 "CACHE RespCache (capacity => " +
+                     std::to_string(kCacheCapacity) +
+                     ", ttl_ms => 0) KEY (object_id);\n");
+  auto parsed = dsl::ParseProgram(source);
   auto lowered = compiler::LowerProgram(*parsed);
   EXPECT_TRUE(lowered.ok());
   std::vector<std::shared_ptr<const ir::ElementIr>> out;
@@ -1096,6 +1106,10 @@ TEST(EnginePool, CachedChainMatchesInterpreterOracle) {
   EXPECT_EQ(cache.cache_hits(), oracle[0]->cache_hits());
   EXPECT_EQ(cache.cache_misses(), oracle[0]->cache_misses());
   EXPECT_EQ(cache.cache_fills(), oracle[0]->cache_fills());
+  EXPECT_EQ(cache.cache_evicted(), oracle[0]->cache_evicted());
+  EXPECT_GT(cache.cache_evicted(), 0u) << "the stream must overflow";
+  EXPECT_GT(cache.cache_fills(),
+            cache.FindTable("__cache_RespCache")->RowCount());
   EXPECT_EQ(pool.processed(), done.size());
   EXPECT_EQ(pool.dropped(), 0u);
   for (size_t e = 0; e < elements.size(); ++e) {

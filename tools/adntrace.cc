@@ -26,7 +26,6 @@
 #include "compiler/lower.h"
 #include "dsl/parser.h"
 #include "elements/library.h"
-#include "ir/analysis.h"
 #include "mrpc/engine_pool.h"
 #include "obs/event_ring.h"
 #include "obs/export.h"
@@ -101,15 +100,12 @@ int main(int argc, char** argv) {
   std::vector<std::shared_ptr<const ir::ElementIr>> elements = {
       lowered->FindElement("Logging"), lowered->FindElement("Acl"),
       lowered->FindElement("Fault")};
-  std::vector<const ir::ElementIr*> raw;
-  for (const auto& e : elements) raw.push_back(e.get());
-  const std::vector<int> groups = ir::PartitionIntoParallelGroups(raw);
 
   mrpc::EnginePool::Config config;
   config.workers = workers;
   config.shard_key_field = "username";
   config.processor = "adntrace";
-  mrpc::EnginePool pool(elements, groups, config);
+  mrpc::EnginePool pool(elements, {}, config);
   rpc::Table* acl = pool.FindTemplateInstance("Acl")->FindTable("ac_tab");
   for (uint64_t i = 0; i < 64; ++i) {
     (void)acl->Insert({rpc::Value(User(i)), rpc::Value("W")});
