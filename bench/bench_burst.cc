@@ -5,8 +5,8 @@
 // Methodology matches the 1-worker gate in bench_scaling --threads so the
 // numbers are comparable: fig5 chain (Logging -> ACL -> Fault), 1-worker
 // EnginePool with measure_exec, reps of 100k messages with log_tab cleared
-// between reps (the unbounded log otherwise dominates with multimap rehash
-// as it grows), best rep wins. The only variable is Config::burst_size —
+// between reps (the unbounded log otherwise dominates with vector growth
+// and cache misses as it grows), best rep wins. The only variable is Config::burst_size —
 // burst=1 IS the scalar path (ProcessBurst falls back below 2 lanes), so the
 // first row doubles as the pre-burst baseline.
 //

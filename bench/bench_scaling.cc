@@ -179,7 +179,7 @@ int RunThreadsBench() {
   // Gate measurement: the 1-worker compiled-chain cost, measured the way
   // the baseline (bench_breakdown) measures it — reps of 100k messages with
   // log_tab cleared between reps (the unbounded log table otherwise
-  // dominates with multimap rehash + cache misses as it grows), best rep
+  // dominates with vector growth + cache misses as it grows), best rep
   // wins. Clearing the worker's table between reps is safe: the pool is
   // drained and the worker parked, and the next Submit's ring handoff
   // orders the clear before the worker touches the table again.

@@ -312,9 +312,11 @@ Status ProgramBuilder::AddStatement(const ElementIr& element,
       } else if (upd.where.has_value()) {
         ADN_ASSIGN_OR_RETURN(spec.where_entry, CompileSub(*upd.where));
       }
+      spec.in_place = key_expr != nullptr;
       for (const auto& [col, expr] : upd.assignments) {
         ADN_ASSIGN_OR_RETURN(uint32_t entry, CompileSub(expr));
         spec.assignments.emplace_back(static_cast<uint16_t>(col), entry);
+        if (schema->columns()[col].primary_key) spec.in_place = false;
       }
       p_.update_specs.push_back(std::move(spec));
       Emit({Instr::Op::kUpdateRows, 0, 0,

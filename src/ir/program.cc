@@ -346,7 +346,8 @@ Result<Value> ChainExecutor::RunSub(uint32_t entry, RunState& rs) {
 }
 
 // Mirrors ElementInstance::RunStatement's kUpdate: two-phase row collection
-// with the row bound as the join context, then upsert re-insertion.
+// with the row bound as the join context, then upsert re-insertion. A point
+// update that assigns no key column writes its cells into the hit row.
 Status ChainExecutor::ExecUpdate(const ChainProgram::UpdateSpec& spec,
                                  RunState& rs) {
   Table* table = TableAt(spec.table);
@@ -358,6 +359,7 @@ Status ChainExecutor::ExecUpdate(const ChainProgram::UpdateSpec& spec,
     if (key.value().is_null()) return Status::Ok();  // SQL: NULL never matches
     const Row* hit = table->LookupSingleKey(key.value());
     if (hit == nullptr) return Status::Ok();
+    if (spec.in_place) return UpdateInPlace(spec, *table, hit, rs);
     Row next = table->TakeSpareRow();
     next.assign(hit->begin(), hit->end());
     rs.joined_row = hit;
@@ -405,6 +407,44 @@ Status ChainExecutor::ExecUpdate(const ChainProgram::UpdateSpec& spec,
     ADN_RETURN_IF_ERROR(table->Insert(std::move(row)));
   }
   updated.clear();
+  return Status::Ok();
+}
+
+Status ChainExecutor::UpdateInPlace(const ChainProgram::UpdateSpec& spec,
+                                    Table& table, const Row* hit,
+                                    RunState& rs) {
+  // Evaluate every assignment against the old row first (`SET a = b, b = a`
+  // swaps), then type-check what Insert would: the last value assigned to
+  // each column, failing on the lowest such column. Only then write.
+  std::vector<Value>& vals = upd_vals_;
+  vals.clear();
+  rs.joined_row = hit;
+  for (const auto& [col, entry] : spec.assignments) {
+    auto v = RunSub(entry, rs);
+    if (!v.ok()) {
+      rs.joined_row = nullptr;
+      return v.status();
+    }
+    vals.push_back(std::move(v).value());
+  }
+  rs.joined_row = nullptr;
+  const size_t n = spec.assignments.size();
+  size_t bad = n;
+  for (size_t i = 0; i < n; ++i) {
+    const uint16_t col = spec.assignments[i].first;
+    bool overwritten = false;
+    for (size_t j = i + 1; j < n; ++j) {
+      overwritten = overwritten || spec.assignments[j].first == col;
+    }
+    if (overwritten || table.CheckCell(col, vals[i]).ok()) continue;
+    if (bad == n || col < spec.assignments[bad].first) bad = i;
+  }
+  if (bad != n) return table.CheckCell(spec.assignments[bad].first, vals[bad]);
+  Row& row = table.MutableRow(hit);
+  for (size_t i = 0; i < n; ++i) {
+    row[spec.assignments[i].first] = std::move(vals[i]);
+  }
+  vals.clear();
   return Status::Ok();
 }
 

@@ -100,6 +100,9 @@ struct ChainProgram {
     uint32_t key_entry = kNoSub;
     // column index -> subprogram entry evaluating the new value.
     std::vector<std::pair<uint16_t, uint32_t>> assignments;
+    // Point update that assigns no primary-key column: ExecUpdate writes
+    // the new cells into the hit row instead of upserting a copy.
+    bool in_place = false;
   };
 
   struct DeleteSpec {
@@ -224,6 +227,8 @@ class ChainExecutor {
   };
   Result<rpc::Value> RunSub(uint32_t entry, RunState& rs);
   Status ExecUpdate(const ChainProgram::UpdateSpec& spec, RunState& rs);
+  Status UpdateInPlace(const ChainProgram::UpdateSpec& spec, rpc::Table& table,
+                       const rpc::Row* hit, RunState& rs);
   Status ExecDelete(const ChainProgram::DeleteSpec& spec, RunState& rs);
   rpc::Table* TableAt(uint16_t handle);
   const rpc::Value& FieldOrNull(const rpc::Message& m, uint16_t fid) const {
@@ -268,6 +273,9 @@ class ChainExecutor {
   // UPDATE row scratch, reused across calls so the row loop never grows a
   // fresh vector per message.
   std::vector<rpc::Row> upd_scratch_;
+  // In-place point UPDATE: the assignments' new values, all evaluated
+  // against the old row before any cell is written.
+  std::vector<rpc::Value> upd_vals_;
   // Reused across calls/messages so the hot loop never reallocates. Safe to
   // share between the main loop and subprograms: each kCall fills and
   // consumes it within one instruction.

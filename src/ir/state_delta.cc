@@ -48,9 +48,9 @@ StateBaseline StateBaseline::Capture(const ElementInstance& instance, int slot,
     if (!table.HasPrimaryKey()) continue;
     auto& marks = b.tables_[t];
     if (slot >= 0) {
-      // Slot-scoped baseline (live migration): index walk — the table's
-      // cached key hashes are filtered by one integer mod per row, so the
-      // capture touches only the moving slot's rows.
+      // Slot-scoped baseline (live migration): a scan of the table's
+      // contiguous cached key hashes, one integer test per row, so the
+      // capture reads only the moving slot's rows.
       table.ForEachKeySlotRow(
           static_cast<size_t>(slot), num_slots, [&](const Row& row) {
             marks.emplace(table.RowKeyHash(row),
@@ -94,10 +94,10 @@ Result<StateDelta> StateBaseline::Diff(const ElementInstance& instance) const {
     };
     if (table.HasPrimaryKey()) {
       if (slot_ >= 0) {
-        // Cutover-window diff (live migration): index walk over the cached
-        // key hashes — work scales with the moving slot, not the table, so
-        // the blackout stays delta-sized no matter how much state the
-        // element carries.
+        // Cutover-window diff (live migration): a scan of the cached key
+        // hashes, one integer test per row — only the moving slot's rows
+        // are read and hashed, so the blackout stays close to delta-sized
+        // however much state the element carries.
         table.ForEachKeySlotRow(static_cast<size_t>(slot_), num_slots_,
                                 classify);
       } else {
@@ -146,7 +146,8 @@ Status StateDelta::ApplyTo(ElementInstance& instance) const {
     const std::vector<size_t> pk = table.schema().PrimaryKeyIndexes();
     ADN_ASSIGN_OR_RETURN(uint64_t nups, r.ReadVarint());
     for (uint64_t i = 0; i < nups; ++i) {
-      Row row;
+      // A spare row: a slice moving back and forth reuses its rows.
+      Row row = table.TakeSpareRow();
       row.reserve(cols.size());
       for (const auto& col : cols) {
         ADN_ASSIGN_OR_RETURN(Value v, rpc::DecodeValue(col.type, r));

@@ -1,6 +1,7 @@
 #include "rpc/table.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "rpc/wire.h"
 
@@ -52,6 +53,99 @@ bool Table::KeysEqual(const Row& a, const Row& b) const {
   return true;
 }
 
+namespace {
+// Hash of a key given as PK values in PK-column order — KeyHashOf of any
+// row carrying that key.
+uint64_t HashKeyValues(const Row& key) {
+  uint64_t h = 0x452821E638D01377ULL;
+  for (const Value& v : key) {
+    h ^= HashValue(v);
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+// Size of a keyed table's first index: room for 8 rows at load 1/2.
+constexpr size_t kMinIndexSlots = 16;
+
+// "h % num_slots == slot" without a division for the power-of-two slot
+// counts the pool uses: a 64-bit divide per row would cost more than the
+// rest of a slot walk.
+struct SlotTest {
+  SlotTest(size_t slot, size_t num_slots)
+      : slot(slot),
+        num_slots(num_slots),
+        mask((num_slots & (num_slots - 1)) == 0 ? num_slots - 1 : 0) {}
+  bool operator()(uint64_t h) const {
+    return (mask != 0 ? h & mask : h % num_slots) == slot;
+  }
+  size_t slot;
+  size_t num_slots;
+  uint64_t mask;
+};
+}  // namespace
+
+template <class Match>
+size_t Table::Probe(uint64_t h, const Match& match) const {
+  const size_t mask = index_.size() - 1;
+  for (size_t pos = Home(h);; pos = (pos + 1) & mask) {
+    const IndexSlot& s = index_[pos];
+    if (s.row == kNoRow || (s.hash == h && match(rows_[s.row]))) return pos;
+  }
+}
+
+size_t Table::SlotOfRow(size_t row) const {
+  const size_t mask = index_.size() - 1;
+  size_t pos = Home(row_hash_[row]);
+  while (index_[pos].row != row) pos = (pos + 1) & mask;
+  return pos;
+}
+
+void Table::ReserveIndex(size_t rows) {
+  if (2 * rows <= index_.size()) return;
+  size_t slots = std::max(kMinIndexSlots, index_.size());
+  while (slots < 2 * rows) slots *= 2;
+  index_.resize(slots);
+  index_shift_ = 64 - std::countr_zero(slots);
+  ReindexAll();
+}
+
+void Table::ReindexAll() {
+  std::fill(index_.begin(), index_.end(), IndexSlot{});
+  const size_t mask = index_.size() - 1;
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    size_t pos = Home(row_hash_[i]);
+    while (index_[pos].row != kNoRow) pos = (pos + 1) & mask;
+    index_[pos] = IndexSlot{row_hash_[i], static_cast<uint32_t>(i)};
+  }
+}
+
+void Table::EraseIndexSlot(size_t pos) {
+  const size_t mask = index_.size() - 1;
+  size_t hole = pos;
+  for (size_t j = (pos + 1) & mask; index_[j].row != kNoRow;
+       j = (j + 1) & mask) {
+    // Slot j may move back into the hole only if the hole lies on its
+    // probe run, i.e. its home is no later than the hole.
+    if (((j - Home(index_[j].hash)) & mask) >= ((j - hole) & mask)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole].row = kNoRow;
+}
+
+Status Table::CheckCell(size_t col, const Value& v) const {
+  if (v.is_null() || v.type() == schema_.columns()[col].type) {
+    return Status::Ok();
+  }
+  return Status(ErrorCode::kTypeError,
+                "column '" + schema_.columns()[col].name + "' of table " +
+                    name_ + " expects " +
+                    std::string(ValueTypeName(schema_.columns()[col].type)) +
+                    ", got " + std::string(ValueTypeName(v.type())));
+}
+
 Status Table::Insert(Row row) {
   if (row.size() != schema_.size()) {
     return Status(ErrorCode::kInvalidArgument,
@@ -61,69 +155,57 @@ Status Table::Insert(Row row) {
   }
   for (size_t i = 0; i < row.size(); ++i) {
     if (!row[i].is_null() && row[i].type() != schema_.columns()[i].type) {
-      return Status(ErrorCode::kTypeError,
-                    "column '" + schema_.columns()[i].name + "' of table " +
-                        name_ + " expects " +
-                        std::string(ValueTypeName(schema_.columns()[i].type)) +
-                        ", got " + std::string(ValueTypeName(row[i].type())));
+      return CheckCell(i, row[i]);
     }
   }
   // Keyless tables are append-only logs: nothing ever consults the key
-  // index, so skip both the key hash and the index node (the hot-path
-  // allocation the zero-alloc gate measures).
+  // index, so skip both the key hash and the index slot.
   if (pk_indexes_.empty()) {
     rows_.push_back(std::move(row));
     return Status::Ok();
   }
   const uint64_t h = KeyHashOf(row);
-  auto [begin, end] = key_index_.equal_range(h);
-  for (auto it = begin; it != end; ++it) {
-    if (KeysEqual(rows_[it->second], row)) {
-      Row displaced = std::move(rows_[it->second]);
-      rows_[it->second] = std::move(row);  // upsert
-      StashSpare(std::move(displaced));
-      return Status::Ok();
-    }
-  }
-  rows_.push_back(std::move(row));
-  key_index_.emplace(h, rows_.size() - 1);
+  InsertKeyed(std::move(row), h);
   return Status::Ok();
+}
+
+void Table::InsertKeyed(Row&& row, uint64_t h) {
+  ReserveIndex(rows_.size() + 1);
+  const size_t pos =
+      Probe(h, [&](const Row& r) { return KeysEqual(r, row); });
+  if (index_[pos].row != kNoRow) {
+    Row& slot = rows_[index_[pos].row];
+    Row displaced = std::move(slot);
+    slot = std::move(row);  // upsert
+    StashSpare(std::move(displaced));
+    return;
+  }
+  index_[pos] = IndexSlot{h, static_cast<uint32_t>(rows_.size())};
+  rows_.push_back(std::move(row));
+  row_hash_.push_back(h);
 }
 
 std::vector<const Row*> Table::LookupByKey(const Row& key) const {
   std::vector<const Row*> out;
-  if (pk_indexes_.empty()) return out;
-  // Build a probe row with key values in PK positions.
+  if (pk_indexes_.empty() || index_.empty()) return out;
   if (key.size() != pk_indexes_.size()) return out;
-  uint64_t h = 0x452821E638D01377ULL;
-  for (const Value& v : key) {
-    h ^= HashValue(v);
-    h *= 0x100000001B3ULL;
-  }
-  auto [begin, end] = key_index_.equal_range(h);
-  for (auto it = begin; it != end; ++it) {
-    const Row& row = rows_[it->second];
-    bool match = true;
+  const size_t pos = Probe(HashKeyValues(key), [&](const Row& row) {
     for (size_t i = 0; i < pk_indexes_.size(); ++i) {
-      if (row[pk_indexes_[i]].CompareTo(key[i]) != 0) {
-        match = false;
-        break;
-      }
+      if (row[pk_indexes_[i]].CompareTo(key[i]) != 0) return false;
     }
-    if (match) out.push_back(&row);
-  }
+    return true;
+  });
+  if (index_[pos].row != kNoRow) out.push_back(&rows_[index_[pos].row]);
   return out;
 }
 
 const Row* Table::LookupSingleKey(const Value& key) const {
-  if (pk_indexes_.size() != 1) return nullptr;
-  const uint64_t h = HashSingleKey(key);
-  auto [begin, end] = key_index_.equal_range(h);
-  for (auto it = begin; it != end; ++it) {
-    const Row& row = rows_[it->second];
-    if (row[pk_indexes_[0]].EqualsValue(key)) return &row;
-  }
-  return nullptr;
+  if (pk_indexes_.size() != 1 || index_.empty()) return nullptr;
+  const size_t col = pk_indexes_[0];
+  const size_t pos = Probe(HashSingleKey(key), [&](const Row& row) {
+    return row[col].EqualsValue(key);
+  });
+  return index_[pos].row != kNoRow ? &rows_[index_[pos].row] : nullptr;
 }
 
 const Row* Table::PrefetchSingleKey(const Value& key) const {
@@ -148,23 +230,38 @@ const Row* Table::FindFirst(
 }
 
 size_t Table::EraseWhere(const std::function<bool(const Row&)>& pred) {
-  size_t before = rows_.size();
-  rows_.erase(std::remove_if(rows_.begin(), rows_.end(), pred), rows_.end());
-  if (rows_.size() != before) ReindexAll();
-  return before - rows_.size();
+  // One in-order compaction pass: `pred` sees each row once, before any
+  // later row moves; cached hashes move with their rows, so the index is
+  // refilled without re-hashing a key.
+  const bool keyed = !pk_indexes_.empty();
+  const size_t n = rows_.size();
+  size_t dst = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (pred(rows_[i])) {
+      StashSpare(std::move(rows_[i]));
+      continue;
+    }
+    if (dst != i) {
+      rows_[dst] = std::move(rows_[i]);
+      if (keyed) row_hash_[dst] = row_hash_[i];
+    }
+    ++dst;
+  }
+  if (dst == n) return 0;
+  rows_.resize(dst);
+  if (keyed) {
+    row_hash_.resize(dst);
+    ReindexAll();
+  }
+  return n - dst;
 }
 
 void Table::Clear() {
   for (Row& row : rows_) StashSpare(std::move(row));
   rows_.clear();
-  key_index_.clear();
+  row_hash_.clear();
+  std::fill(index_.begin(), index_.end(), IndexSlot{});
 }
-
-namespace {
-// Upper bound on parked spare rows per table; beyond this, displaced rows
-// are simply freed.
-constexpr size_t kMaxSpareRows = 1 << 16;
-}  // namespace
 
 Row Table::TakeSpareRow() {
   if (spares_.empty()) return Row();
@@ -174,17 +271,11 @@ Row Table::TakeSpareRow() {
 }
 
 void Table::StashSpare(Row&& row) {
-  if (spares_.size() >= kMaxSpareRows) return;
+  // Callers park a row while it still counts in rows_, so this bounds the
+  // spares by the live rows the table held at the time.
+  if (spares_.size() >= rows_.size()) return;
   row.clear();  // destroy values, keep capacity
   spares_.push_back(std::move(row));
-}
-
-void Table::ReindexAll() {
-  key_index_.clear();
-  if (pk_indexes_.empty()) return;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    key_index_.emplace(KeyHashOf(rows_[i]), i);
-  }
 }
 
 Bytes Table::Snapshot() const {
@@ -259,8 +350,17 @@ Status Table::MergeFrom(const Table& other) {
                       other.schema_.DebugString() + " into '" + name_ + "' " +
                       schema_.DebugString());
   }
-  for (const Row& row : other.rows_) {
-    ADN_RETURN_IF_ERROR(Insert(row));
+  // Same schema: `other`'s rows are already type-checked and its cached key
+  // hashes are this table's too.
+  if (!pk_indexes_.empty()) ReserveIndex(rows_.size() + other.rows_.size());
+  for (size_t i = 0; i < other.rows_.size(); ++i) {
+    Row row = TakeSpareRow();
+    row.assign(other.rows_[i].begin(), other.rows_[i].end());
+    if (pk_indexes_.empty()) {
+      rows_.push_back(std::move(row));
+    } else {
+      InsertKeyed(std::move(row), other.row_hash_[i]);
+    }
   }
   return Status::Ok();
 }
@@ -273,119 +373,89 @@ Row Table::KeyOf(const Row& row) const {
 }
 
 size_t Table::EraseByKey(const Row& key) {
-  if (pk_indexes_.empty() || key.size() != pk_indexes_.size()) return 0;
-  uint64_t h = 0x452821E638D01377ULL;
-  for (const Value& v : key) {
-    h ^= HashValue(v);
-    h *= 0x100000001B3ULL;
-  }
-  auto [begin, end] = key_index_.equal_range(h);
-  for (auto it = begin; it != end; ++it) {
-    const Row& row = rows_[it->second];
-    bool match = true;
+  if (pk_indexes_.empty() || index_.empty()) return 0;
+  if (key.size() != pk_indexes_.size()) return 0;
+  const size_t pos = Probe(HashKeyValues(key), [&](const Row& row) {
     for (size_t i = 0; i < pk_indexes_.size(); ++i) {
-      if (row[pk_indexes_[i]].CompareTo(key[i]) != 0) {
-        match = false;
-        break;
-      }
+      if (row[pk_indexes_[i]].CompareTo(key[i]) != 0) return false;
     }
-    if (!match) continue;
-    EraseIndexed(it, nullptr);
-    return 1;
-  }
-  return 0;
+    return true;
+  });
+  if (index_[pos].row == kNoRow) return 0;
+  EraseIndexed(pos, nullptr);
+  return 1;
 }
 
 size_t Table::EraseSingleKey(const Value& key, Row& erased) {
-  if (pk_indexes_.size() != 1) return 0;
-  auto [begin, end] = key_index_.equal_range(HashSingleKey(key));
-  for (auto it = begin; it != end; ++it) {
-    if (rows_[it->second][pk_indexes_[0]].CompareTo(key) == 0) {
-      EraseIndexed(it, &erased);
-      return 1;
-    }
-  }
-  return 0;
+  if (pk_indexes_.size() != 1 || index_.empty()) return 0;
+  const size_t col = pk_indexes_[0];
+  const size_t pos = Probe(HashSingleKey(key), [&](const Row& row) {
+    return row[col].CompareTo(key) == 0;
+  });
+  if (index_[pos].row == kNoRow) return 0;
+  EraseIndexed(pos, &erased);
+  return 1;
 }
 
-void Table::EraseIndexed(
-    std::unordered_multimap<uint64_t, size_t>::iterator it, Row* erased) {
-  // Swap-and-pop instead of erase+reindex: the live-migration delta replay
-  // calls this per deleted key, and an O(n) reindex per call would put a
-  // full re-hash of the table inside the reconfiguration window.
-  const size_t hole = it->second;
+void Table::EraseIndexed(size_t pos, Row* erased) {
+  // Swap-and-pop: the last row fills the hole and its one index slot is
+  // re-pointed, so a per-key erase (delta replay, cache eviction) costs
+  // O(1) and never touches the rest of the table.
+  const size_t hole = index_[pos].row;
   const size_t last = rows_.size() - 1;
-  key_index_.erase(it);
-  if (hole != last) {
-    const uint64_t last_hash = KeyHashOf(rows_[last]);
-    auto [lb, le] = key_index_.equal_range(last_hash);
-    for (auto lit = lb; lit != le; ++lit) {
-      if (lit->second == last) {
-        lit->second = hole;
-        break;
-      }
-    }
-  }
+  EraseIndexSlot(pos);
   if (erased != nullptr) {
     *erased = std::move(rows_[hole]);
   } else {
     StashSpare(std::move(rows_[hole]));
   }
-  if (hole != last) rows_[hole] = std::move(rows_[last]);
+  if (hole != last) {
+    index_[SlotOfRow(last)].row = static_cast<uint32_t>(hole);
+    rows_[hole] = std::move(rows_[last]);
+    row_hash_[hole] = row_hash_[last];
+  }
   rows_.pop_back();
+  row_hash_.pop_back();
 }
 
 void Table::ForEachKeySlotRow(
     size_t slot, size_t num_slots,
     const std::function<void(const Row&)>& fn) const {
   if (pk_indexes_.empty() || num_slots == 0) return;
-  for (const auto& [hash, index] : key_index_) {
-    if (hash % num_slots == slot) fn(rows_[index]);
+  const SlotTest in_slot(slot, num_slots);
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (in_slot(row_hash_[i])) fn(rows_[i]);
   }
 }
 
 Table Table::SliceByKeySlot(size_t slot, size_t num_slots) const {
   Table out(name_, schema_);
   if (pk_indexes_.empty() || num_slots == 0) return out;
-  ForEachKeySlotRow(slot, num_slots, [&](const Row& row) {
-    const Status s = out.Insert(row);
-    (void)s;  // same schema: cannot fail
-  });
+  // Rows of one table have distinct keys: append them with their cached
+  // hashes and index once.
+  const SlotTest in_slot(slot, num_slots);
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (!in_slot(row_hash_[i])) continue;
+    out.rows_.push_back(rows_[i]);
+    out.row_hash_.push_back(row_hash_[i]);
+  }
+  out.ReserveIndex(out.rows_.size());  // sizes the index and fills it
   return out;
 }
 
 size_t Table::EraseKeySlot(size_t slot, size_t num_slots) {
   if (pk_indexes_.empty() || num_slots == 0) return 0;
-  // Membership and the rebuilt index both come from the cached hashes: one
-  // integer pass plus row moves, never a re-hash of surviving keys. This
-  // runs on a live worker right after cutover, so O(n) string hashing here
-  // would stall the shards that did NOT move.
-  std::vector<uint64_t> hash_of(rows_.size());
-  std::vector<bool> erase(rows_.size(), false);
+  // This runs on a live worker right after cutover: one backward pass over
+  // the cached hashes, then a swap-and-pop per slot row — no string
+  // hashing, no allocation, and the rest of the index stays untouched.
+  // Walking backward, the row swapped into position i was already passed.
+  const SlotTest in_slot(slot, num_slots);
   size_t erased = 0;
-  for (const auto& [hash, index] : key_index_) {
-    hash_of[index] = hash;
-    if (hash % num_slots == slot) {
-      erase[index] = true;
-      ++erased;
-    }
+  for (size_t i = rows_.size(); i-- > 0;) {
+    if (!in_slot(row_hash_[i])) continue;
+    EraseIndexed(SlotOfRow(i), nullptr);
+    ++erased;
   }
-  if (erased == 0) return 0;
-  key_index_.clear();
-  size_t dst = 0;
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (erase[i]) {
-      StashSpare(std::move(rows_[i]));
-      continue;
-    }
-    if (dst != i) {
-      rows_[dst] = std::move(rows_[i]);
-      hash_of[dst] = hash_of[i];
-    }
-    key_index_.emplace(hash_of[dst], dst);
-    ++dst;
-  }
-  rows_.resize(dst);
   return erased;
 }
 

@@ -8,9 +8,9 @@
 // scale-out, and merged for scale-in (see controller/migration.h).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -56,16 +56,28 @@ class Table {
   // only stable until the next mutation of this table.
   const Row* PrefetchSingleKey(const Value& key) const;
 
+  // Insert's per-cell type check: kTypeError, with Insert's exact text,
+  // unless `v` is NULL or of column `col`'s declared type.
+  Status CheckCell(size_t col, const Value& v) const;
+  // Writable access to a row a lookup on this table just returned — the
+  // point UPDATE in place. The caller writes only non-key cells (the index
+  // caches the key hash) and type-checks each with CheckCell first.
+  Row& MutableRow(const Row* row) {
+    return rows_[static_cast<size_t>(row - rows_.data())];
+  }
+
   // Linear scan helpers.
   const Row* FindFirst(const std::function<bool(const Row&)>& pred) const;
   size_t EraseWhere(const std::function<bool(const Row&)>& pred);
   void Clear();
 
   // Row-capacity recycling (zero-allocation insert path). Rows displaced by
-  // Clear() or an upsert are emptied (values destroyed) and parked; a later
-  // TakeSpareRow() returns one with its vector capacity intact, so a
-  // steady-state INSERT costs no heap allocation. Returns an empty fresh Row
-  // when no spare is available.
+  // Clear(), an upsert or an erase are emptied (values destroyed) and
+  // parked; a later TakeSpareRow() returns one with its vector capacity
+  // intact, so a steady-state INSERT costs no heap allocation. Parked spares
+  // never outnumber the live rows the table held when it parked them, so
+  // slot churn cannot grow them past the table's own size. Returns an empty
+  // fresh Row when no spare is available.
   Row TakeSpareRow();
   size_t spare_rows() const { return spares_.size(); }
 
@@ -80,7 +92,8 @@ class Table {
   Result<std::vector<Table>> SplitByKeyHash(size_t shards) const;
 
   // Absorb all rows of `other` (same schema required). Used when scaling IN:
-  // surviving instances merge the states of retired ones.
+  // surviving instances merge the states of retired ones. Rows are built in
+  // parked spares and keep `other`'s cached key hashes (no re-hash).
   Status MergeFrom(const Table& other);
 
   // Deterministic content hash (order-insensitive) — used by tests to prove
@@ -108,9 +121,9 @@ class Table {
   // spare, so a caller about to insert a row of the same shape can reuse
   // its payload buffers.
   size_t EraseSingleKey(const Value& key, Row& erased);
-  // Visit every keyed row whose key hash lands in slot `slot` — an index
-  // walk over the cached hashes (one integer mod per row, no re-hashing),
-  // the primitive that keeps live-cutover work off the full table scan.
+  // Visit every keyed row whose key hash lands in slot `slot` — a scan of
+  // the contiguous cached-hash column (one integer test per row, no
+  // re-hashing, no pointer chasing); only the matching rows are touched.
   // Must not mutate the table from inside `fn`.
   void ForEachKeySlotRow(size_t slot, size_t num_slots,
                          const std::function<void(const Row&)>& fn) const;
@@ -119,6 +132,9 @@ class Table {
   // merged state hash XORs across shards), so they never move with a slice.
   Table SliceByKeySlot(size_t slot, size_t num_slots) const;
   // Drop slot `slot`'s keyed rows locally (post-handoff). Returns the count.
+  // One pass over the cached hashes and a swap-and-pop per slot row: no
+  // allocation, no re-hash, and surviving keys keep their index slots
+  // (rows from the tail fill the holes, as in EraseByKey).
   size_t EraseKeySlot(size_t slot, size_t num_slots);
   // Two-level split: shard = (RowKeyHash % num_slots) % shards — the same
   // partition EnginePool's slot router applies to message keys, so shard s
@@ -129,23 +145,55 @@ class Table {
   std::string DebugString(size_t max_rows = 10) const;
 
  private:
+  // One open-addressing slot of the key index: a row's cached key hash and
+  // its position in rows_ (kNoRow when the slot is empty).
+  struct IndexSlot {
+    uint64_t hash = 0;
+    uint32_t row = kNoRow;
+  };
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+
   uint64_t KeyHashOf(const Row& row) const;
   bool KeysEqual(const Row& a, const Row& b) const;
+  // Probe start: the hash's high bits (multiply-shift). The pool routes by
+  // the hash's low bits, so one worker's table holds a single low-bit
+  // residue class that a low-bit mask would pile into 1/64 of the slots.
+  size_t Home(uint64_t h) const {
+    return static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> index_shift_);
+  }
+  // Index position holding the row that `h` + `match` identify, or of the
+  // empty slot that ends its probe run. Requires a non-empty index.
+  template <class Match>
+  size_t Probe(uint64_t h, const Match& match) const;
+  // Position of the index slot that points at row `row`.
+  size_t SlotOfRow(size_t row) const;
+  // Upsert of a type-checked row of a keyed table whose key hash is `h`.
+  void InsertKeyed(Row&& row, uint64_t h);
+  // Grow the index (when needed, then refilled) so `rows` rows keep its
+  // load <= 1/2.
+  void ReserveIndex(size_t rows);
+  // Empty the index and re-place every row from row_hash_ — no re-hash.
+  // The index must already fit rows_ (ReserveIndex).
   void ReindexAll();
+  // Backward-shift delete of index position `pos` (no tombstones).
+  void EraseIndexSlot(size_t pos);
   void StashSpare(Row&& row);
-  // Swap-and-pop erase of the row `it` indexes. The row moves into
-  // `*erased` when given, else it is parked as a spare.
-  void EraseIndexed(std::unordered_multimap<uint64_t, size_t>::iterator it,
-                    Row* erased);
+  // Swap-and-pop erase of the row at index position `pos`. The row moves
+  // into `*erased` when given, else it is parked as a spare.
+  void EraseIndexed(size_t pos, Row* erased);
 
   std::string name_;
   Schema schema_;
   std::vector<size_t> pk_indexes_;
   std::vector<Row> rows_;
-  // key hash -> row indexes (collision chains resolved by KeysEqual).
-  // Maintained only for keyed tables: keyless tables (append-only logs)
-  // never consult it, so they skip the per-insert index node entirely.
-  std::unordered_multimap<uint64_t, size_t> key_index_;
+  // Key hash of rows_[i], maintained only for keyed tables: keyless tables
+  // (append-only logs) never consult the index, so they skip both the hash
+  // and the index slot.
+  std::vector<uint64_t> row_hash_;
+  // Flat key index: power-of-two slot array, linear probing, load <= 1/2.
+  // Equal hashes are told apart by comparing the row's key cells.
+  std::vector<IndexSlot> index_;
+  int index_shift_ = 64;  // 64 - log2(index_.size())
   std::vector<Row> spares_;
 };
 

@@ -424,5 +424,219 @@ TEST(Migration, RestoreSwapsTablesWithoutDanglingExecutorHandles) {
   EXPECT_EQ(exec.Process(miss, 0).outcome, ProcessOutcome::kDropAbort);
 }
 
+// --- Point UPDATE in place ------------------------------------------------------
+
+// Everything observable after one element processed `stream` on one tier.
+struct TierOutcome {
+  std::vector<ir::ProcessResult> results;
+  std::vector<std::string> messages;
+  uint64_t state_hash = 0;
+  std::string table_dump;
+};
+
+enum class Tier { kInterpreter, kScalar, kBurst };
+
+TierOutcome RunTier(const std::shared_ptr<const ir::ElementIr>& code,
+                    const std::vector<std::pair<std::string, rpc::Row>>& seed,
+                    const std::vector<Message>& stream, Tier tier) {
+  TierOutcome out;
+  ir::ElementInstance inst(code, 1);
+  for (const auto& [table, row] : seed) {
+    EXPECT_TRUE(inst.FindTable(table)->Insert(row).ok());
+  }
+  std::vector<Message> msgs = stream;
+  out.results.resize(msgs.size());
+  auto program = compiler::CompileElementProgram(*code);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  ir::ChainExecutor exec(program.value(), {&inst});
+  switch (tier) {
+    case Tier::kInterpreter:
+      for (size_t i = 0; i < msgs.size(); ++i) {
+        out.results[i] = inst.Process(msgs[i], 0);
+      }
+      break;
+    case Tier::kScalar:
+      for (size_t i = 0; i < msgs.size(); ++i) {
+        out.results[i] = exec.Process(msgs[i], 0);
+      }
+      break;
+    case Tier::kBurst:
+      for (size_t off = 0; off < msgs.size(); off += 16) {
+        const size_t n = std::min<size_t>(16, msgs.size() - off);
+        exec.ProcessBurst(msgs.data() + off, n, 0, out.results.data() + off);
+      }
+      break;
+  }
+  for (const Message& m : msgs) out.messages.push_back(m.DebugString());
+  out.state_hash = inst.StateContentHash();
+  for (const rpc::Table& t : inst.tables()) {
+    out.table_dump += t.DebugString(1000) + "\n";
+  }
+  return out;
+}
+
+// Runs `stream` on the interpreter oracle, the scalar executor and the burst
+// executor, expects all three to agree, and returns the oracle's outcome.
+TierOutcome ExpectTiersAgree(
+    const std::shared_ptr<const ir::ElementIr>& code,
+    const std::vector<std::pair<std::string, rpc::Row>>& seed,
+    const std::vector<Message>& stream) {
+  const TierOutcome oracle = RunTier(code, seed, stream, Tier::kInterpreter);
+  for (Tier tier : {Tier::kScalar, Tier::kBurst}) {
+    const TierOutcome got = RunTier(code, seed, stream, tier);
+    const int t = static_cast<int>(tier);
+    for (size_t i = 0; i < stream.size(); ++i) {
+      EXPECT_EQ(oracle.results[i].outcome, got.results[i].outcome)
+          << "tier " << t << " message " << i;
+      EXPECT_EQ(oracle.results[i].abort_message, got.results[i].abort_message)
+          << "tier " << t << " message " << i;
+      EXPECT_EQ(oracle.messages[i], got.messages[i])
+          << "tier " << t << " message " << i;
+    }
+    EXPECT_EQ(oracle.state_hash, got.state_hash) << "tier " << t;
+    EXPECT_EQ(oracle.table_dump, got.table_dump) << "tier " << t;
+  }
+  return oracle;
+}
+
+const ir::ChainProgram::UpdateSpec& OnlyUpdateSpec(
+    const std::shared_ptr<const ir::ElementIr>& code,
+    std::shared_ptr<const ir::ChainProgram>& holder) {
+  auto program = compiler::CompileElementProgram(*code);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  holder = program.value();
+  EXPECT_EQ(holder->update_specs.size(), 1u);
+  return holder->update_specs[0];
+}
+
+bool BurstVectorizable(const std::shared_ptr<const ir::ElementIr>& code,
+                       const std::shared_ptr<const ir::ChainProgram>& program) {
+  ir::ElementInstance inst(code, 1);
+  return ir::ChainExecutor(program, {&inst}).burst_vectorizable();
+}
+
+TEST(PointUpdate, QuotaMatchesOracleOnEveryTier) {
+  auto code = QuotaElement();
+  std::shared_ptr<const ir::ChainProgram> holder;
+  EXPECT_TRUE(OnlyUpdateSpec(code, holder).in_place);
+  // Quota joins the table it updates, so its burst tier is the scalar
+  // loop; the single-statement elements below run the burst wavefront.
+  EXPECT_FALSE(BurstVectorizable(code, holder));
+
+  Rng rng(31);
+  std::vector<std::pair<std::string, rpc::Row>> seed;
+  for (int64_t u = 0; u < 20; ++u) {
+    seed.push_back({"quota",
+                    {Value("u" + std::to_string(u)),
+                     Value(static_cast<int64_t>(rng.NextBelow(6)))}});
+  }
+  std::vector<Message> stream;
+  for (uint64_t i = 0; i < 600; ++i) {
+    stream.push_back(Message::MakeRequest(
+        i, "M", {{"username", Value("u" + std::to_string(rng.NextBelow(24)))}}));
+  }
+  const TierOutcome oracle = ExpectTiersAgree(code, seed, stream);
+  size_t passed = 0;
+  for (const ir::ProcessResult& r : oracle.results) {
+    passed += r.outcome == ProcessOutcome::kPass ? 1 : 0;
+  }
+  // The stream both spends quota and runs users dry.
+  EXPECT_GT(passed, 0u);
+  EXPECT_LT(passed, stream.size());
+}
+
+TEST(PointUpdate, MistypedAssignmentAbortsAndLeavesRowUnchanged) {
+  // `amount` is declared INT but arrives as TEXT: the assignment's value is
+  // only known to be mistyped at run time.
+  auto code = LowerNamed(std::string(elements::QuotaTableSql()) + R"(
+ELEMENT Refill ON REQUEST {
+  INPUT (username TEXT, amount INT);
+  UPDATE quota SET remaining = amount WHERE username = input.username;
+}
+)",
+                         "Refill");
+  std::shared_ptr<const ir::ChainProgram> holder;
+  EXPECT_TRUE(OnlyUpdateSpec(code, holder).in_place);
+  EXPECT_TRUE(BurstVectorizable(code, holder));
+
+  const std::vector<std::pair<std::string, rpc::Row>> seed = {
+      {"quota", {Value("alice"), Value(5)}}};
+  std::vector<Message> stream = {
+      Message::MakeRequest(
+          1, "M", {{"username", Value("alice")}, {"amount", Value("lots")}}),
+      Message::MakeRequest(
+          2, "M", {{"username", Value("alice")}, {"amount", Value(9)}}),
+  };
+  const TierOutcome oracle = ExpectTiersAgree(code, seed, stream);
+  ASSERT_EQ(oracle.results[0].outcome, ProcessOutcome::kDropAbort);
+  EXPECT_NE(oracle.results[0].abort_message.find(
+                "column 'remaining' of table quota expects INT, got TEXT"),
+            std::string::npos)
+      << oracle.results[0].abort_message;
+  EXPECT_EQ(oracle.results[1].outcome, ProcessOutcome::kPass);
+
+  // The aborted message left the row as it was on every tier.
+  const std::vector<Message> bad_only = {stream[0]};
+  for (Tier tier : {Tier::kInterpreter, Tier::kScalar, Tier::kBurst}) {
+    const TierOutcome got = RunTier(code, seed, bad_only, tier);
+    EXPECT_NE(got.table_dump.find("('alice', 5)"), std::string::npos)
+        << got.table_dump;
+  }
+}
+
+TEST(PointUpdate, SwappingAssignmentsReadTheOldRow) {
+  auto code = LowerNamed(R"(
+STATE TABLE pairs (k TEXT PRIMARY KEY, a INT, b INT);
+ELEMENT Swap ON REQUEST {
+  INPUT (username TEXT);
+  UPDATE pairs SET a = b, b = a WHERE k = input.username;
+}
+)",
+                         "Swap");
+  std::shared_ptr<const ir::ChainProgram> holder;
+  EXPECT_TRUE(OnlyUpdateSpec(code, holder).in_place);
+  EXPECT_TRUE(BurstVectorizable(code, holder));
+  const std::vector<std::pair<std::string, rpc::Row>> seed = {
+      {"pairs", {Value("x"), Value(1), Value(2)}},
+      {"pairs", {Value("y"), Value(3), Value(4)}}};
+  const std::vector<Message> stream = {
+      Message::MakeRequest(1, "M", {{"username", Value("x")}}),
+      Message::MakeRequest(2, "M", {{"username", Value("z")}}),
+      Message::MakeRequest(3, "M", {{"username", Value("y")}}),
+      Message::MakeRequest(4, "M", {{"username", Value("y")}})};
+  const TierOutcome oracle = ExpectTiersAgree(code, seed, stream);
+  EXPECT_NE(oracle.table_dump.find("('x', 2, 1)"), std::string::npos)
+      << oracle.table_dump;
+  EXPECT_NE(oracle.table_dump.find("('y', 3, 4)"), std::string::npos)
+      << "swapped twice: " << oracle.table_dump;
+}
+
+TEST(PointUpdate, KeyAssigningUpdateTakesTheUpsertPath) {
+  // Renaming the key re-inserts the row under the new key (the upsert the
+  // oracle performs), so this UPDATE must not write in place.
+  auto code = LowerNamed(std::string(elements::QuotaTableSql()) + R"(
+ELEMENT Rename ON REQUEST {
+  INPUT (username TEXT);
+  UPDATE quota SET username = 'renamed', remaining = remaining + 10
+    WHERE username = input.username;
+}
+)",
+                         "Rename");
+  std::shared_ptr<const ir::ChainProgram> holder;
+  const ir::ChainProgram::UpdateSpec& spec = OnlyUpdateSpec(code, holder);
+  EXPECT_NE(spec.key_entry, ir::ChainProgram::kNoSub);
+  EXPECT_FALSE(spec.in_place);
+  EXPECT_TRUE(BurstVectorizable(code, holder));
+  const std::vector<std::pair<std::string, rpc::Row>> seed = {
+      {"quota", {Value("alice"), Value(1)}},
+      {"quota", {Value("bob"), Value(2)}}};
+  const std::vector<Message> stream = {
+      Message::MakeRequest(1, "M", {{"username", Value("alice")}}),
+      Message::MakeRequest(2, "M", {{"username", Value("bob")}})};
+  const TierOutcome oracle = ExpectTiersAgree(code, seed, stream);
+  EXPECT_NE(oracle.table_dump.find("('renamed', 12)"), std::string::npos)
+      << oracle.table_dump;
+}
+
 }  // namespace
 }  // namespace adn

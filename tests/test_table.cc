@@ -1,6 +1,10 @@
 // Unit + property tests for the relational element state (rpc::Table):
-// upsert semantics, key lookup, snapshot/restore, split/merge invariants.
+// upsert semantics, key lookup, snapshot/restore, split/merge invariants,
+// and the flat key index checked op by op against a std::map oracle.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 #include "common/rng.h"
 #include "rpc/table.h"
@@ -303,6 +307,250 @@ TEST(Table, ClearEmptiesAndKeepsWorking) {
   EXPECT_TRUE(t.empty());
   ASSERT_TRUE(t.Insert({Value("b"), Value("R")}).ok());
   EXPECT_EQ(t.LookupByKey({Value("b")}).size(), 1u);
+}
+
+TEST(Table, SpareRowsBoundedUnderSlotChurn) {
+  // A slice leaving and coming back (live migration ping-pong) parks its
+  // rows on erase and takes them back on merge; spares never outgrow the
+  // table.
+  constexpr size_t kSlots = 64;
+  Table t("ac", AclSchema());
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_TRUE(
+        t.Insert({Value("user" + std::to_string(i)), Value("W")}).ok());
+  }
+  const uint64_t original = t.ContentHash();
+  for (size_t cycle = 0; cycle < 200; ++cycle) {
+    const size_t slot = (cycle * 7) % kSlots;
+    Table slice = t.SliceByKeySlot(slot, kSlots);
+    EXPECT_EQ(t.EraseKeySlot(slot, kSlots), slice.RowCount());
+    ASSERT_TRUE(t.MergeFrom(slice).ok());
+    ASSERT_LE(t.spare_rows(), t.RowCount()) << "cycle " << cycle;
+  }
+  EXPECT_EQ(t.RowCount(), 10'000u);
+  EXPECT_EQ(t.ContentHash(), original);
+
+  // Clear parks every row it held, so the next fill reuses all of them.
+  Table log("log", LogSchema());
+  for (int i = 0; i < 50'000; ++i) {
+    ASSERT_TRUE(log.Insert({Value(i), Value(i)}).ok());
+  }
+  log.Clear();
+  EXPECT_EQ(log.spare_rows(), 50'000u);
+}
+
+// --- Flat key index vs a std::map oracle ------------------------------------
+
+// The oracle keys rows by their key values rendered to text.
+std::string OracleKey(const Row& key) {
+  std::string out;
+  for (const Value& v : key) out += v.ToDisplayString() + '\x1f';
+  return out;
+}
+
+// One table shape under test: its schema and generators for keys and rows.
+struct OracleShape {
+  const char* name;
+  Schema schema;
+  size_t key_space;
+  Row (*key)(uint64_t k);
+  Row (*row)(uint64_t k, int64_t v);
+};
+
+Schema IdSchema() {  // single-column INT key
+  Schema s;
+  (void)s.AddColumn({"id", ValueType::kInt, true});
+  (void)s.AddColumn({"val", ValueType::kInt, false});
+  (void)s.AddColumn({"tag", ValueType::kText, false});
+  return s;
+}
+
+Schema PairSchema() {  // two-column (TEXT, INT) key
+  Schema s;
+  (void)s.AddColumn({"user", ValueType::kText, true});
+  (void)s.AddColumn({"shard", ValueType::kInt, true});
+  (void)s.AddColumn({"val", ValueType::kInt, false});
+  return s;
+}
+
+std::vector<OracleShape> OracleShapes() {
+  return {
+      {"single", IdSchema(), 3000,
+       [](uint64_t k) { return Row{Value(static_cast<int64_t>(k))}; },
+       [](uint64_t k, int64_t v) {
+         return Row{Value(static_cast<int64_t>(k)), Value(v),
+                    Value("t" + std::to_string(v % 97))};
+       }},
+      {"pair", PairSchema(), 3000,
+       [](uint64_t k) {
+         return Row{Value("u" + std::to_string(k / 60)),
+                    Value(static_cast<int64_t>(k % 60))};
+       },
+       [](uint64_t k, int64_t v) {
+         return Row{Value("u" + std::to_string(k / 60)),
+                    Value(static_cast<int64_t>(k % 60)), Value(v)};
+       }},
+  };
+}
+
+class IndexOracle {
+ public:
+  explicit IndexOracle(const OracleShape& shape)
+      : shape_(shape), table_("t", shape.schema) {}
+
+  void Upsert(uint64_t k, int64_t v) {
+    Row row = shape_.row(k, v);
+    ASSERT_TRUE(table_.Insert(row).ok());
+    model_[OracleKey(shape_.key(k))] = std::move(row);
+  }
+  void EraseWhereModel(const std::function<bool(const Row&)>& pred) {
+    for (auto it = model_.begin(); it != model_.end();) {
+      it = pred(it->second) ? model_.erase(it) : std::next(it);
+    }
+  }
+
+  void Step(Rng& rng) {
+    const uint64_t k = rng.NextBelow(shape_.key_space);
+    const int64_t v = static_cast<int64_t>(rng.NextBelow(1'000'000));
+    const bool single = shape_.schema.PrimaryKeyIndexes().size() == 1;
+    const uint64_t op = rng.NextBelow(1000);
+    if (op < 650) {  // insert or upsert
+      Upsert(k, v);
+    } else if (op < 800) {
+      const size_t erased = model_.erase(OracleKey(shape_.key(k)));
+      ASSERT_EQ(table_.EraseByKey(shape_.key(k)), erased);
+    } else if (op < 950) {
+      Row out;
+      if (!single) {
+        ASSERT_EQ(table_.EraseSingleKey(shape_.key(k)[0], out), 0u);
+        return;
+      }
+      auto it = model_.find(OracleKey(shape_.key(k)));
+      const size_t erased = table_.EraseSingleKey(shape_.key(k)[0], out);
+      ASSERT_EQ(erased, it != model_.end() ? 1u : 0u);
+      if (it != model_.end()) {
+        ASSERT_EQ(HashRow(out), HashRow(it->second));
+        model_.erase(it);
+      }
+    } else if (op < 965) {
+      const size_t slot = rng.NextBelow(64);
+      const auto in_slot = [&](const Row& r) {
+        return table_.RowKeyHash(r) % 64 == slot;
+      };
+      const size_t before = model_.size();
+      EraseWhereModel(in_slot);
+      ASSERT_EQ(table_.EraseKeySlot(slot, 64), before - model_.size());
+    } else if (op < 975) {
+      const int64_t mod = static_cast<int64_t>(rng.NextBelow(5)) + 2;
+      const auto pred = [&](const Row& r) {
+        return r[single ? 1 : 2].AsInt() % mod == 0;
+      };
+      const size_t before = model_.size();
+      EraseWhereModel(pred);
+      ASSERT_EQ(table_.EraseWhere(pred), before - model_.size());
+    } else if (op < 980) {
+      table_.Clear();
+      model_.clear();
+    } else if (op < 992) {
+      // Merge a batch that both overlaps and extends the current keys.
+      Table other("t", shape_.schema);
+      const size_t n = rng.NextBelow(400);
+      for (size_t i = 0; i < n; ++i) {
+        const uint64_t mk = rng.NextBelow(shape_.key_space);
+        Row row = shape_.row(mk, static_cast<int64_t>(rng.NextBelow(1000)));
+        ASSERT_TRUE(other.Insert(row).ok());
+        model_[OracleKey(shape_.key(mk))] = std::move(row);
+      }
+      ASSERT_TRUE(table_.MergeFrom(other).ok());
+    } else {
+      auto restored = Table::Restore(table_.Snapshot());
+      ASSERT_TRUE(restored.ok());
+      table_ = std::move(restored).value();
+    }
+  }
+
+  // Lookups of `probes` random keys plus the table-wide invariants.
+  void Check(Rng& rng, size_t probes) {
+    ASSERT_EQ(table_.RowCount(), model_.size());
+    uint64_t hash = 0;
+    for (const auto& [key, row] : model_) hash ^= HashRow(row);
+    ASSERT_EQ(table_.ContentHash(), hash);
+    const bool single = shape_.schema.PrimaryKeyIndexes().size() == 1;
+    for (size_t i = 0; i < probes; ++i) {
+      const uint64_t k = rng.NextBelow(shape_.key_space);
+      CheckKey(k, single);
+    }
+  }
+  void CheckKey(uint64_t k, bool single) {
+    const Row key = shape_.key(k);
+    auto it = model_.find(OracleKey(key));
+    auto hits = table_.LookupByKey(key);
+    ASSERT_EQ(hits.size(), it != model_.end() ? 1u : 0u);
+    if (!hits.empty()) {
+      ASSERT_EQ(HashRow(*hits[0]), HashRow(it->second));
+    }
+    const Row* row = table_.LookupSingleKey(key[0]);
+    if (!single) {
+      ASSERT_EQ(row, nullptr);
+    } else {
+      ASSERT_EQ(row != nullptr, it != model_.end());
+      if (row != nullptr) {
+        ASSERT_EQ(HashRow(*row), HashRow(it->second));
+      }
+    }
+  }
+  void CheckAllKeys() {
+    const bool single = shape_.schema.PrimaryKeyIndexes().size() == 1;
+    for (uint64_t k = 0; k < shape_.key_space; ++k) CheckKey(k, single);
+  }
+  void CheckSlotPartition() {
+    std::set<std::string> seen;
+    uint64_t hash = 0;
+    for (size_t slot = 0; slot < 64; ++slot) {
+      table_.ForEachKeySlotRow(slot, 64, [&](const Row& row) {
+        EXPECT_EQ(table_.RowKeyHash(row) % 64, slot);
+        EXPECT_TRUE(seen.insert(OracleKey(table_.KeyOf(row))).second)
+            << "row visited twice";
+        hash ^= HashRow(row);
+      });
+    }
+    ASSERT_EQ(seen.size(), table_.RowCount());
+    ASSERT_EQ(hash, table_.ContentHash());
+  }
+
+  size_t rows() const { return model_.size(); }
+
+ private:
+  const OracleShape& shape_;
+  Table table_;
+  std::map<std::string, Row> model_;
+};
+
+TEST(TableOracle, RandomOpsMatchStdMap) {
+  const std::vector<OracleShape> shapes = OracleShapes();
+  for (const OracleShape& shape : shapes) {
+    for (uint64_t seed : {1u, 7u, 42u, 1234u}) {
+      SCOPED_TRACE(std::string(shape.name) + " seed " +
+                   std::to_string(seed));
+      Rng rng(seed);
+      IndexOracle oracle(shape);
+      size_t peak = 0;
+      for (size_t op = 0; op < 6000; ++op) {
+        oracle.Step(rng);
+        if (HasFatalFailure()) return;
+        oracle.Check(rng, 8);
+        if (HasFatalFailure()) return;
+        peak = std::max(peak, oracle.rows());
+        if (op % 500 == 499) {
+          oracle.CheckAllKeys();
+          oracle.CheckSlotPartition();
+          if (HasFatalFailure()) return;
+        }
+      }
+      // Enough rows to grow the index from 16 slots several times over.
+      EXPECT_GE(peak, 800u);
+    }
+  }
 }
 
 }  // namespace
