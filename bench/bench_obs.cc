@@ -159,7 +159,7 @@ double MeasureAllocs(
     pool.Submit(std::move(m));
   };
 
-  // Warm rep: arena pool reaches steady size, spare rows stocked, counters
+  // Warm rep: arena pool reaches steady size, table cells grown, counters
   // and the worker's event ring registered, interner populated.
   for (uint64_t i = 0; i < kAllocRepMessages; ++i) submit(i);
   pool.Drain();

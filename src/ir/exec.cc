@@ -171,7 +171,10 @@ struct ElementInstance::CacheRuntime {
 
   std::vector<rpc::FieldId> key_fids;
   bool built = false;
-  Row spare;  // the last evicted row, kept whole so a fill can reuse its blob
+  // The last evicted row's cells, kept whole so the next fill reuses its
+  // blob buffer, and the fill's own scratch row. Both keep their capacity.
+  Row spare;
+  Row fill;
 
   uint64_t hits = 0, misses = 0, fills = 0, expired = 0, evicted = 0;
 
@@ -208,19 +211,18 @@ struct ElementInstance::CacheRuntime {
   // The row backing resident slot `e`, or null. The cached row index is
   // checked against the row's key and refreshed from the table's index when
   // rows have moved underneath it.
-  const Row* RowOf(uint32_t e, const Table& table) {
+  const Value* RowOf(uint32_t e, const Table& table) {
     Entry& entry = entries[e];
-    const std::vector<Row>& rows = table.rows();
-    if (entry.row < rows.size()) {
-      const Value& k = rows[entry.row][0];
-      if (k.type() == rpc::ValueType::kInt &&
-          static_cast<uint64_t>(k.AsInt()) == entry.key) {
-        return &rows[entry.row];
+    if (entry.row < table.RowCount()) {
+      const Value* row = table.rows()[entry.row].data();
+      if (row[0].type() == rpc::ValueType::kInt &&
+          static_cast<uint64_t>(row[0].AsInt()) == entry.key) {
+        return row;
       }
     }
-    const Row* row =
+    const Value* row =
         table.LookupSingleKey(Value(static_cast<int64_t>(entry.key)));
-    entry.row = row != nullptr ? static_cast<uint32_t>(row - rows.data())
+    entry.row = row != nullptr ? static_cast<uint32_t>(table.RowIndex(row))
                                : kNone;
     return row;
   }
@@ -228,10 +230,8 @@ struct ElementInstance::CacheRuntime {
   // Drop resident slot `e`'s row into `spare`. The table fills the hole
   // with its last row; that row's slot learns its new index.
   void EraseRow(uint32_t e, Table& table) {
-    const Row* row = RowOf(e, table);
-    const size_t hole =
-        row != nullptr ? static_cast<size_t>(row - table.rows().data())
-                       : SIZE_MAX;
+    const Value* row = RowOf(e, table);
+    const size_t hole = row != nullptr ? table.RowIndex(row) : SIZE_MAX;
     table.EraseSingleKey(Value(static_cast<int64_t>(entries[e].key)), spare);
     if (hole < table.RowCount()) {
       const Value& moved = table.rows()[hole][0];
@@ -399,7 +399,7 @@ ProcessResult ElementInstance::RunStatement(const StmtIr& stmt, Message& m,
   switch (stmt.kind) {
     case StmtIr::Kind::kSelect: {
       const SelectIr& sel = *stmt.select;
-      ctx.joined_row = nullptr;
+      ctx.joined_row = {};
       // 1. Join: find the matching state row (or drop).
       if (sel.join.has_value()) {
         Table* table = FindTable(sel.join->table);
@@ -407,7 +407,7 @@ ProcessResult ElementInstance::RunStatement(const StmtIr& stmt, Message& m,
           return AbortWith("internal: missing state table " +
                            sel.join->table);
         }
-        const Row* match = nullptr;
+        const Value* match = nullptr;
         if (sel.join->key_is_primary &&
             sel.join->probe.kind == ExprNode::Kind::kInputField) {
           // Fast path: a bare-field probe against a single-column primary
@@ -422,13 +422,13 @@ ProcessResult ElementInstance::RunStatement(const StmtIr& stmt, Message& m,
           } else {
             size_t col = sel.join->table_key_col;
             const Value& key = probe.value();
-            match = table->FindFirst([&](const Row& row) {
+            match = table->FindFirst([&](rpc::RowRef row) {
               return row[col].EqualsValue(key);
             });
           }
         }
         if (match == nullptr) return DropFor(sel);
-        ctx.joined_row = match;
+        ctx.joined_row = rpc::RowRef(match, table->schema().size());
       }
       // 2. WHERE.
       if (sel.where.has_value()) {
@@ -463,7 +463,7 @@ ProcessResult ElementInstance::RunStatement(const StmtIr& stmt, Message& m,
           dest != nullptr && dest->type() == rpc::ValueType::kInt) {
         m.set_destination(static_cast<rpc::EndpointId>(dest->AsInt()));
       }
-      ctx.joined_row = nullptr;
+      ctx.joined_row = {};
       return ProcessResult::Pass();
     }
 
@@ -495,23 +495,24 @@ ProcessResult ElementInstance::RunStatement(const StmtIr& stmt, Message& m,
       // Point update (WHERE pk = message expr): one index lookup, no scan.
       if (const ExprNode* key_expr = PointUpdateKeyExpr(upd, table->schema());
           key_expr != nullptr) {
-        ctx.joined_row = nullptr;
+        ctx.joined_row = {};
         auto key = EvaluateExpr(*key_expr, ctx);
         if (!key.ok()) return AbortWith(key.error().ToString());
         if (key.value().is_null()) return ProcessResult::Pass();
-        const Row* hit = table->LookupSingleKey(key.value());
+        const Value* hit = table->LookupSingleKey(key.value());
         if (hit == nullptr) return ProcessResult::Pass();
-        Row next = *hit;
-        ctx.joined_row = hit;
+        const rpc::RowRef row(hit, table->schema().size());
+        Row next = row;
+        ctx.joined_row = row;
         for (const auto& [col, expr] : upd.assignments) {
           auto v = EvaluateExpr(expr, ctx);
           if (!v.ok()) {
-            ctx.joined_row = nullptr;
+            ctx.joined_row = {};
             return AbortWith(v.error().ToString());
           }
           next[col] = std::move(v).value();
         }
-        ctx.joined_row = nullptr;
+        ctx.joined_row = {};
         if (Status s = table->Insert(std::move(next)); !s.ok()) {
           return AbortWith(s.ToString());
         }
@@ -520,13 +521,13 @@ ProcessResult ElementInstance::RunStatement(const StmtIr& stmt, Message& m,
       // Two-phase: collect new rows, then re-insert (upsert keeps PK index
       // coherent). Collect first to avoid iterator invalidation.
       std::vector<Row> updated;
-      for (const Row& row : table->rows()) {
-        ctx.joined_row = &row;
+      for (const rpc::RowRef row : table->rows()) {
+        ctx.joined_row = row;
         bool hit = true;
         if (upd.where.has_value()) {
           auto pass = EvaluatePredicate(*upd.where, ctx);
           if (!pass.ok()) {
-            ctx.joined_row = nullptr;
+            ctx.joined_row = {};
             return AbortWith(pass.error().ToString());
           }
           hit = pass.value();
@@ -536,14 +537,14 @@ ProcessResult ElementInstance::RunStatement(const StmtIr& stmt, Message& m,
         for (const auto& [col, expr] : upd.assignments) {
           auto v = EvaluateExpr(expr, ctx);
           if (!v.ok()) {
-            ctx.joined_row = nullptr;
+            ctx.joined_row = {};
             return AbortWith(v.error().ToString());
           }
           next[col] = std::move(v).value();
         }
         updated.push_back(std::move(next));
       }
-      ctx.joined_row = nullptr;
+      ctx.joined_row = {};
       for (Row& row : updated) {
         if (Status s = table->Insert(std::move(row)); !s.ok()) {
           return AbortWith(s.ToString());
@@ -566,18 +567,18 @@ ProcessResult ElementInstance::RunStatement(const StmtIr& stmt, Message& m,
       // propagate errors).
       std::vector<char> doomed(table->RowCount(), 0);
       size_t i = 0;
-      for (const Row& row : table->rows()) {
-        ctx.joined_row = &row;
+      for (const rpc::RowRef row : table->rows()) {
+        ctx.joined_row = row;
         auto pass = EvaluatePredicate(*d.where, ctx);
         if (!pass.ok()) {
-          ctx.joined_row = nullptr;
+          ctx.joined_row = {};
           return AbortWith(pass.error().ToString());
         }
         doomed[i++] = pass.value() ? 1 : 0;
       }
-      ctx.joined_row = nullptr;
+      ctx.joined_row = {};
       size_t idx = 0;
-      table->EraseWhere([&](const Row&) { return doomed[idx++] != 0; });
+      table->EraseWhere([&](rpc::RowRef) { return doomed[idx++] != 0; });
       return ProcessResult::Pass();
     }
   }
@@ -604,7 +605,7 @@ ElementInstance::CacheRuntime& ElementInstance::EnsureCacheRuntime() {
     // snapshot/restore/split/merge.
     if (const Table* table = FindTable(code_->cache_op->table);
         table != nullptr) {
-      const std::vector<Row>& rows = table->rows();
+      const rpc::RowsView rows = table->rows();
       for (size_t i = 0; i < rows.size(); ++i) {
         if (rows[i][0].type() != rpc::ValueType::kInt) continue;
         rt.PushMru(CacheRuntime::kT1, static_cast<uint64_t>(rows[i][0].AsInt()),
@@ -651,15 +652,15 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
   if (m.kind() == rpc::MessageKind::kRequest) {
     const uint32_t e = rt.entries.Find(key);
     if (e != kNone && rt.Resident(e)) {
-      const Row* row = rt.RowOf(e, *table);
+      const Value* row = rt.RowOf(e, *table);
       bool stale = row == nullptr;
       if (!stale && cfg.ttl_ns > 0 &&
-          now_ns - (*row)[2].AsInt() >= cfg.ttl_ns) {
+          now_ns - row[2].AsInt() >= cfg.ttl_ns) {
         ++rt.expired;
         stale = true;
       }
       if (!stale) {
-        BytesView blob = (*row)[1].AsBytes();
+        BytesView blob = row[1].AsBytes();
         Status decoded = rpc::DecodeFieldsFlatInto(
             std::span<const uint8_t>(blob.data(), blob.size()), m);
         if (decoded.ok()) {
@@ -691,14 +692,14 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
   const uint64_t fill_key = rt.pending[pending].cache_key;
   rt.RemovePending(pending);
 
-  // Encode the response straight into the new row's blob. The row is the
-  // last evicted one when there is one, so the blob's buffer is reused;
-  // otherwise it takes a spare row's capacity from the table.
-  Row row = std::move(rt.spare);
-  rt.spare.clear();
+  // Encode the response straight into the new row's blob. The row holds
+  // the last evicted row's cells when there is one, so the blob's buffer is
+  // reused; the swap hands `spare` the fill row's buffer for the next
+  // eviction to land in, and InsertFrom moves the cells out of `row`.
+  std::swap(rt.fill, rt.spare);
+  Row& row = rt.fill;
   if (row.size() != 3 || row[1].type() != rpc::ValueType::kBytes ||
       row[1].is_borrowed()) {
-    row = table->TakeSpareRow();
     row.resize(3);
     row[1] = Value(Bytes());
   }
@@ -713,7 +714,7 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
   const uint32_t e = rt.entries.Find(fill_key);
   if (e != kNone && rt.Resident(e)) {
     // A concurrent request already filled it; refresh the row in place.
-    (void)table->Insert(std::move(row));
+    (void)table->InsertFrom(row);
     rt.MoveToMru(e, CacheRuntime::kT2);
     ++rt.fills;
     return ProcessResult::Pass();
@@ -738,10 +739,13 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
     rt.Forget(e);
     admit_to = CacheRuntime::kT2;
   } else if (t1 + b1 >= c) {
-    // Brand-new key, L1 full.
+    // Brand-new key, L1 full. A TTL expiry frees a resident row without
+    // leaving a ghost, so the directory can be full while the cache is
+    // not: REPLACE only when the resident lists are at capacity, or the
+    // hole would never refill.
     if (t1 < c) {
       rt.DropLru(CacheRuntime::kB1);
-      rt.Replace(*table, /*in_b2=*/false);
+      if (t1 + t2 >= c) rt.Replace(*table, /*in_b2=*/false);
     } else {
       // T1 itself is full: evict its LRU row outright.
       const uint32_t victim = rt.lists[CacheRuntime::kT1].tail;
@@ -751,9 +755,9 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
     }
   } else if (t1 + b1 + t2 + b2 >= c) {
     if (t1 + b1 + t2 + b2 >= 2 * c) rt.DropLru(CacheRuntime::kB2);
-    rt.Replace(*table, /*in_b2=*/false);
+    if (t1 + t2 >= c) rt.Replace(*table, /*in_b2=*/false);
   }
-  (void)table->Insert(std::move(row));
+  (void)table->InsertFrom(row);
   // Insert appends a new key's row, so the slot's row hint is the last row.
   rt.PushMru(admit_to, fill_key,
              static_cast<uint32_t>(table->RowCount() - 1));

@@ -169,9 +169,9 @@ const Value* TryBorrow(const ExprNode& expr, const EvalContext& ctx) {
       return ctx.message != nullptr ? &ctx.message->GetFieldOrNull(expr.field)
                                     : nullptr;
     case ExprNode::Kind::kJoinField:
-      return ctx.joined_row != nullptr &&
-                     expr.join_col < ctx.joined_row->size()
-                 ? &(*ctx.joined_row)[expr.join_col]
+      return ctx.joined_row.data() != nullptr &&
+                     expr.join_col < ctx.joined_row.size()
+                 ? &ctx.joined_row[expr.join_col]
                  : nullptr;
     default:
       return nullptr;
@@ -228,14 +228,14 @@ Result<Value> EvaluateExpr(const ExprNode& expr, EvalContext& ctx) {
       return ctx.message->GetFieldOrNull(expr.field);
     }
     case ExprNode::Kind::kJoinField: {
-      if (ctx.joined_row == nullptr) {
+      if (ctx.joined_row.data() == nullptr) {
         return Error(ErrorCode::kFailedPrecondition,
                      "join field read outside a JOIN context");
       }
-      if (expr.join_col >= ctx.joined_row->size()) {
+      if (expr.join_col >= ctx.joined_row.size()) {
         return Error(ErrorCode::kInternal, "join column out of range");
       }
-      return (*ctx.joined_row)[expr.join_col];
+      return ctx.joined_row[expr.join_col];
     }
     case ExprNode::Kind::kCall: {
       // len() on a direct field reference is a hot path (logging, quotas):

@@ -60,7 +60,7 @@ struct ExprNode {
 // Runtime context for expression evaluation.
 struct EvalContext {
   const rpc::Message* message = nullptr;
-  const rpc::Row* joined_row = nullptr;  // when inside a JOIN match
+  rpc::RowRef joined_row;  // inside a JOIN match; data() null otherwise
   FunctionContext fn_ctx;
 };
 

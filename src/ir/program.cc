@@ -9,6 +9,7 @@ namespace adn::ir {
 
 using rpc::Message;
 using rpc::Row;
+using rpc::RowRef;
 using rpc::Table;
 using rpc::Value;
 using rpc::ValueType;
@@ -254,14 +255,14 @@ Result<Value> ChainExecutor::RunSub(uint32_t entry, RunState& rs) {
         slot_[in.a] = &FieldOrNull(*rs.msg, in.b);
         break;
       case Instr::Op::kLoadJoin: {
-        if (rs.joined_row == nullptr) {
+        if (rs.joined_row.data() == nullptr) {
           return Error(ErrorCode::kFailedPrecondition,
                        "join field read outside a JOIN context");
         }
-        if (in.b >= rs.joined_row->size()) {
+        if (in.b >= rs.joined_row.size()) {
           return Error(ErrorCode::kInternal, "join column out of range");
         }
-        slot_[in.a] = &(*rs.joined_row)[in.b];
+        slot_[in.a] = &rs.joined_row[in.b];
         break;
       }
       case Instr::Op::kMaterialize:
@@ -353,66 +354,68 @@ Status ChainExecutor::ExecUpdate(const ChainProgram::UpdateSpec& spec,
   Table* table = TableAt(spec.table);
   if (spec.key_entry != ChainProgram::kNoSub) {
     // Point update (WHERE pk = message expr): one index lookup, no scan.
-    rs.joined_row = nullptr;
+    rs.joined_row = {};
     auto key = RunSub(spec.key_entry, rs);
     if (!key.ok()) return key.status();
     if (key.value().is_null()) return Status::Ok();  // SQL: NULL never matches
-    const Row* hit = table->LookupSingleKey(key.value());
+    const Value* hit = table->LookupSingleKey(key.value());
     if (hit == nullptr) return Status::Ok();
-    if (spec.in_place) return UpdateInPlace(spec, *table, hit, rs);
-    Row next = table->TakeSpareRow();
-    next.assign(hit->begin(), hit->end());
-    rs.joined_row = hit;
+    const RowRef row(hit, table->schema().size());
+    if (spec.in_place) return UpdateInPlace(spec, *table, row, rs);
+    Row& next = UpdateScratch(0);
+    next.assign(row.begin(), row.end());
+    rs.joined_row = row;
     for (const auto& [col, entry] : spec.assignments) {
       auto v = RunSub(entry, rs);
       if (!v.ok()) {
-        rs.joined_row = nullptr;
+        rs.joined_row = {};
         return v.status();
       }
       next[col] = std::move(v).value();
     }
-    rs.joined_row = nullptr;
-    return table->Insert(std::move(next));
+    rs.joined_row = {};
+    return table->InsertFrom(next);
   }
-  std::vector<Row>& updated = upd_scratch_;
-  updated.clear();
-  for (const Row& row : table->rows()) {
-    rs.joined_row = &row;
+  size_t updated = 0;
+  for (const RowRef row : table->rows()) {
+    rs.joined_row = row;
     bool hit = true;
     if (spec.where_entry != ChainProgram::kNoSub) {
       auto pass = RunSub(spec.where_entry, rs);
       if (!pass.ok()) {
-        rs.joined_row = nullptr;
+        rs.joined_row = {};
         return pass.status();
       }
       hit = ValueTruthy(pass.value());
     }
     if (!hit) continue;
-    // Copy into a recycled row (capacity from an earlier upsert
-    // displacement) so steady-state UPDATE allocates nothing.
-    Row next = table->TakeSpareRow();
+    // Copy into a reused scratch row, so steady-state UPDATE allocates
+    // nothing.
+    Row& next = UpdateScratch(updated++);
     next.assign(row.begin(), row.end());
     for (const auto& [col, entry] : spec.assignments) {
       auto v = RunSub(entry, rs);
       if (!v.ok()) {
-        rs.joined_row = nullptr;
+        rs.joined_row = {};
         return v.status();
       }
       next[col] = std::move(v).value();
     }
-    updated.push_back(std::move(next));
   }
-  rs.joined_row = nullptr;
-  for (Row& row : updated) {
-    ADN_RETURN_IF_ERROR(table->Insert(std::move(row)));
+  rs.joined_row = {};
+  for (size_t i = 0; i < updated; ++i) {
+    ADN_RETURN_IF_ERROR(table->InsertFrom(upd_scratch_[i]));
   }
-  updated.clear();
   return Status::Ok();
 }
 
+Row& ChainExecutor::UpdateScratch(size_t i) {
+  if (i == upd_scratch_.size()) upd_scratch_.emplace_back();
+  return upd_scratch_[i];
+}
+
 Status ChainExecutor::UpdateInPlace(const ChainProgram::UpdateSpec& spec,
-                                    Table& table, const Row* hit,
-                                    RunState& rs) {
+                                    Table& table, RowRef hit, RunState& rs) {
   // Evaluate every assignment against the old row first (`SET a = b, b = a`
   // swaps), then type-check what Insert would: the last value assigned to
   // each column, failing on the lowest such column. Only then write.
@@ -422,12 +425,12 @@ Status ChainExecutor::UpdateInPlace(const ChainProgram::UpdateSpec& spec,
   for (const auto& [col, entry] : spec.assignments) {
     auto v = RunSub(entry, rs);
     if (!v.ok()) {
-      rs.joined_row = nullptr;
+      rs.joined_row = {};
       return v.status();
     }
     vals.push_back(std::move(v).value());
   }
-  rs.joined_row = nullptr;
+  rs.joined_row = {};
   const size_t n = spec.assignments.size();
   size_t bad = n;
   for (size_t i = 0; i < n; ++i) {
@@ -440,7 +443,7 @@ Status ChainExecutor::UpdateInPlace(const ChainProgram::UpdateSpec& spec,
     if (bad == n || col < spec.assignments[bad].first) bad = i;
   }
   if (bad != n) return table.CheckCell(spec.assignments[bad].first, vals[bad]);
-  Row& row = table.MutableRow(hit);
+  Value* row = table.MutableRow(hit.data());
   for (size_t i = 0; i < n; ++i) {
     row[spec.assignments[i].first] = std::move(vals[i]);
   }
@@ -457,18 +460,18 @@ Status ChainExecutor::ExecDelete(const ChainProgram::DeleteSpec& spec,
   }
   std::vector<char> doomed(table->RowCount(), 0);
   size_t i = 0;
-  for (const Row& row : table->rows()) {
-    rs.joined_row = &row;
+  for (const RowRef row : table->rows()) {
+    rs.joined_row = row;
     auto pass = RunSub(spec.where_entry, rs);
     if (!pass.ok()) {
-      rs.joined_row = nullptr;
+      rs.joined_row = {};
       return pass.status();
     }
     doomed[i++] = ValueTruthy(pass.value()) ? 1 : 0;
   }
-  rs.joined_row = nullptr;
+  rs.joined_row = {};
   size_t idx = 0;
-  table->EraseWhere([&](const Row&) { return doomed[idx++] != 0; });
+  table->EraseWhere([&](RowRef) { return doomed[idx++] != 0; });
   return Status::Ok();
 }
 
@@ -522,18 +525,18 @@ ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
         slot_[in.a] = &FieldOrNull(m, in.b);
         break;
       case Instr::Op::kLoadJoin: {
-        if (rs.joined_row == nullptr) {
+        if (rs.joined_row.data() == nullptr) {
           return abort_with(
               Status(ErrorCode::kFailedPrecondition,
                      "join field read outside a JOIN context")
                   .ToString());
         }
-        if (in.b >= rs.joined_row->size()) {
+        if (in.b >= rs.joined_row.size()) {
           return abort_with(
               Status(ErrorCode::kInternal, "join column out of range")
                   .ToString());
         }
-        slot_[in.a] = &(*rs.joined_row)[in.b];
+        slot_[in.a] = &rs.joined_row[in.b];
         break;
       }
       case Instr::Op::kMaterialize:
@@ -605,28 +608,30 @@ ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
         if (ValueTruthy(*slot_[in.a])) ip = in.d;
         break;
       case Instr::Op::kLookupPk: {
-        const Row* match = TableAt(in.b)->LookupSingleKey(*slot_[in.a]);
+        const Table* table = TableAt(in.b);
+        const Value* match = table->LookupSingleKey(*slot_[in.a]);
         if (match == nullptr) {
           ip = in.d;
         } else {
-          rs.joined_row = match;
+          rs.joined_row = RowRef(match, table->schema().size());
         }
         break;
       }
       case Instr::Op::kLookupScan: {
+        const Table* table = TableAt(in.b);
         const Value& key = *slot_[in.a];
         const size_t col = in.c;
-        const Row* match = TableAt(in.b)->FindFirst(
-            [&](const Row& row) { return row[col].EqualsValue(key); });
+        const Value* match = table->FindFirst(
+            [&](RowRef row) { return row[col].EqualsValue(key); });
         if (match == nullptr) {
           ip = in.d;
         } else {
-          rs.joined_row = match;
+          rs.joined_row = RowRef(match, table->schema().size());
         }
         break;
       }
       case Instr::Op::kClearJoin:
-        rs.joined_row = nullptr;
+        rs.joined_row = {};
         break;
       case Instr::Op::kStoreField:
         m.SetField(field_gids_[in.b], TakeReg(in.a));
@@ -642,13 +647,19 @@ ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
         break;
       }
       case Instr::Op::kInsertRow: {
-        Table* table = TableAt(in.b);
-        Row row = table->TakeSpareRow();
-        row.reserve(in.d);
+        // The row's values sit in consecutive registers: pin each in regs_
+        // (a borrow is copied, as TakeReg would) and move the run straight
+        // into the table's cells.
         for (uint32_t i = 0; i < in.d; ++i) {
-          row.push_back(TakeReg(static_cast<uint16_t>(in.a + i)));
+          const uint16_t r = static_cast<uint16_t>(in.a + i);
+          if (slot_[r] != &regs_[r]) {
+            regs_[r] = *slot_[r];
+            slot_[r] = &regs_[r];
+          }
         }
-        if (Status s = table->Insert(std::move(row)); !s.ok()) {
+        if (Status s = TableAt(in.b)->InsertFrom(
+                std::span<Value>(&regs_[in.a], in.d));
+            !s.ok()) {
           return abort_with(s.ToString());
         }
         break;
@@ -681,7 +692,7 @@ ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
         rs.fn_ctx.rng = &inst->rng();
         rs.fn_ctx.nonce = inst->BumpNonce();
         rs.cur = in.b;
-        rs.joined_row = nullptr;
+        rs.joined_row = {};
         if (timing) {
           seg_start = obs::NowNs();
           if (trace != nullptr) {

@@ -170,21 +170,29 @@ class ChainExecutor {
   // chunked. Sized so the SoA register file for a typical chain stays within
   // L2 while still amortizing dispatch ~64x.
   static constexpr size_t kMaxBurstLanes = 64;
+  // The burst prefetch skips a table whose cells fit in this many bytes: it
+  // stays cache-resident across bursts, so prefetching it would only add
+  // the key hashing (cache_zipf's 256-row ac_tab, fig5's 1024-row one),
+  // while a larger table's rows miss (quota_migrate's 20k rows per worker).
+  static constexpr size_t kPrefetchMinTableBytes = 256 << 10;
 
   // Burst execution: process msgs[0..n) and fill results[0..n) with exactly
   // the outcomes n sequential Process() calls would produce — same message
   // mutations, same per-element processed/dropped counters, same nonce/RNG
   // streams, same table contents (burst ≡ scalar, proven by test_burst).
   //
-  // When the program is burst-vectorizable (see burst_vectorizable()) this
-  // runs the struct-of-arrays wavefront in program_burst.cc: one opcode
-  // dispatch per instruction for the whole burst, a live-lane mask for
-  // mid-burst drop/abort, and a table-row prefetch stage ahead of the
-  // wavefront. Otherwise it degrades to the scalar loop — semantics never
-  // depend on which path ran. Observability stays ON either way: the burst
-  // path batches its telemetry (one histogram delta per element per burst,
-  // span events at burst granularity — the "Burst-mode telemetry" contract
-  // in docs/OBSERVABILITY.md) instead of falling back to scalar.
+  // Every chunk of up to kMaxBurstLanes messages first runs a two-stage key
+  // prefetch (each lane's index home slot, then the hit row's cells) for
+  // every keyed join into a table of at least kPrefetchMinTableBytes, on
+  // every chain. Then, when the program is burst-vectorizable (see
+  // burst_vectorizable()), the struct-of-arrays wavefront in
+  // program_burst.cc runs the chunk: one opcode dispatch per instruction for
+  // the whole burst and a live-lane mask for mid-burst drop/abort. Otherwise
+  // the scalar loop runs it — semantics never depend on which path ran.
+  // Observability stays ON either way: the burst path batches its telemetry
+  // (one histogram delta per element per burst, span events at burst
+  // granularity — the "Burst-mode telemetry" contract in
+  // docs/OBSERVABILITY.md) instead of falling back to scalar.
   void ProcessBurst(rpc::Message* msgs, size_t n, int64_t now_ns,
                     ProcessResult* results);
 
@@ -202,8 +210,8 @@ class ChainExecutor {
   // either read-only or exactly one mutation site with no lookups, and at
   // most one non-deterministic call site per element (RNG draw order).
   bool burst_vectorizable() const { return burst_safe_; }
-  // Number of kLookupPk sites the prefetch stage covers (fig5: the ACL
-  // join). Exposed for tests/benchmarks.
+  // Number of distinct (key field, table) pairs the burst prefetch covers
+  // (fig5: the ACL join). Exposed for tests/benchmarks.
   size_t burst_prefetch_site_count() const { return prefetch_sites_.size(); }
 
   const ChainProgram& program() const { return *program_; }
@@ -211,24 +219,22 @@ class ChainExecutor {
  private:
   struct RunState {
     rpc::Message* msg = nullptr;
-    const rpc::Row* joined_row = nullptr;
+    rpc::RowRef joined_row;  // data() null when no row is bound
     FunctionContext fn_ctx;
     int cur = -1;  // current element segment (index into instances_)
   };
-  // One kLoadField+kLookupPk pair the burst prefetch stage resolves up
-  // front. `consume` means the cached row may legally substitute for the
-  // lookup (key field provably unmodified between burst start and the
-  // lookup, and no jump lands on the lookup ip).
+  // A kLoadField feeding a kLookupPk: the key field and table the burst
+  // prefetch warms for every lane.
   struct PrefetchSite {
-    uint32_t lookup_ip = 0;
     uint16_t field_id = 0;
     uint16_t table = 0;
-    bool consume = false;
   };
   Result<rpc::Value> RunSub(uint32_t entry, RunState& rs);
   Status ExecUpdate(const ChainProgram::UpdateSpec& spec, RunState& rs);
   Status UpdateInPlace(const ChainProgram::UpdateSpec& spec, rpc::Table& table,
-                       const rpc::Row* hit, RunState& rs);
+                       rpc::RowRef hit, RunState& rs);
+  // Scratch row i of upd_scratch_, created on first use.
+  rpc::Row& UpdateScratch(size_t i);
   Status ExecDelete(const ChainProgram::DeleteSpec& spec, RunState& rs);
   rpc::Table* TableAt(uint16_t handle);
   const rpc::Value& FieldOrNull(const rpc::Message& m, uint16_t fid) const {
@@ -241,6 +247,8 @@ class ChainExecutor {
   // --- Burst path (program_burst.cc) --------------------------------------
   // Static legality analysis + prefetch-site discovery, run at construction.
   void AnalyzeBurst();
+  // The two-stage key prefetch over msgs[0..k), k <= kMaxBurstLanes.
+  void PrefetchKeys(const rpc::Message* msgs, size_t k);
   // One SoA wavefront over msgs[0..k), k <= kMaxBurstLanes.
   void RunBurst(rpc::Message* msgs, size_t k, int64_t now_ns,
                 ProcessResult* results);
@@ -270,9 +278,12 @@ class ChainExecutor {
   // in-place projection).
   std::vector<std::vector<rpc::FieldId>> keep_gids_;
   rpc::FieldId dest_fid_ = 0;  // interned __destination
-  // UPDATE row scratch, reused across calls so the row loop never grows a
-  // fresh vector per message.
+  // UPDATE row scratch, reused across calls (rows keep their capacity) so
+  // the row loop allocates no row per message.
   std::vector<rpc::Row> upd_scratch_;
+  // The wavefront's INSERT row scratch (a lane's registers are strided):
+  // its cells move into the table, its buffer stays.
+  rpc::Row ins_row_;
   // In-place point UPDATE: the assignments' new values, all evaluated
   // against the old row before any cell is written.
   std::vector<rpc::Value> upd_vals_;
@@ -305,17 +316,17 @@ class ChainExecutor {
   // per lane without conflicting with the SoA file.
   bool burst_safe_ = false;
   std::vector<PrefetchSite> prefetch_sites_;
+  // Stage-1 key hashes of the burst prefetch, [site * k + lane].
+  std::vector<uint64_t> pf_hash_;
   std::vector<rpc::Value> bregs_;
   std::vector<const rpc::Value*> bslot_;
   // Per-lane wavefront state: next instruction pointer (kLaneDone when the
   // lane has returned), bound join row, current element segment, and the
   // function-call context (rng/nonce rebound at each kBeginElement).
   std::vector<uint32_t> lane_ip_;
-  std::vector<const rpc::Row*> lane_join_;
+  std::vector<rpc::RowRef> lane_join_;
   std::vector<int> lane_cur_;
   std::vector<FunctionContext> lane_ctx_;
-  // Prefetch stage results: [site * k + lane] resolved Row* (or nullptr).
-  std::vector<const rpc::Row*> pf_rows_;
   // Burst-mode telemetry scratch (only touched when obs::Enabled()): the
   // wavefront stamps one NowNs() pair per element segment per burst and
   // counts entering lanes; after the wavefront those become one ObserveN

@@ -4,7 +4,9 @@
 // NDN-DPDK RX loop drains its rings in bursts, prefetches the PCCT entries
 // every packet in the burst will touch, and only then processes them, so all
 // per-packet control overhead is amortized across the burst. This file
-// applies the same shape to compiled chain execution. ProcessBurst runs one
+// applies the same shape to compiled chain execution. ProcessBurst first
+// prefetches every lane's keyed-join rows in two stages (PrefetchKeys, on
+// every chain), then, when the analysis below allows it, runs one
 // *wavefront* over the instruction stream: the instruction pointer sweeps
 // forward once, and at each instruction every live lane (message) that has
 // reached it executes together. The opcode switch is therefore dispatched
@@ -64,6 +66,11 @@ namespace {
 // Lane ip value meaning "lane finished" — larger than any real ip, so it
 // never wins the min-sweep.
 constexpr uint32_t kLaneDone = 0xFFFFFFFFu;
+
+bool WorthPrefetching(const Table& table) {
+  return table.RowCount() * table.schema().size() * sizeof(Value) >=
+         ChainExecutor::kPrefetchMinTableBytes;
+}
 }  // namespace
 
 // Defined in program.cc (anonymous there would not link); redeclared here to
@@ -84,7 +91,6 @@ void ChainExecutor::AnalyzeBurst() {
   std::unordered_map<uint32_t, std::pair<int, int>> tables;  // {mut, lookup}
   std::vector<int> nondet_sites(instances_.size(), 0);
   std::vector<int> begin_sites(instances_.size(), 0);
-  std::vector<char> jump_target(p.code.size(), 0);
   int cur_elem = -1;  // last kBeginElement in code order; subprograms are
                       // emitted inline inside their element's range.
 
@@ -98,7 +104,6 @@ void ChainExecutor::AnalyzeBurst() {
       case Instr::Op::kLookupScan:
       case Instr::Op::kSkipUnlessKind:
         if (in.d <= i) burst_safe_ = false;  // backward jump: no wavefront
-        if (in.d < p.code.size()) jump_target[in.d] = 1;
         break;
       default:
         break;
@@ -148,37 +153,26 @@ void ChainExecutor::AnalyzeBurst() {
     if (mutations == 1 && lookups == 0) continue;  // one write site, no reads
     burst_safe_ = false;
   }
-  if (!burst_safe_) return;
 
-  // Prefetch plan: a kLoadField feeding a kLookupPk directly (the shape the
-  // compiler emits for `JOIN t ON input.f = t.pk`) lets the burst resolve
-  // and prefetch every lane's row before the wavefront starts. The cached
-  // row may *replace* the lookup (consume) only when the key field provably
-  // still holds its burst-start value at the lookup — no earlier store to
-  // that field, no earlier projection that could remove it — and no jump
-  // lands on the lookup ip (every lane arrives via the adjacent load).
-  // Looked-up tables have no mutation sites (rule above), so the cached
-  // Row* itself cannot dangle.
+  // Prefetch plan: every kLoadField feeding a kLookupPk directly (the shape
+  // the compiler emits for `JOIN t ON input.f = t.pk`) names a key field and
+  // table whose rows the burst will touch. The plan covers every chain, not
+  // only vectorizable ones: the prefetch is a hint, each lookup still
+  // probes in full, so tables the chain mutates are fine.
   for (size_t i = 1; i < p.code.size(); ++i) {
     const Instr& lookup = p.code[i];
     if (lookup.op != Instr::Op::kLookupPk) continue;
     const Instr& load = p.code[i - 1];
     if (load.op != Instr::Op::kLoadField || load.a != lookup.a) continue;
-    bool consume = jump_target[i] == 0;
-    for (size_t j = 0; j < i && consume; ++j) {
-      const Instr& prior = p.code[j];
-      if (prior.op == Instr::Op::kProject) consume = false;
-      if (prior.op == Instr::Op::kStoreField && prior.b == load.b) {
-        consume = false;
-      }
-    }
-    PrefetchSite site;
-    site.lookup_ip = static_cast<uint32_t>(i);
-    site.field_id = load.b;
-    site.table = lookup.b;
-    site.consume = consume;
-    prefetch_sites_.push_back(site);
+    const bool seen = std::any_of(
+        prefetch_sites_.begin(), prefetch_sites_.end(),
+        [&](const PrefetchSite& s) {
+          return s.field_id == load.b && s.table == lookup.b;
+        });
+    if (!seen) prefetch_sites_.push_back(PrefetchSite{load.b, lookup.b});
   }
+  pf_hash_.resize(prefetch_sites_.size() * kMaxBurstLanes);
+  if (!burst_safe_) return;
 
   // Size the SoA register file and lane state once; RunBurst only rebinds
   // slots. bregs_ never resizes afterwards, so &bregs_[i] is stable.
@@ -206,23 +200,49 @@ Value ChainExecutor::TakeBurstReg(uint16_t r, size_t lane, size_t stride) {
 
 void ChainExecutor::ProcessBurst(Message* msgs, size_t n, int64_t now_ns,
                                  ProcessResult* results) {
-  // Scalar fallback: analysis said no, or a single message (nothing to
-  // amortize). Identical outcomes either way. Observability is NOT a
-  // fallback condition — the wavefront batches its telemetry (header
-  // comment / docs/OBSERVABILITY.md "Burst-mode telemetry").
-  if (!burst_safe_ || n < 2) {
-    for (size_t i = 0; i < n; ++i) results[i] = Process(msgs[i], now_ns);
-    return;
-  }
+  // Each chunk: prefetch, then the wavefront when the analysis allows it,
+  // else the scalar loop. A single message has nothing to overlap or
+  // amortize. Observability is NOT a fallback condition — the wavefront
+  // batches its telemetry (header comment / docs/OBSERVABILITY.md
+  // "Burst-mode telemetry").
   size_t off = 0;
   while (off < n) {
     const size_t k = std::min(n - off, kMaxBurstLanes);
-    if (k < 2) {
-      results[off] = Process(msgs[off], now_ns);
-    } else {
+    if (k >= 2) PrefetchKeys(msgs + off, k);
+    if (burst_safe_ && k >= 2) {
       RunBurst(msgs + off, k, now_ns, results + off);
+    } else {
+      for (size_t i = off; i < off + k; ++i) {
+        results[i] = Process(msgs[i], now_ns);
+      }
     }
     off += k;
+  }
+}
+
+void ChainExecutor::PrefetchKeys(const Message* msgs, size_t k) {
+  // Two stages over the whole chunk (NDN-DPDK's resolve-then-prefetch per
+  // burst): first every lane's index home slot, so those loads overlap;
+  // then, with the slots arriving, every hit row's cells. Both stages run
+  // before any lane executes, so the index they read is the one the stage-1
+  // hashes were taken against; lanes that later move or erase rows only
+  // waste a hint.
+  const size_t sites = prefetch_sites_.size();
+  for (size_t s = 0; s < sites; ++s) {
+    const Table* table = TableAt(prefetch_sites_[s].table);
+    if (!WorthPrefetching(*table)) continue;
+    const uint16_t fid = prefetch_sites_[s].field_id;
+    for (size_t l = 0; l < k; ++l) {
+      pf_hash_[s * k + l] =
+          table->PrefetchIndexSlot(FieldOrNull(msgs[l], fid));
+    }
+  }
+  for (size_t s = 0; s < sites; ++s) {
+    const Table* table = TableAt(prefetch_sites_[s].table);
+    if (!WorthPrefetching(*table)) continue;
+    for (size_t l = 0; l < k; ++l) {
+      table->PrefetchRowCells(pf_hash_[s * k + l]);
+    }
   }
 }
 
@@ -241,29 +261,12 @@ void ChainExecutor::RunBurst(Message* msgs, size_t k, int64_t now_ns,
   }
   for (size_t l = 0; l < k; ++l) {
     lane_ip_[l] = 0;
-    lane_join_[l] = nullptr;
+    lane_join_[l] = {};
     lane_cur_[l] = -1;
     lane_ctx_[l] = FunctionContext{};
     lane_ctx_[l].message = &msgs[l];
     lane_ctx_[l].now_ns = now_ns;
     results[l] = ProcessResult::Pass();
-  }
-
-  // Prefetch stage (NDN-DPDK PCCT shape): resolve every lane's join row for
-  // every prefetch site before executing anything, issuing a read prefetch
-  // for each row's storage. By the time the wavefront reaches the lookup the
-  // lines are warm; at consume-eligible sites the cached row also replaces
-  // the second hash probe entirely.
-  if (!prefetch_sites_.empty()) {
-    pf_rows_.assign(prefetch_sites_.size() * k, nullptr);
-    for (size_t s = 0; s < prefetch_sites_.size(); ++s) {
-      const Table* table = TableAt(prefetch_sites_[s].table);
-      const uint16_t fid = prefetch_sites_[s].field_id;
-      for (size_t l = 0; l < k; ++l) {
-        pf_rows_[s * k + l] =
-            table->PrefetchSingleKey(FieldOrNull(msgs[l], fid));
-      }
-    }
   }
 
   // Burst-mode telemetry state: the wavefront stamps one clock pair per
@@ -316,19 +319,19 @@ void ChainExecutor::RunBurst(Message* msgs, size_t k, int64_t now_ns,
       case Instr::Op::kLoadJoin:
         for (size_t l = 0; l < k; ++l) {
           if (lane_ip_[l] != ip) continue;
-          if (lane_join_[l] == nullptr) {
+          if (lane_join_[l].data() == nullptr) {
             abort_lane(l, Status(ErrorCode::kFailedPrecondition,
                                  "join field read outside a JOIN context")
                               .ToString());
             continue;
           }
-          if (in.b >= lane_join_[l]->size()) {
+          if (in.b >= lane_join_[l].size()) {
             abort_lane(l, Status(ErrorCode::kInternal,
                                  "join column out of range")
                               .ToString());
             continue;
           }
-          bslot_[in.a * w + l] = &(*lane_join_[l])[in.b];
+          bslot_[in.a * w + l] = &lane_join_[l][in.b];
           lane_ip_[l] = next;
         }
         break;
@@ -446,47 +449,34 @@ void ChainExecutor::RunBurst(Message* msgs, size_t k, int64_t now_ns,
         }
         break;
       case Instr::Op::kLookupPk: {
-        // Consume-eligible prefetch site: the cached row IS the lookup
-        // result (key unchanged since the prefetch stage, table immutable
-        // for the burst). Otherwise probe normally — rows are still warm
-        // from the prefetch stage.
-        const PrefetchSite* site = nullptr;
-        size_t site_idx = 0;
-        for (size_t s = 0; s < prefetch_sites_.size(); ++s) {
-          if (prefetch_sites_[s].lookup_ip == ip) {
-            site = &prefetch_sites_[s];
-            site_idx = s;
-            break;
-          }
-        }
-        Table* table = TableAt(in.b);
+        // Rows are warm from PrefetchKeys; every lane still probes in full.
+        const Table* table = TableAt(in.b);
+        const size_t ncols = table->schema().size();
         for (size_t l = 0; l < k; ++l) {
           if (lane_ip_[l] != ip) continue;
-          const Row* match =
-              (site != nullptr && site->consume)
-                  ? pf_rows_[site_idx * k + l]
-                  : table->LookupSingleKey(*bslot_[in.a * w + l]);
+          const Value* match = table->LookupSingleKey(*bslot_[in.a * w + l]);
           if (match == nullptr) {
             lane_ip_[l] = in.d;
           } else {
-            lane_join_[l] = match;
+            lane_join_[l] = rpc::RowRef(match, ncols);
             lane_ip_[l] = next;
           }
         }
         break;
       }
       case Instr::Op::kLookupScan: {
-        Table* table = TableAt(in.b);
+        const Table* table = TableAt(in.b);
+        const size_t ncols = table->schema().size();
         const size_t col = in.c;
         for (size_t l = 0; l < k; ++l) {
           if (lane_ip_[l] != ip) continue;
           const Value& key = *bslot_[in.a * w + l];
-          const Row* match = table->FindFirst(
-              [&](const Row& row) { return row[col].EqualsValue(key); });
+          const Value* match = table->FindFirst(
+              [&](rpc::RowRef row) { return row[col].EqualsValue(key); });
           if (match == nullptr) {
             lane_ip_[l] = in.d;
           } else {
-            lane_join_[l] = match;
+            lane_join_[l] = rpc::RowRef(match, ncols);
             lane_ip_[l] = next;
           }
         }
@@ -495,7 +485,7 @@ void ChainExecutor::RunBurst(Message* msgs, size_t k, int64_t now_ns,
       case Instr::Op::kClearJoin:
         for (size_t l = 0; l < k; ++l) {
           if (lane_ip_[l] != ip) continue;
-          lane_join_[l] = nullptr;
+          lane_join_[l] = {};
           lane_ip_[l] = next;
         }
         break;
@@ -532,12 +522,12 @@ void ChainExecutor::RunBurst(Message* msgs, size_t k, int64_t now_ns,
         Table* table = TableAt(in.b);
         for (size_t l = 0; l < k; ++l) {
           if (lane_ip_[l] != ip) continue;
-          Row row = table->TakeSpareRow();
-          row.reserve(in.d);
+          ins_row_.clear();
           for (uint32_t i = 0; i < in.d; ++i) {
-            row.push_back(TakeBurstReg(static_cast<uint16_t>(in.a + i), l, w));
+            ins_row_.push_back(
+                TakeBurstReg(static_cast<uint16_t>(in.a + i), l, w));
           }
-          if (Status s = table->Insert(std::move(row)); !s.ok()) {
+          if (Status s = table->InsertFrom(ins_row_); !s.ok()) {
             abort_lane(l, s.ToString());
             continue;
           }
@@ -607,7 +597,7 @@ void ChainExecutor::RunBurst(Message* msgs, size_t k, int64_t now_ns,
             lane_ctx_[l].rng = &inst->rng();
             lane_ctx_[l].nonce = inst->BumpNonce();
             lane_cur_[l] = in.b;
-            lane_join_[l] = nullptr;
+            lane_join_[l] = {};
             lane_ip_[l] = next;
             ++bseg_lanes_[in.b];
             lane_seg_mask_[l] |= bit;
@@ -619,7 +609,7 @@ void ChainExecutor::RunBurst(Message* msgs, size_t k, int64_t now_ns,
             lane_ctx_[l].rng = &inst->rng();
             lane_ctx_[l].nonce = inst->BumpNonce();
             lane_cur_[l] = in.b;
-            lane_join_[l] = nullptr;
+            lane_join_[l] = {};
             lane_ip_[l] = next;
           }
         }

@@ -1,5 +1,8 @@
 #include "ir/state_delta.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "rpc/wire.h"
 
 namespace adn::ir {
@@ -37,6 +40,30 @@ Status CheckStateCompatible(const ElementIr& running, const ElementIr& next) {
   return Status::Ok();
 }
 
+namespace {
+// Visit the keyed rows a baseline of (`slot`, `num_slots`) covers: one slot
+// (live migration) or, for `slot` < 0, all of them. Either way a scan of
+// the table's contiguous cached key hashes, so a slot-scoped capture or
+// diff reads and hashes only the moving slot's rows and the blackout stays
+// close to delta-sized however much state the element carries.
+void ForEachBaselineRow(const Table& table, int slot, size_t num_slots,
+                        const std::function<void(rpc::RowRef, uint64_t)>& fn) {
+  if (slot < 0) {
+    table.ForEachKeySlotRow(0, 1, fn);
+  } else {
+    table.ForEachKeySlotRow(static_cast<size_t>(slot), num_slots, fn);
+  }
+}
+}  // namespace
+
+const StateBaseline::RowMark* StateBaseline::TableMarks::Find(
+    uint64_t key_hash) const {
+  auto it = std::lower_bound(
+      marks.begin(), marks.end(), key_hash,
+      [](const RowMark& m, uint64_t h) { return m.key_hash < h; });
+  return it != marks.end() && it->key_hash == key_hash ? &*it : nullptr;
+}
+
 StateBaseline StateBaseline::Capture(const ElementInstance& instance, int slot,
                                      size_t num_slots) {
   StateBaseline b;
@@ -46,23 +73,20 @@ StateBaseline StateBaseline::Capture(const ElementInstance& instance, int slot,
   for (size_t t = 0; t < instance.tables().size(); ++t) {
     const Table& table = instance.tables()[t];
     if (!table.HasPrimaryKey()) continue;
-    auto& marks = b.tables_[t];
-    if (slot >= 0) {
-      // Slot-scoped baseline (live migration): a scan of the table's
-      // contiguous cached key hashes, one integer test per row, so the
-      // capture reads only the moving slot's rows.
-      table.ForEachKeySlotRow(
-          static_cast<size_t>(slot), num_slots, [&](const Row& row) {
-            marks.emplace(table.RowKeyHash(row),
-                          RowMark{rpc::HashRow(row), table.KeyOf(row)});
-          });
-    } else {
-      marks.reserve(table.RowCount());
-      for (const Row& row : table.rows()) {
-        marks.emplace(table.RowKeyHash(row),
-                      RowMark{rpc::HashRow(row), table.KeyOf(row)});
-      }
-    }
+    TableMarks& tm = b.tables_[t];
+    const std::vector<size_t> pk = table.schema().PrimaryKeyIndexes();
+    tm.key_width = pk.size();
+    ForEachBaselineRow(table, slot, num_slots,
+                       [&](rpc::RowRef row, uint64_t key_hash) {
+                         tm.marks.push_back(
+                             RowMark{key_hash, rpc::HashRow(row),
+                                     tm.keys.size()});
+                         for (size_t idx : pk) tm.keys.push_back(row[idx]);
+                       });
+    std::sort(tm.marks.begin(), tm.marks.end(),
+              [](const RowMark& a, const RowMark& b) {
+                return a.key_hash < b.key_hash;
+              });
   }
   return b;
 }
@@ -78,46 +102,38 @@ Result<StateDelta> StateBaseline::Diff(const ElementInstance& instance) const {
   w.WriteVarint(tables_.size());
   for (size_t t = 0; t < tables_.size(); ++t) {
     const Table& table = instance.tables()[t];
-    const auto& marks = tables_[t];
-    std::vector<const Row*> upserts;
+    const TableMarks& tm = tables_[t];
+    std::vector<rpc::RowRef> upserts;
     size_t seen = 0;
-    const auto classify = [&](const Row& row) {
-      auto it = marks.find(table.RowKeyHash(row));
-      if (it == marks.end()) {
-        upserts.push_back(&row);  // inserted since the baseline
-      } else {
-        ++seen;
-        if (it->second.row_hash != rpc::HashRow(row)) {
-          upserts.push_back(&row);  // updated in place (by key)
-        }
-      }
-    };
     if (table.HasPrimaryKey()) {
-      if (slot_ >= 0) {
-        // Cutover-window diff (live migration): a scan of the cached key
-        // hashes, one integer test per row — only the moving slot's rows
-        // are read and hashed, so the blackout stays close to delta-sized
-        // however much state the element carries.
-        table.ForEachKeySlotRow(static_cast<size_t>(slot_), num_slots_,
-                                classify);
-      } else {
-        for (const Row& row : table.rows()) classify(row);
-      }
+      ForEachBaselineRow(
+          table, slot_, num_slots_, [&](rpc::RowRef row, uint64_t key_hash) {
+            const RowMark* mark = tm.Find(key_hash);
+            if (mark == nullptr) {
+              upserts.push_back(row);  // inserted since the baseline
+            } else {
+              ++seen;
+              if (mark->row_hash != rpc::HashRow(row)) {
+                upserts.push_back(row);  // updated in place (by key)
+              }
+            }
+          });
     }
-    std::vector<const RowMark*> deletes;
-    if (seen < marks.size()) {
+    std::vector<rpc::RowRef> deletes;
+    if (seen < tm.marks.size()) {
       // Some baseline keys vanished; name them for replay.
-      for (const auto& [kh, mark] : marks) {
-        if (table.LookupByKey(mark.key).empty()) deletes.push_back(&mark);
+      for (const RowMark& mark : tm.marks) {
+        const rpc::RowRef key(tm.keys.data() + mark.key, tm.key_width);
+        if (table.LookupByKey(key) == nullptr) deletes.push_back(key);
       }
     }
     w.WriteVarint(upserts.size());
-    for (const Row* row : upserts) {
-      for (const Value& v : *row) rpc::EncodeValue(v, w);
+    for (const rpc::RowRef row : upserts) {
+      for (const Value& v : row) rpc::EncodeValue(v, w);
     }
     w.WriteVarint(deletes.size());
-    for (const RowMark* mark : deletes) {
-      for (const Value& v : mark->key) rpc::EncodeValue(v, w);
+    for (const rpc::RowRef key : deletes) {
+      for (const Value& v : key) rpc::EncodeValue(v, w);
     }
     delta.upserts += upserts.size();
     delta.deletes += deletes.size();
@@ -127,7 +143,7 @@ Result<StateDelta> StateBaseline::Diff(const ElementInstance& instance) const {
 
 size_t StateBaseline::tracked_rows() const {
   size_t n = 0;
-  for (const auto& marks : tables_) n += marks.size();
+  for (const TableMarks& tm : tables_) n += tm.marks.size();
   return n;
 }
 
@@ -140,28 +156,27 @@ Status StateDelta::ApplyTo(ElementInstance& instance) const {
                       instance.name() + " expects " +
                       std::to_string(instance.tables().size()));
   }
+  // One scratch row and key for the whole replay: each decoded row's cells
+  // move into the table.
+  Row row;
+  Row key;
   for (uint64_t t = 0; t < count; ++t) {
     Table& table = instance.TableAt(t);
     const auto& cols = table.schema().columns();
     const std::vector<size_t> pk = table.schema().PrimaryKeyIndexes();
     ADN_ASSIGN_OR_RETURN(uint64_t nups, r.ReadVarint());
+    row.resize(cols.size());
     for (uint64_t i = 0; i < nups; ++i) {
-      // A spare row: a slice moving back and forth reuses its rows.
-      Row row = table.TakeSpareRow();
-      row.reserve(cols.size());
-      for (const auto& col : cols) {
-        ADN_ASSIGN_OR_RETURN(Value v, rpc::DecodeValue(col.type, r));
-        row.push_back(std::move(v));
+      for (size_t c = 0; c < cols.size(); ++c) {
+        ADN_ASSIGN_OR_RETURN(row[c], rpc::DecodeValue(cols[c].type, r));
       }
-      ADN_RETURN_IF_ERROR(table.Insert(std::move(row)));
+      ADN_RETURN_IF_ERROR(table.InsertFrom(row));
     }
     ADN_ASSIGN_OR_RETURN(uint64_t ndel, r.ReadVarint());
+    key.resize(pk.size());
     for (uint64_t i = 0; i < ndel; ++i) {
-      Row key;
-      key.reserve(pk.size());
-      for (size_t idx : pk) {
-        ADN_ASSIGN_OR_RETURN(Value v, rpc::DecodeValue(cols[idx].type, r));
-        key.push_back(std::move(v));
+      for (size_t k = 0; k < pk.size(); ++k) {
+        ADN_ASSIGN_OR_RETURN(key[k], rpc::DecodeValue(cols[pk[k]].type, r));
       }
       table.EraseByKey(key);
     }

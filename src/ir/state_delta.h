@@ -24,7 +24,6 @@
 // matrix these primitives enforce.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/bytes.h"
@@ -63,7 +62,9 @@ struct StateDelta {
 // Row identity is the 64-bit key hash (the same hash the shard router and
 // the table index use); a hash collision would fold two keys into one delta
 // entry, which at 2^-64 per pair is below the error floor of everything
-// else in the system.
+// else in the system. Each table's marks are one flat vector sorted by key
+// hash, with the key cells inline in a second flat vector, so a capture
+// costs a few allocations per table rather than one per row.
 class StateBaseline {
  public:
   // `slot` < 0 captures every keyed row; otherwise only rows whose key hash
@@ -79,15 +80,23 @@ class StateBaseline {
 
  private:
   struct RowMark {
+    uint64_t key_hash = 0;
     uint64_t row_hash = 0;
-    rpc::Row key;  // PK values, in PK-column order (delete replay probe)
+    size_t key = 0;  // offset of the row's PK cells in TableMarks::keys
+  };
+  struct TableMarks {
+    std::vector<RowMark> marks;    // sorted by key_hash
+    std::vector<rpc::Value> keys;  // PK values in PK-column order, per mark
+    size_t key_width = 0;          // PK columns per mark
+    // The mark keyed by `key_hash`, or null.
+    const RowMark* Find(uint64_t key_hash) const;
   };
 
   int slot_ = -1;
   size_t num_slots_ = 0;
-  // Index-aligned with the instance's table vector; keyless tables hold an
-  // empty map and never contribute entries.
-  std::vector<std::unordered_map<uint64_t, RowMark>> tables_;
+  // Index-aligned with the instance's table vector; keyless tables hold no
+  // marks.
+  std::vector<TableMarks> tables_;
 };
 
 }  // namespace adn::ir

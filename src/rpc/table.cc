@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 
 #include "rpc/wire.h"
 
 namespace adn::rpc {
 
-uint64_t HashRow(const Row& row) {
+uint64_t HashRow(RowRef row) {
   uint64_t h = 0x243F6A8885A308D3ULL;
   for (const Value& v : row) {
     h ^= HashValue(v);
@@ -19,6 +20,7 @@ uint64_t HashRow(const Row& row) {
 Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {
   pk_indexes_ = schema_.PrimaryKeyIndexes();
+  ncols_ = schema_.size();
 }
 
 uint64_t HashSingleKey(const Value& key) {
@@ -28,8 +30,8 @@ uint64_t HashSingleKey(const Value& key) {
   return h;
 }
 
-uint64_t Table::KeyHashOf(const Row& row) const {
-  if (pk_indexes_.empty()) return HashRow(row);
+uint64_t Table::KeyHashOf(const Value* row) const {
+  if (pk_indexes_.empty()) return HashRow(RowRef(row, ncols_));
   if (pk_indexes_.size() == 1) return HashSingleKey(row[pk_indexes_[0]]);
   uint64_t h = 0x452821E638D01377ULL;
   for (size_t idx : pk_indexes_) {
@@ -39,10 +41,9 @@ uint64_t Table::KeyHashOf(const Row& row) const {
   return h;
 }
 
-bool Table::KeysEqual(const Row& a, const Row& b) const {
+bool Table::KeysEqual(const Value* a, const Value* b) const {
   if (pk_indexes_.empty()) {
-    if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
+    for (size_t i = 0; i < ncols_; ++i) {
       if (a[i].CompareTo(b[i]) != 0) return false;
     }
     return true;
@@ -56,7 +57,7 @@ bool Table::KeysEqual(const Row& a, const Row& b) const {
 namespace {
 // Hash of a key given as PK values in PK-column order — KeyHashOf of any
 // row carrying that key.
-uint64_t HashKeyValues(const Row& key) {
+uint64_t HashKeyValues(RowRef key) {
   uint64_t h = 0x452821E638D01377ULL;
   for (const Value& v : key) {
     h ^= HashValue(v);
@@ -83,6 +84,19 @@ struct SlotTest {
   size_t num_slots;
   uint64_t mask;
 };
+
+// The cells a row-reading iterator points at: Append/Put read from
+// plain pointers (copy) and from move iterators (move).
+const Value* CellPtr(const Value* p) { return p; }
+const Value* CellPtr(std::move_iterator<Value*> it) { return it.base(); }
+
+void PrefetchRead(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, 0, 3);
+#else
+  (void)p;
+#endif
+}
 }  // namespace
 
 template <class Match>
@@ -90,7 +104,7 @@ size_t Table::Probe(uint64_t h, const Match& match) const {
   const size_t mask = index_.size() - 1;
   for (size_t pos = Home(h);; pos = (pos + 1) & mask) {
     const IndexSlot& s = index_[pos];
-    if (s.row == kNoRow || (s.hash == h && match(rows_[s.row]))) return pos;
+    if (s.row == kNoRow || (s.hash == h && match(CellsAt(s.row)))) return pos;
   }
 }
 
@@ -99,6 +113,13 @@ size_t Table::SlotOfRow(size_t row) const {
   size_t pos = Home(row_hash_[row]);
   while (index_[pos].row != row) pos = (pos + 1) & mask;
   return pos;
+}
+
+void Table::Reserve(size_t rows) {
+  cells_.reserve(rows * ncols_);
+  if (pk_indexes_.empty()) return;
+  row_hash_.reserve(rows);
+  ReserveIndex(rows);
 }
 
 void Table::ReserveIndex(size_t rows) {
@@ -113,7 +134,7 @@ void Table::ReserveIndex(size_t rows) {
 void Table::ReindexAll() {
   std::fill(index_.begin(), index_.end(), IndexSlot{});
   const size_t mask = index_.size() - 1;
-  for (size_t i = 0; i < rows_.size(); ++i) {
+  for (size_t i = 0; i < nrows_; ++i) {
     size_t pos = Home(row_hash_[i]);
     while (index_[pos].row != kNoRow) pos = (pos + 1) & mask;
     index_[pos] = IndexSlot{row_hash_[i], static_cast<uint32_t>(i)};
@@ -146,109 +167,123 @@ Status Table::CheckCell(size_t col, const Value& v) const {
                     ", got " + std::string(ValueTypeName(v.type())));
 }
 
-Status Table::Insert(Row row) {
-  if (row.size() != schema_.size()) {
+Status Table::Insert(Row row) { return InsertFrom(row); }
+
+Status Table::InsertFrom(std::span<Value> cells) {
+  if (cells.size() != ncols_) {
     return Status(ErrorCode::kInvalidArgument,
-                  "row arity " + std::to_string(row.size()) +
+                  "row arity " + std::to_string(cells.size()) +
                       " does not match schema arity " +
-                      std::to_string(schema_.size()) + " of table " + name_);
+                      std::to_string(ncols_) + " of table " + name_);
   }
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (!row[i].is_null() && row[i].type() != schema_.columns()[i].type) {
-      return CheckCell(i, row[i]);
+  for (size_t i = 0; i < ncols_; ++i) {
+    if (!cells[i].is_null() && cells[i].type() != schema_.columns()[i].type) {
+      return CheckCell(i, cells[i]);
     }
   }
   // Keyless tables are append-only logs: nothing ever consults the key
   // index, so skip both the key hash and the index slot.
   if (pk_indexes_.empty()) {
-    rows_.push_back(std::move(row));
-    return Status::Ok();
+    Append(std::make_move_iterator(cells.data()));
+  } else {
+    Put(std::make_move_iterator(cells.data()), KeyHashOf(cells.data()));
   }
-  const uint64_t h = KeyHashOf(row);
-  InsertKeyed(std::move(row), h);
   return Status::Ok();
 }
 
-void Table::InsertKeyed(Row&& row, uint64_t h) {
-  ReserveIndex(rows_.size() + 1);
-  const size_t pos =
-      Probe(h, [&](const Row& r) { return KeysEqual(r, row); });
-  if (index_[pos].row != kNoRow) {
-    Row& slot = rows_[index_[pos].row];
-    Row displaced = std::move(slot);
-    slot = std::move(row);  // upsert
-    StashSpare(std::move(displaced));
-    return;
-  }
-  index_[pos] = IndexSlot{h, static_cast<uint32_t>(rows_.size())};
-  rows_.push_back(std::move(row));
-  row_hash_.push_back(h);
+template <class It>
+void Table::Append(It first) {
+  cells_.insert(cells_.end(), first, first + ncols_);
+  ++nrows_;
 }
 
-std::vector<const Row*> Table::LookupByKey(const Row& key) const {
-  std::vector<const Row*> out;
-  if (pk_indexes_.empty() || index_.empty()) return out;
-  if (key.size() != pk_indexes_.size()) return out;
-  const size_t pos = Probe(HashKeyValues(key), [&](const Row& row) {
+template <class It>
+void Table::Put(It first, uint64_t h) {
+  if (pk_indexes_.empty()) {
+    Append(first);
+    return;
+  }
+  ReserveIndex(nrows_ + 1);
+  const Value* row = CellPtr(first);
+  const size_t pos =
+      Probe(h, [&](const Value* r) { return KeysEqual(r, row); });
+  if (index_[pos].row != kNoRow) {
+    std::copy(first, first + ncols_, CellsAt(index_[pos].row));  // upsert
+    return;
+  }
+  index_[pos] = IndexSlot{h, static_cast<uint32_t>(nrows_)};
+  row_hash_.push_back(h);
+  Append(first);
+}
+
+const Value* Table::LookupByKey(RowRef key) const {
+  if (pk_indexes_.empty() || index_.empty()) return nullptr;
+  if (key.size() != pk_indexes_.size()) return nullptr;
+  const size_t pos = Probe(HashKeyValues(key), [&](const Value* row) {
     for (size_t i = 0; i < pk_indexes_.size(); ++i) {
       if (row[pk_indexes_[i]].CompareTo(key[i]) != 0) return false;
     }
     return true;
   });
-  if (index_[pos].row != kNoRow) out.push_back(&rows_[index_[pos].row]);
-  return out;
+  return index_[pos].row != kNoRow ? CellsAt(index_[pos].row) : nullptr;
 }
 
-const Row* Table::LookupSingleKey(const Value& key) const {
+const Value* Table::LookupSingleKey(const Value& key) const {
   if (pk_indexes_.size() != 1 || index_.empty()) return nullptr;
   const size_t col = pk_indexes_[0];
-  const size_t pos = Probe(HashSingleKey(key), [&](const Row& row) {
+  const size_t pos = Probe(HashSingleKey(key), [&](const Value* row) {
     return row[col].EqualsValue(key);
   });
-  return index_[pos].row != kNoRow ? &rows_[index_[pos].row] : nullptr;
+  return index_[pos].row != kNoRow ? CellsAt(index_[pos].row) : nullptr;
 }
 
-const Row* Table::PrefetchSingleKey(const Value& key) const {
-  const Row* row = LookupSingleKey(key);
-  if (row != nullptr && !row->empty()) {
-#if defined(__GNUC__) || defined(__clang__)
-    // Warm the row's Value storage (read, high temporal locality). The Row
-    // header itself was just touched by the lookup; the payload Values are
-    // what the executor reads next.
-    __builtin_prefetch(static_cast<const void*>(row->data()), 0, 3);
-#endif
+uint64_t Table::PrefetchIndexSlot(const Value& key) const {
+  if (pk_indexes_.size() != 1 || index_.empty()) return 0;
+  const uint64_t h = HashSingleKey(key);
+  PrefetchRead(&index_[Home(h)]);
+  return h;
+}
+
+void Table::PrefetchRowCells(uint64_t key_hash) const {
+  if (pk_indexes_.size() != 1 || index_.empty()) return;
+  const size_t mask = index_.size() - 1;
+  for (size_t pos = Home(key_hash); index_[pos].row != kNoRow;
+       pos = (pos + 1) & mask) {
+    if (index_[pos].hash != key_hash) continue;
+    // A row spans ncols_ cells: warm its first and last line.
+    const Value* row = CellsAt(index_[pos].row);
+    PrefetchRead(row);
+    PrefetchRead(row + ncols_ - 1);
+    return;
   }
-  return row;
 }
 
-const Row* Table::FindFirst(
-    const std::function<bool(const Row&)>& pred) const {
-  for (const Row& r : rows_) {
-    if (pred(r)) return &r;
+const Value* Table::FindFirst(
+    const std::function<bool(RowRef)>& pred) const {
+  for (size_t i = 0; i < nrows_; ++i) {
+    if (pred(RowRef(CellsAt(i), ncols_))) return CellsAt(i);
   }
   return nullptr;
 }
 
-size_t Table::EraseWhere(const std::function<bool(const Row&)>& pred) {
+size_t Table::EraseWhere(const std::function<bool(RowRef)>& pred) {
   // One in-order compaction pass: `pred` sees each row once, before any
   // later row moves; cached hashes move with their rows, so the index is
   // refilled without re-hashing a key.
   const bool keyed = !pk_indexes_.empty();
-  const size_t n = rows_.size();
+  const size_t n = nrows_;
   size_t dst = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (pred(rows_[i])) {
-      StashSpare(std::move(rows_[i]));
-      continue;
-    }
+    if (pred(RowRef(CellsAt(i), ncols_))) continue;
     if (dst != i) {
-      rows_[dst] = std::move(rows_[i]);
+      std::move(CellsAt(i), CellsAt(i + 1), CellsAt(dst));
       if (keyed) row_hash_[dst] = row_hash_[i];
     }
     ++dst;
   }
   if (dst == n) return 0;
-  rows_.resize(dst);
+  cells_.resize(dst * ncols_);
+  nrows_ = dst;
   if (keyed) {
     row_hash_.resize(dst);
     ReindexAll();
@@ -257,25 +292,10 @@ size_t Table::EraseWhere(const std::function<bool(const Row&)>& pred) {
 }
 
 void Table::Clear() {
-  for (Row& row : rows_) StashSpare(std::move(row));
-  rows_.clear();
+  cells_.clear();
+  nrows_ = 0;
   row_hash_.clear();
   std::fill(index_.begin(), index_.end(), IndexSlot{});
-}
-
-Row Table::TakeSpareRow() {
-  if (spares_.empty()) return Row();
-  Row row = std::move(spares_.back());
-  spares_.pop_back();
-  return row;
-}
-
-void Table::StashSpare(Row&& row) {
-  // Callers park a row while it still counts in rows_, so this bounds the
-  // spares by the live rows the table held at the time.
-  if (spares_.size() >= rows_.size()) return;
-  row.clear();  // destroy values, keep capacity
-  spares_.push_back(std::move(row));
 }
 
 Bytes Table::Snapshot() const {
@@ -288,10 +308,8 @@ Bytes Table::Snapshot() const {
     w.WriteU8(static_cast<uint8_t>(c.type));
     w.WriteU8(c.primary_key ? 1 : 0);
   }
-  w.WriteVarint(rows_.size());
-  for (const Row& row : rows_) {
-    for (const Value& v : row) EncodeValue(v, w);
-  }
+  w.WriteVarint(nrows_);
+  for (const Value& v : cells_) EncodeValue(v, w);  // row-major
   return out;
 }
 
@@ -314,15 +332,17 @@ Result<Table> Table::Restore(std::span<const uint8_t> snapshot) {
   }
   Table table(std::move(name), std::move(schema));
   ADN_ASSIGN_OR_RETURN(uint64_t nrows, r.ReadVarint());
+  // Every cell encodes to at least one byte, so size the cells and index
+  // up front only for a row count the remaining bytes can hold.
+  if (ncols > 0 && nrows <= r.remaining() / ncols) table.Reserve(nrows);
+  // One scratch row: each decoded row's cells move into the table.
+  Row row(ncols);
   for (uint64_t i = 0; i < nrows; ++i) {
-    Row row;
-    row.reserve(ncols);
     for (uint64_t j = 0; j < ncols; ++j) {
-      ADN_ASSIGN_OR_RETURN(
-          Value v, DecodeValue(table.schema().columns()[j].type, r));
-      row.push_back(std::move(v));
+      ADN_ASSIGN_OR_RETURN(row[j],
+                           DecodeValue(table.schema().columns()[j].type, r));
     }
-    ADN_RETURN_IF_ERROR(table.Insert(std::move(row)));
+    ADN_RETURN_IF_ERROR(table.InsertFrom(row));
   }
   return table;
 }
@@ -331,14 +351,24 @@ Result<std::vector<Table>> Table::SplitByKeyHash(size_t shards) const {
   if (shards == 0) {
     return Error(ErrorCode::kInvalidArgument, "cannot split into 0 shards");
   }
+  return SplitRows(shards, [&](uint64_t h) { return h % shards; });
+}
+
+template <class ShardOf>
+std::vector<Table> Table::SplitRows(size_t shards,
+                                    const ShardOf& shard_of) const {
+  // Count first, so each shard's cells, hashes and index are sized once.
+  std::vector<size_t> counts(shards, 0);
+  for (size_t i = 0; i < nrows_; ++i) ++counts[shard_of(RowHashAt(i))];
   std::vector<Table> out;
   out.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
+  for (size_t s = 0; s < shards; ++s) {
     out.emplace_back(name_, schema_);
+    out.back().Reserve(counts[s]);
   }
-  for (const Row& row : rows_) {
-    size_t shard = KeyHashOf(row) % shards;
-    ADN_RETURN_IF_ERROR(out[shard].Insert(row));
+  for (size_t i = 0; i < nrows_; ++i) {
+    const uint64_t h = RowHashAt(i);
+    out[shard_of(h)].Put(CellsAt(i), h);
   }
   return out;
 }
@@ -352,30 +382,29 @@ Status Table::MergeFrom(const Table& other) {
   }
   // Same schema: `other`'s rows are already type-checked and its cached key
   // hashes are this table's too.
-  if (!pk_indexes_.empty()) ReserveIndex(rows_.size() + other.rows_.size());
-  for (size_t i = 0; i < other.rows_.size(); ++i) {
-    Row row = TakeSpareRow();
-    row.assign(other.rows_[i].begin(), other.rows_[i].end());
-    if (pk_indexes_.empty()) {
-      rows_.push_back(std::move(row));
-    } else {
-      InsertKeyed(std::move(row), other.row_hash_[i]);
-    }
+  if (pk_indexes_.empty()) {
+    cells_.insert(cells_.end(), other.cells_.begin(), other.cells_.end());
+    nrows_ += other.nrows_;
+    return Status::Ok();
+  }
+  ReserveIndex(nrows_ + other.nrows_);
+  for (size_t i = 0; i < other.nrows_; ++i) {
+    Put(other.CellsAt(i), other.row_hash_[i]);
   }
   return Status::Ok();
 }
 
-Row Table::KeyOf(const Row& row) const {
+Row Table::KeyOf(RowRef row) const {
   Row key;
   key.reserve(pk_indexes_.size());
   for (size_t idx : pk_indexes_) key.push_back(row[idx]);
   return key;
 }
 
-size_t Table::EraseByKey(const Row& key) {
+size_t Table::EraseByKey(RowRef key) {
   if (pk_indexes_.empty() || index_.empty()) return 0;
   if (key.size() != pk_indexes_.size()) return 0;
-  const size_t pos = Probe(HashKeyValues(key), [&](const Row& row) {
+  const size_t pos = Probe(HashKeyValues(key), [&](const Value* row) {
     for (size_t i = 0; i < pk_indexes_.size(); ++i) {
       if (row[pk_indexes_[i]].CompareTo(key[i]) != 0) return false;
     }
@@ -389,7 +418,7 @@ size_t Table::EraseByKey(const Row& key) {
 size_t Table::EraseSingleKey(const Value& key, Row& erased) {
   if (pk_indexes_.size() != 1 || index_.empty()) return 0;
   const size_t col = pk_indexes_[0];
-  const size_t pos = Probe(HashSingleKey(key), [&](const Row& row) {
+  const size_t pos = Probe(HashSingleKey(key), [&](const Value* row) {
     return row[col].CompareTo(key) == 0;
   });
   if (index_[pos].row == kNoRow) return 0;
@@ -398,48 +427,52 @@ size_t Table::EraseSingleKey(const Value& key, Row& erased) {
 }
 
 void Table::EraseIndexed(size_t pos, Row* erased) {
-  // Swap-and-pop: the last row fills the hole and its one index slot is
-  // re-pointed, so a per-key erase (delta replay, cache eviction) costs
-  // O(1) and never touches the rest of the table.
+  // Swap-and-pop: the last row's cells fill the hole and its one index
+  // slot is re-pointed, so a per-key erase (delta replay, cache eviction)
+  // costs O(1) and never touches the rest of the table.
   const size_t hole = index_[pos].row;
-  const size_t last = rows_.size() - 1;
+  const size_t last = nrows_ - 1;
   EraseIndexSlot(pos);
   if (erased != nullptr) {
-    *erased = std::move(rows_[hole]);
-  } else {
-    StashSpare(std::move(rows_[hole]));
+    erased->resize(ncols_);
+    std::move(CellsAt(hole), CellsAt(hole + 1), erased->begin());
   }
   if (hole != last) {
     index_[SlotOfRow(last)].row = static_cast<uint32_t>(hole);
-    rows_[hole] = std::move(rows_[last]);
+    std::move(CellsAt(last), CellsAt(last + 1), CellsAt(hole));
     row_hash_[hole] = row_hash_[last];
   }
-  rows_.pop_back();
+  cells_.resize(last * ncols_);
+  nrows_ = last;
   row_hash_.pop_back();
 }
 
 void Table::ForEachKeySlotRow(
     size_t slot, size_t num_slots,
-    const std::function<void(const Row&)>& fn) const {
+    const std::function<void(RowRef, uint64_t)>& fn) const {
   if (pk_indexes_.empty() || num_slots == 0) return;
   const SlotTest in_slot(slot, num_slots);
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (in_slot(row_hash_[i])) fn(rows_[i]);
+  for (size_t i = 0; i < nrows_; ++i) {
+    if (in_slot(row_hash_[i])) fn(RowRef(CellsAt(i), ncols_), row_hash_[i]);
   }
 }
 
 Table Table::SliceByKeySlot(size_t slot, size_t num_slots) const {
   Table out(name_, schema_);
   if (pk_indexes_.empty() || num_slots == 0) return out;
-  // Rows of one table have distinct keys: append them with their cached
-  // hashes and index once.
+  // Rows of one table have distinct keys: count the slot's rows, then
+  // append their cells and cached hashes into exactly-sized blocks and
+  // index once.
   const SlotTest in_slot(slot, num_slots);
-  for (size_t i = 0; i < rows_.size(); ++i) {
+  size_t n = 0;
+  for (size_t i = 0; i < nrows_; ++i) n += in_slot(row_hash_[i]) ? 1 : 0;
+  out.Reserve(n);
+  for (size_t i = 0; i < nrows_; ++i) {
     if (!in_slot(row_hash_[i])) continue;
-    out.rows_.push_back(rows_[i]);
+    out.Append(CellsAt(i));
     out.row_hash_.push_back(row_hash_[i]);
   }
-  out.ReserveIndex(out.rows_.size());  // sizes the index and fills it
+  out.ReindexAll();
   return out;
 }
 
@@ -451,7 +484,7 @@ size_t Table::EraseKeySlot(size_t slot, size_t num_slots) {
   // Walking backward, the row swapped into position i was already passed.
   const SlotTest in_slot(slot, num_slots);
   size_t erased = 0;
-  for (size_t i = rows_.size(); i-- > 0;) {
+  for (size_t i = nrows_; i-- > 0;) {
     if (!in_slot(row_hash_[i])) continue;
     EraseIndexed(SlotOfRow(i), nullptr);
     ++erased;
@@ -465,30 +498,22 @@ Result<std::vector<Table>> Table::SplitByKeySlot(size_t shards,
     return Error(ErrorCode::kInvalidArgument,
                  "cannot split into 0 shards/slots");
   }
-  std::vector<Table> out;
-  out.reserve(shards);
-  for (size_t i = 0; i < shards; ++i) {
-    out.emplace_back(name_, schema_);
-  }
-  for (const Row& row : rows_) {
-    size_t shard = (KeyHashOf(row) % num_slots) % shards;
-    ADN_RETURN_IF_ERROR(out[shard].Insert(row));
-  }
-  return out;
+  return SplitRows(shards,
+                   [&](uint64_t h) { return (h % num_slots) % shards; });
 }
 
 uint64_t Table::ContentHash() const {
   // XOR of per-row hashes: order-insensitive by construction.
   uint64_t h = 0;
-  for (const Row& row : rows_) h ^= HashRow(row);
+  for (const RowRef row : rows()) h ^= HashRow(row);
   return h;
 }
 
 std::string Table::DebugString(size_t max_rows) const {
   std::string out = name_ + schema_.DebugString() + " [" +
-                    std::to_string(rows_.size()) + " rows]";
+                    std::to_string(nrows_) + " rows]";
   size_t shown = 0;
-  for (const Row& row : rows_) {
+  for (const RowRef row : rows()) {
     if (shown++ >= max_rows) {
       out += "\n  ...";
       break;

@@ -6,10 +6,19 @@
 // to reconfigure the network without disrupting applications" — is realized
 // here: tables can be snapshotted to bytes, restored, split by key hash for
 // scale-out, and merged for scale-in (see controller/migration.h).
+//
+// Storage layout: one contiguous cell array, `ncols` Values per row, rows in
+// append order (an erase moves the last row into the hole). A key index hit
+// points straight at the row's cells, so a lookup costs two dependent loads
+// (index slot, then cells); an INSERT appends in place; a slice, snapshot or
+// restore is one block of cells rather than one heap vector per row. Row
+// (an owning vector) stays the value type callers build and receive; reads
+// hand out RowRefs and cell pointers into the array.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -22,6 +31,68 @@ namespace adn::rpc {
 
 using Row = std::vector<Value>;
 
+// Read-only reference to one row's cells: a row inside a table, or a Row.
+// Indexes like a Row and converts to one (a copy) where an owning row is
+// needed. A default RowRef refers to no row (data() is null).
+class RowRef {
+ public:
+  RowRef() = default;
+  RowRef(const Value* cells, size_t size) : cells_(cells), size_(size) {}
+  RowRef(const Row& row)  // NOLINT: implicit by design, like std::span
+      : cells_(row.data()), size_(row.size()) {}
+
+  const Value& operator[](size_t i) const { return cells_[i]; }
+  size_t size() const { return size_; }
+  const Value* data() const { return cells_; }
+  const Value* begin() const { return cells_; }
+  const Value* end() const { return cells_ + size_; }
+  operator Row() const { return Row(begin(), end()); }  // NOLINT
+
+ private:
+  const Value* cells_ = nullptr;
+  size_t size_ = 0;
+};
+
+// A table's rows in storage order: a view over its cell array, valid until
+// the table next changes.
+class RowsView {
+ public:
+  class Iterator {
+   public:
+    Iterator(const Value* cells, size_t ncols, size_t row)
+        : cells_(cells), ncols_(ncols), row_(row) {}
+    RowRef operator*() const { return RowRef(cells_ + row_ * ncols_, ncols_); }
+    Iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    bool operator==(const Iterator& o) const { return row_ == o.row_; }
+
+   private:
+    const Value* cells_;
+    size_t ncols_;
+    size_t row_;
+  };
+
+  RowsView(const Value* cells, size_t ncols, size_t nrows)
+      : cells_(cells), ncols_(ncols), nrows_(nrows) {}
+
+  size_t size() const { return nrows_; }
+  bool empty() const { return nrows_ == 0; }
+  RowRef operator[](size_t i) const {
+    return RowRef(cells_ + i * ncols_, ncols_);
+  }
+  RowRef front() const { return (*this)[0]; }
+  RowRef back() const { return (*this)[nrows_ - 1]; }
+  Iterator begin() const { return Iterator(cells_, ncols_, 0); }
+  Iterator end() const { return Iterator(cells_, ncols_, nrows_); }
+
+ private:
+  const Value* cells_;
+  size_t ncols_;
+  size_t nrows_;
+};
+
 class Table {
  public:
   Table() = default;
@@ -29,57 +100,60 @@ class Table {
 
   const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
-  size_t RowCount() const { return rows_.size(); }
-  bool empty() const { return rows_.empty(); }
+  size_t RowCount() const { return nrows_; }
+  bool empty() const { return nrows_ == 0; }
 
-  // Rows are append-ordered; erased slots are compacted immediately.
-  const std::vector<Row>& rows() const { return rows_; }
+  // Rows are append-ordered; an erase moves the last row into the hole.
+  RowsView rows() const { return RowsView(cells_.data(), ncols_, nrows_); }
+  // Position of the row whose cells start at `row` (a lookup result).
+  size_t RowIndex(const Value* row) const {
+    return static_cast<size_t>(row - cells_.data()) / ncols_;
+  }
 
   // Insert semantics:
   //  - with a primary key: upsert (replace the row with the same key);
   //  - without: plain append.
   Status Insert(Row row);
+  // Insert that moves the cells out of `cells` (left moved-from) instead of
+  // consuming a Row, so a caller reusing one scratch row allocates nothing
+  // per insert.
+  Status InsertFrom(std::span<Value> cells);
 
-  // Point lookup on the primary key (single- or multi-column). Returns all
-  // matching rows (0 or 1 when a PK is declared).
-  std::vector<const Row*> LookupByKey(const Row& key) const;
+  // Point lookup on the primary key (single- or multi-column); `key` holds
+  // the PK values in PK-column order. Returns the row's cells, or null.
+  // Every returned pointer is valid until the table next changes.
+  const Value* LookupByKey(RowRef key) const;
 
   // Allocation-free point lookup for single-column primary keys — the
   // data-plane hot path (one call per message for every keyed join).
-  const Row* LookupSingleKey(const Value& key) const;
+  const Value* LookupSingleKey(const Value& key) const;
 
-  // Burst-mode lookup+prefetch: resolves the row like LookupSingleKey and
-  // additionally issues a read prefetch for the row's value storage, so that
-  // by the time the burst executor's lookup instruction touches the row its
-  // cache lines are warm (the NDN-DPDK PCCT pattern: resolve+prefetch every
-  // entry for a burst before processing any of it). The returned pointer is
-  // only stable until the next mutation of this table.
-  const Row* PrefetchSingleKey(const Value& key) const;
+  // Two-stage burst prefetch (NDN-DPDK's resolve-then-prefetch per burst),
+  // single-column primary keys only. Stage 1 hashes `key`, prefetches its
+  // index home slot and returns the hash; stage 2, run once every stage-1
+  // load of the burst is in flight, follows that hash's probe run by hash
+  // alone and prefetches the first matching row's cells. Pure hints: they
+  // compare no cell and change nothing, so every lookup still probes in
+  // full and a table mutated in between stays correct.
+  uint64_t PrefetchIndexSlot(const Value& key) const;
+  void PrefetchRowCells(uint64_t key_hash) const;
 
   // Insert's per-cell type check: kTypeError, with Insert's exact text,
   // unless `v` is NULL or of column `col`'s declared type.
   Status CheckCell(size_t col, const Value& v) const;
-  // Writable access to a row a lookup on this table just returned — the
+  // Writable cells of a row a lookup on this table just returned — the
   // point UPDATE in place. The caller writes only non-key cells (the index
   // caches the key hash) and type-checks each with CheckCell first.
-  Row& MutableRow(const Row* row) {
-    return rows_[static_cast<size_t>(row - rows_.data())];
+  Value* MutableRow(const Value* row) {
+    return cells_.data() + (row - cells_.data());
   }
 
   // Linear scan helpers.
-  const Row* FindFirst(const std::function<bool(const Row&)>& pred) const;
-  size_t EraseWhere(const std::function<bool(const Row&)>& pred);
+  const Value* FindFirst(const std::function<bool(RowRef)>& pred) const;
+  size_t EraseWhere(const std::function<bool(RowRef)>& pred);
+  // Drops every row; the cell array and index keep their capacity, so
+  // refilling to the same size allocates nothing.
   void Clear();
-
-  // Row-capacity recycling (zero-allocation insert path). Rows displaced by
-  // Clear(), an upsert or an erase are emptied (values destroyed) and
-  // parked; a later TakeSpareRow() returns one with its vector capacity
-  // intact, so a steady-state INSERT costs no heap allocation. Parked spares
-  // never outnumber the live rows the table held when it parked them, so
-  // slot churn cannot grow them past the table's own size. Returns an empty
-  // fresh Row when no spare is available.
-  Row TakeSpareRow();
-  size_t spare_rows() const { return spares_.size(); }
 
   // --- State migration support (paper §5.2) -------------------------------
   // Snapshot the full table (schema + rows) to a portable byte string.
@@ -92,8 +166,8 @@ class Table {
   Result<std::vector<Table>> SplitByKeyHash(size_t shards) const;
 
   // Absorb all rows of `other` (same schema required). Used when scaling IN:
-  // surviving instances merge the states of retired ones. Rows are built in
-  // parked spares and keep `other`'s cached key hashes (no re-hash).
+  // surviving instances merge the states of retired ones. Rows are copied
+  // cell by cell and keep `other`'s cached key hashes (no re-hash).
   Status MergeFrom(const Table& other);
 
   // Deterministic content hash (order-insensitive) — used by tests to prove
@@ -107,29 +181,31 @@ class Table {
   bool HasPrimaryKey() const { return !pk_indexes_.empty(); }
   // Key hash of a row OF THIS TABLE (PK hash, whole-row hash when keyless) —
   // exactly the hash slices and shard splits partition by.
-  uint64_t RowKeyHash(const Row& row) const { return KeyHashOf(row); }
+  uint64_t RowKeyHash(RowRef row) const { return KeyHashOf(row.data()); }
   // The row's primary-key values in PK-column order (empty when keyless).
-  Row KeyOf(const Row& row) const;
+  Row KeyOf(RowRef row) const;
   // Erase the row carrying exactly this key (PK values in PK-column order).
   // Returns rows erased (0 or 1); keyless tables never match. O(1): the
-  // last row swaps into the hole (append order is not preserved — only
+  // last row moves into the hole (append order is not preserved — only
   // keyless append logs rely on it, and they never match here).
-  size_t EraseByKey(const Row& key);
+  size_t EraseByKey(RowRef key);
   // EraseByKey for a single-column primary key, the mirror of
-  // LookupSingleKey: no key row to build, same swap-and-pop. The erased row
-  // is moved into `erased`, values and all, instead of being parked as a
-  // spare, so a caller about to insert a row of the same shape can reuse
-  // its payload buffers.
+  // LookupSingleKey: no key row to build, same swap-and-pop. The erased
+  // row's cells move into `erased` (resized to the row's width, so a reused
+  // Row allocates nothing), values and all, so a caller about to insert a
+  // row of the same shape can reuse its payload buffers.
   size_t EraseSingleKey(const Value& key, Row& erased);
-  // Visit every keyed row whose key hash lands in slot `slot` — a scan of
-  // the contiguous cached-hash column (one integer test per row, no
-  // re-hashing, no pointer chasing); only the matching rows are touched.
-  // Must not mutate the table from inside `fn`.
-  void ForEachKeySlotRow(size_t slot, size_t num_slots,
-                         const std::function<void(const Row&)>& fn) const;
-  // Copy of this table holding only slot `slot`'s keyed rows. Keyless tables
-  // yield an empty copy: append-log rows are location-independent (the
-  // merged state hash XORs across shards), so they never move with a slice.
+  // Visit every keyed row whose key hash lands in slot `slot`, with that
+  // hash — a scan of the contiguous cached-hash column (one integer test
+  // per row, no re-hashing, no pointer chasing); only the matching rows are
+  // touched. Must not mutate the table from inside `fn`.
+  void ForEachKeySlotRow(
+      size_t slot, size_t num_slots,
+      const std::function<void(RowRef, uint64_t key_hash)>& fn) const;
+  // Copy of this table holding only slot `slot`'s keyed rows, built as one
+  // block of cells. Keyless tables yield an empty copy: append-log rows are
+  // location-independent (the merged state hash XORs across shards), so
+  // they never move with a slice.
   Table SliceByKeySlot(size_t slot, size_t num_slots) const;
   // Drop slot `slot`'s keyed rows locally (post-handoff). Returns the count.
   // One pass over the cached hashes and a swap-and-pop per slot row: no
@@ -146,47 +222,68 @@ class Table {
 
  private:
   // One open-addressing slot of the key index: a row's cached key hash and
-  // its position in rows_ (kNoRow when the slot is empty).
+  // its row number (kNoRow when the slot is empty).
   struct IndexSlot {
     uint64_t hash = 0;
     uint32_t row = kNoRow;
   };
   static constexpr uint32_t kNoRow = UINT32_MAX;
 
-  uint64_t KeyHashOf(const Row& row) const;
-  bool KeysEqual(const Row& a, const Row& b) const;
+  const Value* CellsAt(size_t row) const {
+    return cells_.data() + row * ncols_;
+  }
+  Value* CellsAt(size_t row) { return cells_.data() + row * ncols_; }
+  uint64_t KeyHashOf(const Value* row) const;
+  bool KeysEqual(const Value* a, const Value* b) const;
   // Probe start: the hash's high bits (multiply-shift). The pool routes by
   // the hash's low bits, so one worker's table holds a single low-bit
   // residue class that a low-bit mask would pile into 1/64 of the slots.
   size_t Home(uint64_t h) const {
     return static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> index_shift_);
   }
-  // Index position holding the row that `h` + `match` identify, or of the
-  // empty slot that ends its probe run. Requires a non-empty index.
+  // Index position holding the row that `h` + `match` (called with the
+  // row's cells) identify, or of the empty slot that ends its probe run.
+  // Requires a non-empty index.
   template <class Match>
   size_t Probe(uint64_t h, const Match& match) const;
   // Position of the index slot that points at row `row`.
   size_t SlotOfRow(size_t row) const;
-  // Upsert of a type-checked row of a keyed table whose key hash is `h`.
-  void InsertKeyed(Row&& row, uint64_t h);
+  // KeyHashOf row `row`: the cached hash when keyed.
+  uint64_t RowHashAt(size_t row) const {
+    return pk_indexes_.empty() ? KeyHashOf(CellsAt(row)) : row_hash_[row];
+  }
+  // Append one type-checked row, read (copied or moved) from `first`.
+  template <class It>
+  void Append(It first);
+  // Insert of a type-checked row whose key hash is `h`: upsert when keyed,
+  // append when keyless.
+  template <class It>
+  void Put(It first, uint64_t h);
+  // Copy every row into the shard `shard_of(key hash)` of `shards` tables.
+  template <class ShardOf>
+  std::vector<Table> SplitRows(size_t shards, const ShardOf& shard_of) const;
+  // Size an empty table's cells, hashes and index for `rows` rows.
+  void Reserve(size_t rows);
   // Grow the index (when needed, then refilled) so `rows` rows keep its
   // load <= 1/2.
   void ReserveIndex(size_t rows);
   // Empty the index and re-place every row from row_hash_ — no re-hash.
-  // The index must already fit rows_ (ReserveIndex).
+  // The index must already fit the rows (ReserveIndex).
   void ReindexAll();
   // Backward-shift delete of index position `pos` (no tombstones).
   void EraseIndexSlot(size_t pos);
-  void StashSpare(Row&& row);
-  // Swap-and-pop erase of the row at index position `pos`. The row moves
-  // into `*erased` when given, else it is parked as a spare.
+  // Swap-and-pop erase of the row at index position `pos`. The row's cells
+  // move into `*erased` when given, else they are destroyed.
   void EraseIndexed(size_t pos, Row* erased);
 
   std::string name_;
   Schema schema_;
   std::vector<size_t> pk_indexes_;
-  std::vector<Row> rows_;
-  // Key hash of rows_[i], maintained only for keyed tables: keyless tables
+  size_t ncols_ = 0;
+  size_t nrows_ = 0;
+  // Row r's cells are cells_[r * ncols_, (r + 1) * ncols_).
+  std::vector<Value> cells_;
+  // Key hash of row r, maintained only for keyed tables: keyless tables
   // (append-only logs) never consult the index, so they skip both the hash
   // and the index slot.
   std::vector<uint64_t> row_hash_;
@@ -194,10 +291,9 @@ class Table {
   // Equal hashes are told apart by comparing the row's key cells.
   std::vector<IndexSlot> index_;
   int index_shift_ = 64;  // 64 - log2(index_.size())
-  std::vector<Row> spares_;
 };
 
-uint64_t HashRow(const Row& row);
+uint64_t HashRow(RowRef row);
 
 // Hash of one key value — exactly the hash KeyHashOf/LookupSingleKey use
 // for a single-column primary key. Shard routers (mrpc::EnginePool) hash the

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "compiler/chain_compile.h"
 #include "compiler/lower.h"
 #include "dsl/parser.h"
@@ -364,6 +365,166 @@ TEST(Burst, RandomProgramsMatchScalarAndInterpreter) {
   // test is weaker than it claims.
   EXPECT_GT(vectorized, 0);
   EXPECT_GT(fallback, 0);
+}
+
+// --- Burst prefetch under mutation --------------------------------------------
+
+// Logging → Acl → Churn, where Churn is Quota plus a key-assigning UPDATE
+// (the row is re-inserted under `target`, growing the cell array) and a
+// DELETE (compacting it) on the same table. Earlier lanes of a burst thus
+// move and erase rows whose keys later lanes were prefetched against; the
+// prefetch is only a hint, so nothing about it may be observable.
+std::vector<std::shared_ptr<const ir::ElementIr>> ChurnElements() {
+  auto parsed = dsl::ParseProgram(
+      std::string(elements::AclTableSql()) +
+      std::string(elements::LogTableSql()) +
+      std::string(elements::QuotaTableSql()) +
+      std::string(elements::LoggingSql()) + std::string(elements::AclSql()) +
+      R"(
+ELEMENT Churn ON REQUEST {
+  INPUT (username TEXT, mover TEXT, target TEXT, doomed TEXT);
+  ON DROP ABORT 'quota exceeded';
+  SELECT * FROM input JOIN quota ON input.username = quota.username
+    WHERE quota.remaining > 0;
+  UPDATE quota SET remaining = remaining - 1 WHERE username = input.username;
+  UPDATE quota SET username = input.target, remaining = remaining + 2
+    WHERE username = input.mover;
+  DELETE FROM quota WHERE username = input.doomed;
+}
+)");
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto lowered = compiler::LowerProgram(*parsed);
+  EXPECT_TRUE(lowered.ok()) << lowered.status().ToString();
+  return {lowered->FindElement("Logging"), lowered->FindElement("Acl"),
+          lowered->FindElement("Churn")};
+}
+
+std::string ChurnUser(Rng& rng) { return "u" + std::to_string(rng.NextBelow(24)); }
+
+// The 24 users the stream names, plus enough untouched filler rows that
+// both joined tables outgrow ChainExecutor::kPrefetchMinTableBytes, so
+// every burst really prefetches them.
+constexpr int kChurnFiller = 4000;
+
+void SeedChurn(ir::ElementInstance& inst, uint64_t seed) {
+  Rng rng(seed);
+  if (rpc::Table* acl = inst.FindTable("ac_tab")) {
+    for (int u = 0; u < 22; ++u) {
+      ASSERT_TRUE(acl->Insert({Value("u" + std::to_string(u)),
+                               Value(u % 7 == 3 ? "R" : "W")})
+                      .ok());
+    }
+    for (int f = 0; f < kChurnFiller; ++f) {
+      ASSERT_TRUE(
+          acl->Insert({Value("filler" + std::to_string(f)), Value("W")}).ok());
+    }
+  }
+  if (rpc::Table* quota = inst.FindTable("quota")) {
+    for (int u = 0; u < 20; ++u) {
+      ASSERT_TRUE(quota
+                      ->Insert({Value("u" + std::to_string(u)),
+                                Value(static_cast<int64_t>(rng.NextBelow(6)))})
+                      .ok());
+    }
+    for (int f = 0; f < kChurnFiller; ++f) {
+      ASSERT_TRUE(
+          quota->Insert({Value("filler" + std::to_string(f)), Value(1)}).ok());
+    }
+  }
+}
+
+TEST(Burst, PrefetchPassIsInvisibleUnderMutation) {
+  const auto elements = ChurnElements();
+  auto program = compiler::CompileChainProgram(elements);
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+
+  Rng rng(2718);
+  std::vector<Message> stream;
+  for (uint64_t i = 0; i < 640; ++i) {
+    stream.push_back(Message::MakeRequest(
+        i, "M",
+        {{"username", Value(ChurnUser(rng))},
+         {"mover", Value(ChurnUser(rng))},
+         {"target", Value(ChurnUser(rng))},
+         {"doomed", Value(ChurnUser(rng))},
+         {"payload", Value(Bytes(rng.NextBelow(16), 0x3c))}}));
+  }
+  // The stream must put the hazard inside bursts: a lane whose user an
+  // earlier lane of the same 32-burst renames away or deletes.
+  size_t hazards = 0;
+  for (size_t off = 0; off < stream.size(); off += 32) {
+    for (size_t j = off + 1; j < off + 32; ++j) {
+      for (size_t i = off; i < j; ++i) {
+        const Value& user = stream[j].GetFieldOrNull("username");
+        hazards += stream[i].GetFieldOrNull("mover") == user ||
+                   stream[i].GetFieldOrNull("doomed") == user;
+      }
+    }
+  }
+  EXPECT_GT(hazards, 100u);
+
+  for (size_t burst : {1u, 2u, 31u, 32u, 64u}) {
+    SCOPED_TRACE("burst=" + std::to_string(burst));
+    std::vector<std::unique_ptr<ir::ElementInstance>> interp, scalar, bursty;
+    std::vector<ir::ElementInstance*> scalar_ptrs, burst_ptrs;
+    for (size_t e = 0; e < elements.size(); ++e) {
+      for (auto* side : {&interp, &scalar, &bursty}) {
+        side->push_back(std::make_unique<ir::ElementInstance>(elements[e], 9));
+        SeedChurn(*side->back(), 77);
+      }
+      scalar_ptrs.push_back(scalar.back().get());
+      burst_ptrs.push_back(bursty.back().get());
+    }
+    ir::ChainExecutor scalar_exec(program.value(), scalar_ptrs);
+    ir::ChainExecutor burst_exec(program.value(), burst_ptrs);
+    // Quota joins the table it mutates: the scalar loop runs every burst,
+    // behind the prefetch of both keyed joins (ac_tab and quota).
+    EXPECT_FALSE(burst_exec.burst_vectorizable());
+    EXPECT_EQ(burst_exec.burst_prefetch_site_count(), 2u);
+    for (const rpc::Table* t : {bursty[1]->FindTable("ac_tab"),
+                                bursty[2]->FindTable("quota")}) {
+      ASSERT_NE(t, nullptr);
+      EXPECT_GE(t->RowCount() * t->schema().size() * sizeof(Value),
+                ir::ChainExecutor::kPrefetchMinTableBytes)
+          << t->name();
+    }
+
+    std::vector<Message> interp_msgs = stream;
+    std::vector<Message> scalar_msgs = stream;
+    std::vector<Message> burst_msgs = stream;
+    std::vector<ProcessResult> burst_results(stream.size());
+    for (size_t off = 0; off < burst_msgs.size(); off += burst) {
+      const size_t n = std::min(burst, burst_msgs.size() - off);
+      burst_exec.ProcessBurst(burst_msgs.data() + off, n, /*now_ns=*/5,
+                              burst_results.data() + off);
+    }
+    size_t passed = 0, aborted = 0;
+    for (size_t i = 0; i < stream.size(); ++i) {
+      ProcessResult ri = ProcessResult::Pass();
+      for (auto& inst : interp) {
+        ri = inst->Process(interp_msgs[i], 5);
+        if (ri.outcome != ProcessOutcome::kPass) break;
+      }
+      const ProcessResult rs = scalar_exec.Process(scalar_msgs[i], 5);
+      const ProcessResult& rb = burst_results[i];
+      ASSERT_EQ(ri.outcome, rs.outcome) << "message " << i;
+      ASSERT_EQ(rs.outcome, rb.outcome) << "message " << i;
+      ASSERT_EQ(ri.abort_message, rs.abort_message) << "message " << i;
+      ASSERT_EQ(rs.abort_message, rb.abort_message) << "message " << i;
+      ASSERT_EQ(interp_msgs[i].DebugString(), scalar_msgs[i].DebugString());
+      ASSERT_EQ(scalar_msgs[i].DebugString(), burst_msgs[i].DebugString());
+      passed += rb.outcome == ProcessOutcome::kPass;
+      aborted += rb.outcome == ProcessOutcome::kDropAbort;
+    }
+    EXPECT_GT(passed, 0u);
+    EXPECT_GT(aborted, 0u);
+    for (size_t e = 0; e < elements.size(); ++e) {
+      EXPECT_EQ(interp[e]->StateContentHash(), scalar[e]->StateContentHash())
+          << "element " << e;
+      EXPECT_EQ(scalar[e]->StateContentHash(), bursty[e]->StateContentHash())
+          << "element " << e;
+    }
+  }
 }
 
 // --- EngineChain (single-threaded engine tier) -------------------------------

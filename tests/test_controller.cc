@@ -376,7 +376,7 @@ TEST(Migration, StateDeltaReplaysMutationsSinceBaseline) {
   rpc::Table* quota = source->instance().FindTable("quota");
   ASSERT_TRUE(quota->Insert({Value("newcomer"), Value(static_cast<int64_t>(7))})
                   .ok());
-  EXPECT_EQ(quota->EraseByKey({Value("user150")}), 1u);
+  EXPECT_EQ(quota->EraseByKey(rpc::Row{Value("user150")}), 1u);
 
   auto delta = baseline.Diff(source->instance());
   ASSERT_TRUE(delta.ok()) << delta.status().ToString();

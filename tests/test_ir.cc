@@ -439,10 +439,10 @@ TEST(Execution, TelemetryCountsPerMethod) {
                                      {{"payload", Value(Bytes{})}});
     ASSERT_EQ(instance.Process(m, 0).outcome, ProcessOutcome::kPass);
   }
-  auto rows = counters->LookupByKey({Value("Store.Get")});
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ((*rows[0])[1].AsInt(), 5);
-  EXPECT_EQ((*counters->LookupByKey({Value("Store.Put")})[0])[1].AsInt(), 0);
+  const Value* get = counters->LookupByKey(rpc::Row{Value("Store.Get")});
+  ASSERT_NE(get, nullptr);
+  EXPECT_EQ(get[1].AsInt(), 5);
+  EXPECT_EQ(counters->LookupByKey(rpc::Row{Value("Store.Put")})[1].AsInt(), 0);
 }
 
 TEST(Execution, StrictProjectionDropsOtherFields) {

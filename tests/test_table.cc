@@ -31,10 +31,10 @@ TEST(Table, InsertAndLookup) {
   ASSERT_TRUE(t.Insert({Value("alice"), Value("W")}).ok());
   ASSERT_TRUE(t.Insert({Value("bob"), Value("R")}).ok());
   EXPECT_EQ(t.RowCount(), 2u);
-  auto rows = t.LookupByKey({Value("alice")});
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ((*rows[0])[1].AsText(), "W");
-  EXPECT_TRUE(t.LookupByKey({Value("nobody")}).empty());
+  const Value* row = t.LookupByKey(Row{Value("alice")});
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row[1].AsText(), "W");
+  EXPECT_EQ(t.LookupByKey(Row{Value("nobody")}), nullptr);
 }
 
 TEST(Table, PrimaryKeyUpsertReplaces) {
@@ -42,7 +42,7 @@ TEST(Table, PrimaryKeyUpsertReplaces) {
   ASSERT_TRUE(t.Insert({Value("alice"), Value("R")}).ok());
   ASSERT_TRUE(t.Insert({Value("alice"), Value("W")}).ok());
   EXPECT_EQ(t.RowCount(), 1u);
-  EXPECT_EQ((*t.LookupByKey({Value("alice")})[0])[1].AsText(), "W");
+  EXPECT_EQ(t.LookupByKey(Row{Value("alice")})[1].AsText(), "W");
 }
 
 TEST(Table, NoPrimaryKeyAppends) {
@@ -65,23 +65,22 @@ TEST(Table, EraseWhereReindexes) {
     ASSERT_TRUE(t.Insert({Value(std::string(u)), Value("W")}).ok());
   }
   size_t erased =
-      t.EraseWhere([](const Row& r) { return r[0].AsText() < "c"; });
+      t.EraseWhere([](RowRef r) { return r[0].AsText() < "c"; });
   EXPECT_EQ(erased, 2u);
   EXPECT_EQ(t.RowCount(), 2u);
   // Index still coherent after compaction.
-  EXPECT_EQ(t.LookupByKey({Value("c")}).size(), 1u);
-  EXPECT_TRUE(t.LookupByKey({Value("a")}).empty());
+  EXPECT_NE(t.LookupByKey(Row{Value("c")}), nullptr);
+  EXPECT_EQ(t.LookupByKey(Row{Value("a")}), nullptr);
 }
 
 TEST(Table, FindFirst) {
   Table t("log", LogSchema());
   ASSERT_TRUE(t.Insert({Value(1), Value(10)}).ok());
   ASSERT_TRUE(t.Insert({Value(2), Value(20)}).ok());
-  const Row* row =
-      t.FindFirst([](const Row& r) { return r[1].AsInt() > 15; });
+  const Value* row = t.FindFirst([](RowRef r) { return r[1].AsInt() > 15; });
   ASSERT_NE(row, nullptr);
-  EXPECT_EQ((*row)[0].AsInt(), 2);
-  EXPECT_EQ(t.FindFirst([](const Row&) { return false; }), nullptr);
+  EXPECT_EQ(row[0].AsInt(), 2);
+  EXPECT_EQ(t.FindFirst([](RowRef) { return false; }), nullptr);
 }
 
 TEST(Table, SnapshotRestoreRoundTrip) {
@@ -95,7 +94,7 @@ TEST(Table, SnapshotRestoreRoundTrip) {
   EXPECT_EQ(restored->RowCount(), 2u);
   EXPECT_EQ(restored->ContentHash(), t.ContentHash());
   // Restored tables keep working (index rebuilt).
-  EXPECT_EQ(restored->LookupByKey({Value("alice")}).size(), 1u);
+  EXPECT_NE(restored->LookupByKey(Row{Value("alice")}), nullptr);
 }
 
 TEST(Table, RestoreRejectsGarbage) {
@@ -117,7 +116,7 @@ TEST(Table, MergeUpsertsOnKey) {
   ASSERT_TRUE(b.Insert({Value("bob"), Value("R")}).ok());
   ASSERT_TRUE(a.MergeFrom(b).ok());
   EXPECT_EQ(a.RowCount(), 2u);
-  EXPECT_EQ((*a.LookupByKey({Value("alice")})[0])[1].AsText(), "W");
+  EXPECT_EQ(a.LookupByKey(Row{Value("alice")})[1].AsText(), "W");
 }
 
 // Property: splitting into k shards and merging back preserves the exact
@@ -179,8 +178,8 @@ TEST(Table, SplitIsDisjointByKey) {
   for (int i = 0; i < 100; ++i) {
     int hits = 0;
     for (const Table& shard : split.value()) {
-      hits += static_cast<int>(
-          shard.LookupByKey({Value("u" + std::to_string(i))}).size());
+      hits +=
+          shard.LookupByKey(Row{Value("u" + std::to_string(i))}) != nullptr;
     }
     EXPECT_EQ(hits, 1) << "key u" << i;
   }
@@ -218,8 +217,8 @@ TEST(Table, EraseByKeyRemovesExactlyThatRow) {
   for (const char* u : {"a", "b", "c"}) {
     ASSERT_TRUE(t.Insert({Value(u), Value("W")}).ok());
   }
-  EXPECT_EQ(t.EraseByKey({Value("b")}), 1u);
-  EXPECT_EQ(t.EraseByKey({Value("b")}), 0u);  // already gone
+  EXPECT_EQ(t.EraseByKey(Row{Value("b")}), 1u);
+  EXPECT_EQ(t.EraseByKey(Row{Value("b")}), 0u);  // already gone
   EXPECT_EQ(t.RowCount(), 2u);
   EXPECT_NE(t.LookupSingleKey(Value("a")), nullptr);
   EXPECT_EQ(t.LookupSingleKey(Value("b")), nullptr);
@@ -227,7 +226,7 @@ TEST(Table, EraseByKeyRemovesExactlyThatRow) {
 
   Table log("log", LogSchema());
   ASSERT_TRUE(log.Insert({Value(1), Value(10)}).ok());
-  EXPECT_EQ(log.EraseByKey({Value(1)}), 0u);  // keyless: never matches
+  EXPECT_EQ(log.EraseByKey(Row{Value(1)}), 0u);  // keyless: never matches
 }
 
 TEST(Table, EraseSingleKeyHandsBackTheRowAndKeepsTheIndex) {
@@ -239,13 +238,12 @@ TEST(Table, EraseSingleKeyHandsBackTheRowAndKeepsTheIndex) {
   EXPECT_EQ(t.EraseSingleKey(Value("a"), erased), 1u);
   ASSERT_EQ(erased.size(), 2u);
   EXPECT_EQ(erased[1].AsText(), "a-perm") << "the row moves out whole";
-  EXPECT_EQ(t.spare_rows(), 0u);
   EXPECT_EQ(t.EraseSingleKey(Value("a"), erased), 0u);
   // The last row filled the hole and is still found through the index.
   EXPECT_EQ(t.rows()[0][0].AsText(), "c");
   ASSERT_NE(t.LookupSingleKey(Value("c")), nullptr);
-  EXPECT_EQ((*t.LookupSingleKey(Value("c")))[1].AsText(), "c-perm");
-  EXPECT_EQ((*t.LookupSingleKey(Value("b")))[1].AsText(), "b-perm");
+  EXPECT_EQ(t.LookupSingleKey(Value("c"))[1].AsText(), "c-perm");
+  EXPECT_EQ(t.LookupSingleKey(Value("b"))[1].AsText(), "b-perm");
 }
 
 TEST(Table, SliceAndEraseKeySlotPartition) {
@@ -260,7 +258,7 @@ TEST(Table, SliceAndEraseKeySlotPartition) {
   uint64_t xored = 0;
   for (size_t slot = 0; slot < kSlots; ++slot) {
     Table slice = t.SliceByKeySlot(slot, kSlots);
-    for (const Row& row : slice.rows()) {
+    for (const RowRef row : slice.rows()) {
       EXPECT_EQ(t.RowKeyHash(row) % kSlots, slot);
     }
     sliced_total += slice.RowCount();
@@ -291,7 +289,7 @@ TEST(Table, SplitByKeySlotAgreesWithSlotRouter) {
   ASSERT_EQ(shards->size(), kShards);
   size_t total = 0;
   for (size_t s = 0; s < kShards; ++s) {
-    for (const Row& row : (*shards)[s].rows()) {
+    for (const RowRef row : (*shards)[s].rows()) {
       EXPECT_EQ(t.RowKeyHash(row) % kSlots % kShards, s);
     }
     total += (*shards)[s].RowCount();
@@ -306,13 +304,13 @@ TEST(Table, ClearEmptiesAndKeepsWorking) {
   t.Clear();
   EXPECT_TRUE(t.empty());
   ASSERT_TRUE(t.Insert({Value("b"), Value("R")}).ok());
-  EXPECT_EQ(t.LookupByKey({Value("b")}).size(), 1u);
+  EXPECT_NE(t.LookupByKey(Row{Value("b")}), nullptr);
 }
 
-TEST(Table, SpareRowsBoundedUnderSlotChurn) {
-  // A slice leaving and coming back (live migration ping-pong) parks its
-  // rows on erase and takes them back on merge; spares never outgrow the
-  // table.
+TEST(Table, SlotChurnRoundTripsContent) {
+  // A slice leaving and coming back (live migration ping-pong): erase swaps
+  // tail rows into the holes and merge appends the slice's cells, so row
+  // order churns while content, count and every key's lookup must not.
   constexpr size_t kSlots = 64;
   Table t("ac", AclSchema());
   for (int i = 0; i < 10'000; ++i) {
@@ -325,18 +323,88 @@ TEST(Table, SpareRowsBoundedUnderSlotChurn) {
     Table slice = t.SliceByKeySlot(slot, kSlots);
     EXPECT_EQ(t.EraseKeySlot(slot, kSlots), slice.RowCount());
     ASSERT_TRUE(t.MergeFrom(slice).ok());
-    ASSERT_LE(t.spare_rows(), t.RowCount()) << "cycle " << cycle;
+    ASSERT_EQ(t.RowCount(), 10'000u) << "cycle " << cycle;
   }
-  EXPECT_EQ(t.RowCount(), 10'000u);
   EXPECT_EQ(t.ContentHash(), original);
-
-  // Clear parks every row it held, so the next fill reuses all of them.
-  Table log("log", LogSchema());
-  for (int i = 0; i < 50'000; ++i) {
-    ASSERT_TRUE(log.Insert({Value(i), Value(i)}).ok());
+  for (int i = 0; i < 10'000; ++i) {
+    const Value* row = t.LookupSingleKey(Value("user" + std::to_string(i)));
+    ASSERT_NE(row, nullptr) << "user" << i;
+    EXPECT_EQ(row[0].AsText(), "user" + std::to_string(i));
   }
-  log.Clear();
-  EXPECT_EQ(log.spare_rows(), 50'000u);
+
+  // A cleared log refills from row 0.
+  Table log("log", LogSchema());
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < 50'000; ++i) {
+      ASSERT_TRUE(log.Insert({Value(i), Value(round)}).ok());
+    }
+    ASSERT_EQ(log.RowCount(), 50'000u);
+    EXPECT_EQ(log.rows().front()[0].AsInt(), 0);
+    EXPECT_EQ(log.rows().back()[1].AsInt(), round);
+    log.Clear();
+    EXPECT_TRUE(log.rows().empty());
+  }
+}
+
+// --- Snapshot wire format ----------------------------------------------------
+
+Schema MixedSchema() {  // every cell type, INT key
+  Schema s;
+  (void)s.AddColumn({"id", ValueType::kInt, true});
+  (void)s.AddColumn({"name", ValueType::kText, false});
+  (void)s.AddColumn({"blob", ValueType::kBytes, false});
+  (void)s.AddColumn({"score", ValueType::kFloat, false});
+  (void)s.AddColumn({"ok", ValueType::kBool, false});
+  return s;
+}
+
+std::string Hex(const Bytes& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
+TEST(Table, SnapshotBytesAreStable) {
+  // The golden was recorded before the cell layout changed: the snapshot
+  // wire format (and the row order an upsert and a swap-and-pop erase
+  // leave) must not drift with the in-memory layout.
+  Table t("mixed", MixedSchema());
+  ASSERT_TRUE(t.Insert({Value(1), Value("alice"), Value(Bytes{1, 2, 3}),
+                        Value(1.5), Value(true)})
+                  .ok());
+  ASSERT_TRUE(t.Insert({Value(2), Value("a name longer than the SSO buffer"),
+                        Value(Bytes{}), Value(-0.25), Value(false)})
+                  .ok());
+  ASSERT_TRUE(t.Insert({Value(3), Value::Null(), Value(Bytes{0xFF}),
+                        Value::Null(), Value::Null()})
+                  .ok());
+  ASSERT_TRUE(t.Insert({Value(-7), Value(""), Value(Bytes(20, 0xA5)),
+                        Value(1e300), Value(true)})
+                  .ok());
+  ASSERT_TRUE(t.Insert({Value(2), Value("bob"), Value(Bytes{9}), Value(2.0),
+                        Value::Null()})
+                  .ok());  // upsert in place
+  ASSERT_EQ(t.EraseByKey(Row{Value(1)}), 1u);  // the last row fills row 0
+  Table log("log", LogSchema());
+  ASSERT_TRUE(log.Insert({Value(5), Value(50)}).ok());
+  ASSERT_TRUE(log.Insert({Value(-1), Value::Null()}).ok());
+
+  const Bytes keyed = t.Snapshot();
+  const Bytes keyless = log.Snapshot();
+  EXPECT_EQ(Hex(keyed),
+            "056d69786564050269640201046e616d65040004626c6f6205000573636f7265"
+            "0300026f6b010003010d01000114a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5"
+            "a5a5019c7500883ce4377e010101040103626f62010109010000000000000040"
+            "000106000101ff0000");
+  EXPECT_EQ(Hex(keyless),
+            "036c6f6702037270630200056279746573020002010a0164010100");
+  auto restored = Table::Restore(keyed);
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored->Snapshot(), keyed);
 }
 
 // --- Flat key index vs a std::map oracle ------------------------------------
@@ -373,6 +441,14 @@ Schema PairSchema() {  // two-column (TEXT, INT) key
   return s;
 }
 
+Schema BlobSchema() {  // INT key, TEXT and BYTES payload cells
+  Schema s;
+  (void)s.AddColumn({"id", ValueType::kInt, true});
+  (void)s.AddColumn({"name", ValueType::kText, false});
+  (void)s.AddColumn({"blob", ValueType::kBytes, false});
+  return s;
+}
+
 std::vector<OracleShape> OracleShapes() {
   return {
       {"single", IdSchema(), 3000,
@@ -390,6 +466,17 @@ std::vector<OracleShape> OracleShapes() {
          return Row{Value("u" + std::to_string(k / 60)),
                     Value(static_cast<int64_t>(k % 60)), Value(v)};
        }},
+      // Payload cells on the heap (TEXT past the small-string buffer, BYTES
+      // of 0-40 bytes), so moves, swaps and copies of cells are visible.
+      {"blob", BlobSchema(), 3000,
+       [](uint64_t k) { return Row{Value(static_cast<int64_t>(k))}; },
+       [](uint64_t k, int64_t v) {
+         return Row{Value(static_cast<int64_t>(k)),
+                    Value(std::string(static_cast<size_t>(v % 37), 'n') +
+                          std::to_string(v)),
+                    Value(Bytes(static_cast<size_t>(v % 41),
+                                static_cast<uint8_t>(v)))};
+       }},
   };
 }
 
@@ -403,7 +490,7 @@ class IndexOracle {
     ASSERT_TRUE(table_.Insert(row).ok());
     model_[OracleKey(shape_.key(k))] = std::move(row);
   }
-  void EraseWhereModel(const std::function<bool(const Row&)>& pred) {
+  void EraseWhereModel(const std::function<bool(RowRef)>& pred) {
     for (auto it = model_.begin(); it != model_.end();) {
       it = pred(it->second) ? model_.erase(it) : std::next(it);
     }
@@ -434,17 +521,15 @@ class IndexOracle {
       }
     } else if (op < 965) {
       const size_t slot = rng.NextBelow(64);
-      const auto in_slot = [&](const Row& r) {
+      const auto in_slot = [&](RowRef r) {
         return table_.RowKeyHash(r) % 64 == slot;
       };
       const size_t before = model_.size();
       EraseWhereModel(in_slot);
       ASSERT_EQ(table_.EraseKeySlot(slot, 64), before - model_.size());
     } else if (op < 975) {
-      const int64_t mod = static_cast<int64_t>(rng.NextBelow(5)) + 2;
-      const auto pred = [&](const Row& r) {
-        return r[single ? 1 : 2].AsInt() % mod == 0;
-      };
+      const uint64_t mod = rng.NextBelow(5) + 2;
+      const auto pred = [&](RowRef r) { return HashRow(r) % mod == 0; };
       const size_t before = model_.size();
       EraseWhereModel(pred);
       ASSERT_EQ(table_.EraseWhere(pred), before - model_.size());
@@ -469,9 +554,50 @@ class IndexOracle {
     }
   }
 
+  // The model's row carrying `row`'s key.
+  const Row& ModelRow(RowRef row) {
+    auto it = model_.find(OracleKey(table_.KeyOf(row)));
+    EXPECT_NE(it, model_.end()) << "row not in the oracle";
+    static const Row kNone;
+    return it != model_.end() ? it->second : kNone;
+  }
+
+  // The rows() view: its size, its ends, and one random row read through
+  // operator[] and through the conversion to Row, each against the oracle.
+  void CheckView(Rng& rng) {
+    const RowsView view = table_.rows();
+    ASSERT_EQ(view.size(), model_.size());
+    ASSERT_EQ(view.empty(), model_.empty());
+    if (view.empty()) return;
+    ASSERT_EQ(view.front().data(), view[0].data());
+    ASSERT_EQ(view.back().data(), view[view.size() - 1].data());
+    ASSERT_EQ(Row(view.front()), ModelRow(view.front()));
+    const RowRef some = view[rng.NextBelow(view.size())];
+    const Row& want = ModelRow(some);
+    ASSERT_EQ(some.size(), want.size());
+    for (size_t c = 0; c < some.size(); ++c) {
+      ASSERT_EQ(HashValue(some[c]), HashValue(want[c])) << "cell " << c;
+    }
+    const Row copy = some;
+    ASSERT_EQ(copy, want);
+  }
+  // Every row the view yields, in order, is a distinct oracle row.
+  void CheckWholeView() {
+    std::set<std::string> seen;
+    size_t n = 0;
+    for (const RowRef row : table_.rows()) {
+      ASSERT_EQ(row.size(), shape_.schema.size());
+      ASSERT_EQ(Row(row), ModelRow(row));
+      ASSERT_TRUE(seen.insert(OracleKey(table_.KeyOf(row))).second);
+      ++n;
+    }
+    ASSERT_EQ(n, model_.size());
+  }
+
   // Lookups of `probes` random keys plus the table-wide invariants.
   void Check(Rng& rng, size_t probes) {
     ASSERT_EQ(table_.RowCount(), model_.size());
+    CheckView(rng);
     uint64_t hash = 0;
     for (const auto& [key, row] : model_) hash ^= HashRow(row);
     ASSERT_EQ(table_.ContentHash(), hash);
@@ -484,18 +610,19 @@ class IndexOracle {
   void CheckKey(uint64_t k, bool single) {
     const Row key = shape_.key(k);
     auto it = model_.find(OracleKey(key));
-    auto hits = table_.LookupByKey(key);
-    ASSERT_EQ(hits.size(), it != model_.end() ? 1u : 0u);
-    if (!hits.empty()) {
-      ASSERT_EQ(HashRow(*hits[0]), HashRow(it->second));
+    const size_t ncols = shape_.schema.size();
+    const Value* hit = table_.LookupByKey(key);
+    ASSERT_EQ(hit != nullptr, it != model_.end());
+    if (hit != nullptr) {
+      ASSERT_EQ(HashRow(RowRef(hit, ncols)), HashRow(it->second));
     }
-    const Row* row = table_.LookupSingleKey(key[0]);
+    const Value* row = table_.LookupSingleKey(key[0]);
     if (!single) {
       ASSERT_EQ(row, nullptr);
     } else {
       ASSERT_EQ(row != nullptr, it != model_.end());
       if (row != nullptr) {
-        ASSERT_EQ(HashRow(*row), HashRow(it->second));
+        ASSERT_EQ(HashRow(RowRef(row, ncols)), HashRow(it->second));
       }
     }
   }
@@ -507,8 +634,9 @@ class IndexOracle {
     std::set<std::string> seen;
     uint64_t hash = 0;
     for (size_t slot = 0; slot < 64; ++slot) {
-      table_.ForEachKeySlotRow(slot, 64, [&](const Row& row) {
-        EXPECT_EQ(table_.RowKeyHash(row) % 64, slot);
+      table_.ForEachKeySlotRow(slot, 64, [&](RowRef row, uint64_t h) {
+        EXPECT_EQ(h, table_.RowKeyHash(row));
+        EXPECT_EQ(h % 64, slot);
         EXPECT_TRUE(seen.insert(OracleKey(table_.KeyOf(row))).second)
             << "row visited twice";
         hash ^= HashRow(row);
@@ -541,6 +669,10 @@ TEST(TableOracle, RandomOpsMatchStdMap) {
         oracle.Check(rng, 8);
         if (HasFatalFailure()) return;
         peak = std::max(peak, oracle.rows());
+        if (op % 100 == 99) {
+          oracle.CheckWholeView();
+          if (HasFatalFailure()) return;
+        }
         if (op % 500 == 499) {
           oracle.CheckAllKeys();
           oracle.CheckSlotPartition();
