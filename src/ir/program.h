@@ -170,11 +170,6 @@ class ChainExecutor {
   // chunked. Sized so the SoA register file for a typical chain stays within
   // L2 while still amortizing dispatch ~64x.
   static constexpr size_t kMaxBurstLanes = 64;
-  // The burst prefetch skips a table whose cells fit in this many bytes: it
-  // stays cache-resident across bursts, so prefetching it would only add
-  // the key hashing (cache_zipf's 256-row ac_tab, fig5's 1024-row one),
-  // while a larger table's rows miss (quota_migrate's 20k rows per worker).
-  static constexpr size_t kPrefetchMinTableBytes = 256 << 10;
 
   // Burst execution: process msgs[0..n) and fill results[0..n) with exactly
   // the outcomes n sequential Process() calls would produce — same message
@@ -183,12 +178,12 @@ class ChainExecutor {
   //
   // Every chunk of up to kMaxBurstLanes messages first runs a two-stage key
   // prefetch (each lane's index home slot, then the hit row's cells) for
-  // every keyed join into a table of at least kPrefetchMinTableBytes, on
-  // every chain. Then, when the program is burst-vectorizable (see
-  // burst_vectorizable()), the struct-of-arrays wavefront in
-  // program_burst.cc runs the chunk: one opcode dispatch per instruction for
-  // the whole burst and a live-lane mask for mid-burst drop/abort. Otherwise
-  // the scalar loop runs it — semantics never depend on which path ran.
+  // every keyed join, on every chain. Then, when the program is
+  // burst-vectorizable (see burst_vectorizable()), the struct-of-arrays
+  // wavefront in program_burst.cc runs the chunk: one opcode dispatch per
+  // instruction for the whole burst and a live-lane mask for mid-burst
+  // drop/abort. Otherwise the scalar loop runs it — semantics never depend
+  // on which path ran.
   // Observability stays ON either way: the burst path batches its telemetry
   // (one histogram delta per element per burst, span events at burst
   // granularity — the "Burst-mode telemetry" contract in

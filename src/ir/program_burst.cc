@@ -66,11 +66,6 @@ namespace {
 // Lane ip value meaning "lane finished" — larger than any real ip, so it
 // never wins the min-sweep.
 constexpr uint32_t kLaneDone = 0xFFFFFFFFu;
-
-bool WorthPrefetching(const Table& table) {
-  return table.RowCount() * table.schema().size() * sizeof(Value) >=
-         ChainExecutor::kPrefetchMinTableBytes;
-}
 }  // namespace
 
 // Defined in program.cc (anonymous there would not link); redeclared here to
@@ -230,7 +225,6 @@ void ChainExecutor::PrefetchKeys(const Message* msgs, size_t k) {
   const size_t sites = prefetch_sites_.size();
   for (size_t s = 0; s < sites; ++s) {
     const Table* table = TableAt(prefetch_sites_[s].table);
-    if (!WorthPrefetching(*table)) continue;
     const uint16_t fid = prefetch_sites_[s].field_id;
     for (size_t l = 0; l < k; ++l) {
       pf_hash_[s * k + l] =
@@ -239,7 +233,6 @@ void ChainExecutor::PrefetchKeys(const Message* msgs, size_t k) {
   }
   for (size_t s = 0; s < sites; ++s) {
     const Table* table = TableAt(prefetch_sites_[s].table);
-    if (!WorthPrefetching(*table)) continue;
     for (size_t l = 0; l < k; ++l) {
       table->PrefetchRowCells(pf_hash_[s * k + l]);
     }

