@@ -1,14 +1,15 @@
 // Burst-size sweep for the batched data plane: how much does draining the
-// SPSC ring in bursts and running the ChainProgram executor in SoA wavefront
-// mode (with table-row prefetch) buy over one-message-at-a-time?
+// SPSC ring in bursts and running the ChainProgram executor's burst path
+// (one key-prefetch pass per chunk, then the scalar loop per message) buy
+// over one-message-at-a-time?
 //
 // Methodology matches the 1-worker gate in bench_scaling --threads so the
 // numbers are comparable: fig5 chain (Logging -> ACL -> Fault), 1-worker
 // EnginePool with measure_exec, reps of 100k messages with log_tab cleared
 // between reps (the unbounded log otherwise dominates with vector growth
-// and cache misses as it grows), best rep wins. The only variable is Config::burst_size —
-// burst=1 IS the scalar path (ProcessBurst falls back below 2 lanes), so the
-// first row doubles as the pre-burst baseline.
+// and cache misses as it grows), best rep wins. The only variable is
+// Config::burst_size — burst=1 IS the per-message path (a chunk of one lane
+// gets no prefetch), so the first row doubles as the pre-burst baseline.
 //
 // A second pass runs 4 workers at the default burst size and reports pool
 // capacity (sum over workers of msgs per CPU-ns) — the fig5 scaling headline.

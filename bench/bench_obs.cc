@@ -2,10 +2,12 @@
 //
 // The burst-mode telemetry contract (docs/OBSERVABILITY.md "Burst-mode
 // telemetry") promises observability is *always on*: enabling metrics plus
-// sampled tracing must not push the data plane off the SoA burst executor,
-// must cost <= 10% over obs-off, and must not allocate on the steady-state
-// arena path. This bench measures all three on the fig5 chain with a
-// 1-worker EnginePool (methodology of bench_burst / bench_alloc):
+// sampled tracing must not push the data plane off the burst executor
+// (prefetch per chunk, telemetry batched per chunk, sampled lanes' spans
+// written straight to the event ring), must cost <= 10% over obs-off, and
+// must not allocate on the steady-state arena path. This bench measures all
+// three on the fig5 chain with a 1-worker EnginePool (methodology of
+// bench_burst / bench_alloc):
 //
 //  - obs-off burst:   the uninstrumented baseline (denominator for the
 //                     overhead fraction).
@@ -57,8 +59,8 @@ constexpr int kUsers = 1024;
 constexpr uint64_t kRepMessages = 100'000;
 constexpr int kReps = 5;
 constexpr uint64_t kSampleEvery = 100;
-// Alloc window must stay under the table spare-row cap (65536) so every
-// measured INSERT reuses a row recycled by the inter-rep Clear().
+// The measured alloc rep inserts as many log rows as the warm rep did, so
+// its INSERTs fit in the cell capacity the cleared log_tab kept.
 constexpr uint64_t kAllocRepMessages = 50'000;
 
 std::string User(uint64_t i) {

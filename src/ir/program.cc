@@ -1,5 +1,6 @@
 #include "ir/program.h"
 
+#include <algorithm>
 #include <string>
 
 #include "ir/expr.h"
@@ -142,7 +143,7 @@ std::string ChainProgram::DebugString() const {
 // relational ops derive from CompareTo's three-way result (NaN yields 0, so
 // <= and >= both hold against NaN). Nulls, mixed types, and every other
 // value type fall back to EvalBinaryValue.
-// External (not inline/static): program_burst.cc shares this fast path.
+namespace {
 bool FastCompare(dsl::BinaryOp op, const Value& a, const Value& b,
                  bool* out) {
   const ValueType t = a.type();
@@ -183,6 +184,7 @@ bool FastCompare(dsl::BinaryOp op, const Value& a, const Value& b,
     default: return false;  // arithmetic/logical op: generic path
   }
 }
+}  // namespace
 
 ChainExecutor::ChainExecutor(std::shared_ptr<const ChainProgram> program,
                              std::vector<ElementInstance*> instances)
@@ -215,16 +217,19 @@ ChainExecutor::ChainExecutor(std::shared_ptr<const ChainProgram> program,
         "adn_element_latency_ns", "element=\"" + inst->name() + "\""));
     elem_name_ids_.push_back(obs::InternName(inst->name()));
   }
-  // Trace identity and obs self-metrics, resolved once so the burst path
-  // emits span events with zero string work or registry lookups.
-  rpc_name_id_ = obs::InternName("rpc");
+  // Trace identity and obs self-metrics, resolved once so sampled lanes
+  // emit span events with zero string work or registry lookups.
   burst_name_id_ = obs::InternName("burst");
-  proc_name_id_ = obs::InternName("engine");
+  lane_root_.kind = obs::EventKind::kSpan;
+  lane_root_.name_id = obs::InternName("rpc");
+  lane_root_.processor_id = obs::InternName("engine");
   spans_total_ =
       &obs::MetricsRegistry::Default().GetCounter("adn_obs_spans_total");
   traces_sampled_ = &obs::MetricsRegistry::Default().GetCounter(
       "adn_obs_traces_sampled_total");
-  AnalyzeBurst();
+  chunk_processed_.assign(instances_.size(), 0);
+  seg_ns_.assign(instances_.size(), -1);
+  PlanPrefetch();
 }
 
 Value ChainExecutor::TakeReg(uint16_t r) {
@@ -476,36 +481,88 @@ Status ChainExecutor::ExecDelete(const ChainProgram::DeleteSpec& spec,
 }
 
 ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
+  if (!obs::Enabled()) return Run<false>(m, now_ns, false, 0);
+  const uint64_t sampled = BeginChunk(&m, 1);
+  ProcessResult r = RunLane(m, now_ns, sampled != 0, 0);
+  EndChunk();
+  return r;
+}
+
+ProcessResult ChainExecutor::RunLane(Message& m, int64_t now_ns,
+                                     bool sampled, int64_t clock) {
+  // Only a lane that may be the first to enter a not yet measured element,
+  // a sampled lane, or one inside the caller's RpcTraceScope needs the
+  // timed loop. Every other lane runs the plain one; EndChunk still counts
+  // it through its elements' processed counters.
+  if (!sampled && unmeasured_ == 0 && chunk_trace_ == nullptr) {
+    return Run<false>(m, now_ns, false, 0);
+  }
+  return Run<true>(m, now_ns, sampled, clock);
+}
+
+template <bool kTiming>
+ProcessResult ChainExecutor::Run(Message& m, int64_t now_ns, bool sampled,
+                                 int64_t clock) {
   const ChainProgram& p = *program_;
   RunState rs;
   rs.msg = &m;
   rs.fn_ctx.message = &m;
   rs.fn_ctx.now_ns = now_ns;
 
-  // Per-element-segment observability. `timing` is the master-switch load
-  // (once per message, not per instruction); `trace` is non-null only when
-  // this RPC is inside a sampled RpcTraceScope. Both off = dead branches.
-  const bool timing = obs::Enabled();
-  obs::TraceContext* trace = timing ? obs::CurrentTrace() : nullptr;
+  // Per-element-segment observability, compiled out when kTiming is
+  // off. `trace` is non-null only inside a sampled RpcTraceScope (an
+  // EngineChain or sidecar caller), whose context collects the spans.
+  // Otherwise a `sampled` lane writes its own POD span tree: the root opens
+  // now, each element segment becomes a child as it closes, and the root
+  // is written when the lane ends. The clock is read only for the first
+  // lane of the chunk to enter a segment (the histogram's measured lane)
+  // and for sampled lanes, once per segment boundary: a reading that ends
+  // one segment starts the next, and a nonzero `clock` (a reading the
+  // caller just took) starts the first.
+  obs::TraceContext* trace = kTiming ? chunk_trace_ : nullptr;
+  sampled = kTiming && sampled;
+  obs::TraceEvent& root = lane_root_;
+  int64_t boundary = kTiming ? clock : 0;  // reading at this boundary
+  if (sampled) {
+    root.trace_id = m.id();
+    root.span_id = obs::NextSpanId();
+    root.start_ns = boundary = boundary != 0 ? boundary : obs::NowNs();
+  }
   constexpr size_t kNoSpan = static_cast<size_t>(-1);
   size_t open_span = kNoSpan;
+  bool measured = false;  // this lane read the clock entering rs.cur
+  bool first = false;     // ... as the segment's first lane this chunk
   int64_t seg_start = 0;
   auto end_segment = [&] {
-    if (!timing) return;
-    if (rs.cur >= 0) {
-      elem_hist_[static_cast<size_t>(rs.cur)]->Observe(
-          static_cast<double>(obs::NowNs() - seg_start));
+    if (!kTiming) return;
+    if (measured) {
+      boundary = obs::NowNs();
+      if (first) {
+        seg_ns_[static_cast<size_t>(rs.cur)] = boundary - seg_start;
+        --unmeasured_;
+      }
+      if (sampled) EmitElementSpan(root, rs.cur, seg_start, boundary);
+      measured = false;
     }
     if (trace != nullptr && open_span != kNoSpan) {
       trace->CloseSpan(open_span);
       open_span = kNoSpan;
     }
   };
+  auto end_lane = [&] {
+    end_segment();
+    if (sampled) {
+      root.end_ns = boundary;  // the last segment's end, or the start
+      obs::EmitEvent(root);
+      ++chunk_sampled_;
+      ++chunk_spans_;
+    }
+  };
 
   // Matches the interpreter's contract: any non-pass outcome (drops and
   // runtime errors alike) counts as a drop on the element that produced it.
   auto abort_with = [&](std::string message) {
-    end_segment();
+    end_lane();
     if (rs.cur >= 0) instances_[rs.cur]->NoteDropped();
     ProcessResult r;
     r.outcome = ProcessOutcome::kDropAbort;
@@ -677,7 +734,7 @@ ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
         break;
       }
       case Instr::Op::kDrop: {
-        end_segment();
+        end_lane();
         if (rs.cur >= 0) instances_[rs.cur]->NoteDropped();
         ProcessResult r;
         r.outcome = in.aux != 0 ? ProcessOutcome::kDropSilent
@@ -693,8 +750,11 @@ ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
         rs.fn_ctx.nonce = inst->BumpNonce();
         rs.cur = in.b;
         rs.joined_row = {};
-        if (timing) {
-          seg_start = obs::NowNs();
+        if (kTiming) {
+          first = seg_ns_[in.b] < 0;
+          measured = first || sampled;
+          if (measured) seg_start = boundary != 0 ? boundary : obs::NowNs();
+          boundary = 0;
           if (trace != nullptr) {
             open_span = trace->OpenSpan(elem_name_ids_[in.b]);
           }
@@ -707,7 +767,7 @@ ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
         // Process, or processed would be counted twice.
         ProcessResult r = instances_[in.b]->RunCache(m, now_ns);
         if (r.outcome == ProcessOutcome::kPass) break;
-        end_segment();
+        end_lane();
         if (r.outcome != ProcessOutcome::kReply) {
           instances_[in.b]->NoteDropped();
         }
@@ -719,13 +779,157 @@ ProcessResult ChainExecutor::Process(Message& m, int64_t now_ns) {
         }
         break;
       case Instr::Op::kReturnPass:
-        end_segment();
+        end_lane();
         return ProcessResult::Pass();
       case Instr::Op::kReturnValue:
         return abort_with(
             Status(ErrorCode::kInternal,
                    "return_value reached outside a subprogram")
                 .ToString());
+    }
+  }
+}
+
+static_assert(ChainExecutor::kMaxBurstLanes <= 64,
+              "BeginChunk's sampled-lane mask is one uint64_t");
+
+uint64_t ChainExecutor::BeginChunk(const Message* msgs, size_t k) {
+  const obs::Tracer& tracer = obs::Tracer::Default();
+  chunk_tracing_ = tracer.tracing_enabled();
+  chunk_trace_ = obs::CurrentTrace();
+  for (size_t e = 0; e < instances_.size(); ++e) {
+    chunk_processed_[e] = instances_[e]->processed();
+    seg_ns_[e] = -1;
+  }
+  unmeasured_ = instances_.size();
+  // Every lane's sampling check in one tight pass, ahead of the lanes: the
+  // checks (a division each) overlap here instead of stalling each lane.
+  uint64_t sampled = 0;
+  if (chunk_tracing_ && chunk_trace_ == nullptr) {
+    for (size_t l = 0; l < k; ++l) {
+      sampled |= uint64_t{tracer.ShouldSample(msgs[l].id())} << l;
+    }
+  }
+  return sampled;
+}
+
+void ChainExecutor::EndChunk() {
+  // One histogram delta per entered element: the count advances by every
+  // lane that entered (its processed counter's delta, so exact parity with
+  // per-message execution), the value is the measured lane's segment time.
+  // The first lane to enter an element ran timed (unmeasured_ was nonzero),
+  // so an entered element always has its value.
+  for (size_t e = 0; e < instances_.size(); ++e) {
+    const uint64_t lanes = instances_[e]->processed() - chunk_processed_[e];
+    if (lanes == 0) continue;
+    elem_hist_[e]->ObserveN(static_cast<double>(seg_ns_[e]), lanes);
+  }
+  if (chunk_sampled_ > 0) {
+    traces_sampled_->Inc(chunk_sampled_);
+    spans_total_->Inc(chunk_spans_);
+    chunk_sampled_ = 0;
+    chunk_spans_ = 0;
+  }
+}
+
+void ChainExecutor::EmitElementSpan(const obs::TraceEvent& root, int seg,
+                                    int64_t start, int64_t end) {
+  obs::TraceEvent child = root;
+  child.span_id = obs::NextSpanId();
+  child.parent_id = root.span_id;
+  child.name_id = elem_name_ids_[static_cast<size_t>(seg)];
+  child.start_ns = start;
+  child.end_ns = end;
+  obs::EmitEvent(child);
+  ++chunk_spans_;
+}
+
+// --- Bursts -------------------------------------------------------------------
+//
+// High-speed packet stacks get their throughput from burst processing: the
+// NDN-DPDK RX loop drains its rings in bursts, prefetches the table entries
+// every packet in the burst will touch, and only then processes the packets
+// one by one. ProcessBurst applies the same shape to a drained burst of
+// messages: per chunk, the two-stage key prefetch, then the scalar loop per
+// message, with the chunk's telemetry batched.
+
+void ChainExecutor::ProcessBurst(Message* msgs, size_t n, int64_t now_ns,
+                                 ProcessResult* results) {
+  const bool timing = obs::Enabled();
+  for (size_t off = 0; off < n; off += kMaxBurstLanes) {
+    const size_t k = std::min(n - off, kMaxBurstLanes);
+    if (k >= 2) PrefetchKeys(msgs + off, k);
+    if (!timing) {
+      for (size_t i = off; i < off + k; ++i) {
+        results[i] = Run<false>(msgs[i], now_ns, false, 0);
+      }
+      continue;
+    }
+    const uint64_t sampled = BeginChunk(msgs + off, k);
+    // The marker's start reading doubles as lane 0's first boundary.
+    const bool marker = chunk_tracing_ && k >= 2;
+    const int64_t chunk_start = marker ? obs::NowNs() : 0;
+    for (size_t l = 0; l < k; ++l) {
+      results[off + l] = RunLane(msgs[off + l], now_ns,
+                                 ((sampled >> l) & 1) != 0,
+                                 l == 0 ? chunk_start : 0);
+    }
+    if (marker) {
+      obs::TraceEvent ev;
+      ev.kind = obs::EventKind::kBurst;
+      ev.name_id = burst_name_id_;
+      ev.processor_id = lane_root_.processor_id;
+      ev.tier = lane_root_.tier;
+      ev.start_ns = chunk_start;
+      ev.end_ns = obs::NowNs();
+      ev.arg = k;
+      obs::EmitEvent(ev);
+    }
+    EndChunk();
+  }
+}
+
+void ChainExecutor::PlanPrefetch() {
+  // Every kLoadField feeding a kLookupPk directly (the shape the compiler
+  // emits for `JOIN t ON input.f = t.pk`) names a key field and table whose
+  // rows the burst will touch. The prefetch is a hint, each lookup still
+  // probes in full, so tables the chain mutates are fine.
+  const ChainProgram& p = *program_;
+  for (size_t i = 1; i < p.code.size(); ++i) {
+    const Instr& lookup = p.code[i];
+    if (lookup.op != Instr::Op::kLookupPk) continue;
+    const Instr& load = p.code[i - 1];
+    if (load.op != Instr::Op::kLoadField || load.a != lookup.a) continue;
+    const bool seen = std::any_of(
+        prefetch_sites_.begin(), prefetch_sites_.end(),
+        [&](const PrefetchSite& s) {
+          return s.field_id == load.b && s.table == lookup.b;
+        });
+    if (!seen) prefetch_sites_.push_back(PrefetchSite{load.b, lookup.b});
+  }
+  pf_hash_.resize(prefetch_sites_.size() * kMaxBurstLanes);
+}
+
+void ChainExecutor::PrefetchKeys(const Message* msgs, size_t k) {
+  // Two stages over the whole chunk (NDN-DPDK's resolve-then-prefetch per
+  // burst): first every lane's index home slot, so those loads overlap;
+  // then, with the slots arriving, every hit row's cells. Both stages run
+  // before any lane executes, so the index they read is the one the stage-1
+  // hashes were taken against; lanes that later move or erase rows only
+  // waste a hint.
+  const size_t sites = prefetch_sites_.size();
+  for (size_t s = 0; s < sites; ++s) {
+    const Table* table = TableAt(prefetch_sites_[s].table);
+    const uint16_t fid = prefetch_sites_[s].field_id;
+    for (size_t l = 0; l < k; ++l) {
+      pf_hash_[s * k + l] =
+          table->PrefetchIndexSlot(FieldOrNull(msgs[l], fid));
+    }
+  }
+  for (size_t s = 0; s < sites; ++s) {
+    const Table* table = TableAt(prefetch_sites_[s].table);
+    for (size_t l = 0; l < k; ++l) {
+      table->PrefetchRowCells(pf_hash_[s * k + l]);
     }
   }
 }

@@ -163,48 +163,41 @@ class ChainExecutor {
 
   // Run the whole program on `m` in place. Mirrors the interpreter contract:
   // per-element processed/dropped counters and the nonce/RNG streams advance
-  // exactly as ElementInstance::Process would.
+  // exactly as ElementInstance::Process would. With observability on, one
+  // call is a telemetry chunk of one lane (see ProcessBurst).
   ProcessResult Process(rpc::Message& m, int64_t now_ns);
 
-  // Maximum lanes one burst wavefront processes at a time; larger bursts are
-  // chunked. Sized so the SoA register file for a typical chain stays within
-  // L2 while still amortizing dispatch ~64x.
+  // Widest chunk ProcessBurst prefetches and batches telemetry over; larger
+  // bursts are chunked. A chunk's sampled lanes fit one 64-bit mask.
   static constexpr size_t kMaxBurstLanes = 64;
 
   // Burst execution: process msgs[0..n) and fill results[0..n) with exactly
-  // the outcomes n sequential Process() calls would produce — same message
-  // mutations, same per-element processed/dropped counters, same nonce/RNG
-  // streams, same table contents (burst ≡ scalar, proven by test_burst).
+  // the outcomes n sequential Process() calls would produce — it runs the
+  // same scalar loop, one message after another.
   //
   // Every chunk of up to kMaxBurstLanes messages first runs a two-stage key
   // prefetch (each lane's index home slot, then the hit row's cells) for
-  // every keyed join, on every chain. Then, when the program is
-  // burst-vectorizable (see burst_vectorizable()), the struct-of-arrays
-  // wavefront in program_burst.cc runs the chunk: one opcode dispatch per
-  // instruction for the whole burst and a live-lane mask for mid-burst
-  // drop/abort. Otherwise the scalar loop runs it — semantics never depend
-  // on which path ran.
-  // Observability stays ON either way: the burst path batches its telemetry
-  // (one histogram delta per element per burst, span events at burst
-  // granularity — the "Burst-mode telemetry" contract in
-  // docs/OBSERVABILITY.md) instead of falling back to scalar.
+  // every keyed join, then executes its lanes in order. With observability
+  // on, the chunk batches its telemetry (the "Burst-mode telemetry" contract
+  // in docs/OBSERVABILITY.md): each element counts every entering lane (its
+  // processed counter) but reads the clock only for the first lane to enter
+  // it (and for trace-sampled lanes), then posts one Histogram::ObserveN per
+  // element at chunk end; once every element is measured, unsampled lanes
+  // run the untimed loop. A lane the tracer samples, with no enclosing RpcTraceScope,
+  // writes its own POD root span and one child per element it entered
+  // straight to this thread's event ring; a traced chunk of two or more
+  // lanes also writes one kBurst marker.
   void ProcessBurst(rpc::Message* msgs, size_t n, int64_t now_ns,
                     ProcessResult* results);
 
-  // Observability identity stamped on the burst path's span events (the
-  // scalar path takes its identity from the enclosing RpcTraceScope).
+  // Identity stamped on the span events the executor writes itself (lanes
+  // with no enclosing RpcTraceScope; a scope supplies its own identity).
   // `processor_id` is an obs::InternName id, interned once at registration.
   void set_trace_identity(obs::Tier tier, obs::NameId processor_id) {
-    trace_tier_ = tier;
-    proc_name_id_ = processor_id;
+    lane_root_.processor_id = processor_id;
+    lane_root_.tier = static_cast<uint8_t>(tier);
   }
 
-  // True when static analysis proved instruction-major (SoA) execution
-  // reorders no observable effect relative to message-major execution:
-  // forward-only control flow, each element entered at most once, per table
-  // either read-only or exactly one mutation site with no lookups, and at
-  // most one non-deterministic call site per element (RNG draw order).
-  bool burst_vectorizable() const { return burst_safe_; }
   // Number of distinct (key field, table) pairs the burst prefetch covers
   // (fig5: the ACL join). Exposed for tests/benchmarks.
   size_t burst_prefetch_site_count() const { return prefetch_sites_.size(); }
@@ -239,19 +232,34 @@ class ChainExecutor {
   // copy when it borrows (const pool / message field / join column).
   rpc::Value TakeReg(uint16_t r);
 
-  // --- Burst path (program_burst.cc) --------------------------------------
-  // Static legality analysis + prefetch-site discovery, run at construction.
-  void AnalyzeBurst();
+  // The scalar loop behind Process and ProcessBurst, compiled once with
+  // telemetry and once without. The timed loop runs inside a
+  // BeginChunk/EndChunk bracket; `sampled` lanes write their own spans, and
+  // a nonzero `clock` is an obs::NowNs() reading the caller took right
+  // before the lane, reused as the lane's first timestamp.
+  template <bool kTiming>
+  ProcessResult Run(rpc::Message& m, int64_t now_ns, bool sampled,
+                    int64_t clock);
+  // One lane of a telemetry chunk: picks the timed loop only for a lane
+  // that needs it (sampled, inside a caller's scope, or possibly the first
+  // to enter a still unmeasured element).
+  ProcessResult RunLane(rpc::Message& m, int64_t now_ns, bool sampled,
+                        int64_t clock);
+  // Telemetry chunk bracket over msgs[0..k) (obs on only). BeginChunk
+  // latches whether tracing is on, snapshots each element's processed
+  // counter and returns the mask of lanes the tracer samples (bit l = lane
+  // l); EndChunk posts one ObserveN per entered element and the chunk's
+  // trace self-metrics.
+  uint64_t BeginChunk(const rpc::Message* msgs, size_t k);
+  void EndChunk();
+  // Child span of a sampled lane's root, written to this thread's ring.
+  void EmitElementSpan(const obs::TraceEvent& root, int seg, int64_t start,
+                       int64_t end);
+
+  // Prefetch-site discovery, run at construction.
+  void PlanPrefetch();
   // The two-stage key prefetch over msgs[0..k), k <= kMaxBurstLanes.
   void PrefetchKeys(const rpc::Message* msgs, size_t k);
-  // One SoA wavefront over msgs[0..k), k <= kMaxBurstLanes.
-  void RunBurst(rpc::Message* msgs, size_t k, int64_t now_ns,
-                ProcessResult* results);
-  rpc::Value TakeBurstReg(uint16_t r, size_t lane, size_t stride);
-  // Post-wavefront telemetry: batched histogram deltas + sampled POD span
-  // events from the per-segment timestamps the wavefront staged.
-  void FinishBurstTelemetry(rpc::Message* msgs, size_t k, int64_t burst_start,
-                            int cur_seg, size_t entered_segs);
 
   std::shared_ptr<const ChainProgram> program_;
   std::vector<ElementInstance*> instances_;
@@ -276,9 +284,6 @@ class ChainExecutor {
   // UPDATE row scratch, reused across calls (rows keep their capacity) so
   // the row loop allocates no row per message.
   std::vector<rpc::Row> upd_scratch_;
-  // The wavefront's INSERT row scratch (a lane's registers are strided):
-  // its cells move into the table, its buffer stays.
-  rpc::Row ins_row_;
   // In-place point UPDATE: the assignments' new values, all evaluated
   // against the old row before any cell is written.
   std::vector<rpc::Value> upd_vals_;
@@ -290,50 +295,33 @@ class ChainExecutor {
   // construction so the hot path never builds a label string. Only touched
   // when obs::Enabled().
   std::vector<obs::Histogram*> elem_hist_;
-  // Interned element names (span event name ids) + the executor's trace
-  // identity and obs self-metric counters, all resolved at construction /
-  // registration so the burst path emits telemetry without a single string
+  // Interned element names (span event name ids) and obs self-metric
+  // counters, resolved at construction so telemetry runs without a string
   // or registry lookup.
   std::vector<obs::NameId> elem_name_ids_;
-  obs::Tier trace_tier_ = obs::Tier::kEngine;
-  obs::NameId proc_name_id_ = 0;
-  obs::NameId rpc_name_id_ = 0;
   obs::NameId burst_name_id_ = 0;
   obs::Counter* spans_total_ = nullptr;
   obs::Counter* traces_sampled_ = nullptr;
 
-  // --- Burst (SoA) state. Sized once at construction; RunBurst indexes
-  // registers as [r * k + lane] with k = the live chunk width, so a burst
-  // narrower than kMaxBurstLanes keeps its working set dense. bregs_ never
-  // resizes after construction, so &bregs_[i] is stable (same borrow
-  // contract as regs_). The scalar regs_/slot_ file stays untouched by the
-  // wavefront — subprogram execution (ExecUpdate/ExecDelete/RunSub) uses it
-  // per lane without conflicting with the SoA file.
-  bool burst_safe_ = false;
+  // Chunk telemetry (only touched when obs::Enabled()): per element
+  // segment, its processed counter at chunk start (the delta is the lanes
+  // that entered) and the segment time of the first of them, the one lane
+  // the histogram measures (-1 until measured; unmeasured_ counts those).
+  std::vector<uint64_t> chunk_processed_;
+  std::vector<int64_t> seg_ns_;
+  size_t unmeasured_ = 0;
+  bool chunk_tracing_ = false;
+  obs::TraceContext* chunk_trace_ = nullptr;  // the caller's RpcTraceScope
+  uint32_t chunk_sampled_ = 0;  // lanes that wrote their own span tree
+  uint64_t chunk_spans_ = 0;    // span events those lanes wrote
+  // Root span of the sampled lane in flight. Its name and the executor's
+  // trace identity (processor, tier) are set once, at construction and by
+  // set_trace_identity; the burst marker reuses the identity.
+  obs::TraceEvent lane_root_;
+
   std::vector<PrefetchSite> prefetch_sites_;
   // Stage-1 key hashes of the burst prefetch, [site * k + lane].
   std::vector<uint64_t> pf_hash_;
-  std::vector<rpc::Value> bregs_;
-  std::vector<const rpc::Value*> bslot_;
-  // Per-lane wavefront state: next instruction pointer (kLaneDone when the
-  // lane has returned), bound join row, current element segment, and the
-  // function-call context (rng/nonce rebound at each kBeginElement).
-  std::vector<uint32_t> lane_ip_;
-  std::vector<rpc::RowRef> lane_join_;
-  std::vector<int> lane_cur_;
-  std::vector<FunctionContext> lane_ctx_;
-  // Burst-mode telemetry scratch (only touched when obs::Enabled()): the
-  // wavefront stamps one NowNs() pair per element segment per burst and
-  // counts entering lanes; after the wavefront those become one ObserveN
-  // histogram delta per segment and (for sampled lanes) span events at
-  // burst granularity. lane_seg_mask_ tracks which of the first 64 segments
-  // each lane actually entered, so a sampled lane's span tree only lists
-  // segments it executed.
-  std::vector<int64_t> bseg_start_;
-  std::vector<int64_t> bseg_end_;
-  std::vector<uint32_t> bseg_lanes_;
-  std::vector<uint16_t> bseg_order_;
-  std::vector<uint64_t> lane_seg_mask_;
 };
 
 }  // namespace adn::ir

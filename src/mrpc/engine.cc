@@ -97,8 +97,8 @@ void EngineChain::ProcessBurst(rpc::Message* messages, size_t n,
   // here — this chain runs stage-major over independent per-stage
   // executors, so per-RPC span trees (one root, children across stages)
   // are inherently message-major. The single-executor whole-chain path
-  // (ir::ChainExecutor::ProcessBurst, used by EnginePool workers) emits
-  // burst-granular spans without any fallback.
+  // (ir::ChainExecutor::ProcessBurst, used by EnginePool workers) writes
+  // each sampled lane's span tree itself, without any fallback.
   const bool timing = obs::Enabled();
   if (n < 2 || (timing && obs::Tracer::Default().tracing_enabled())) {
     for (size_t i = 0; i < n; ++i) results[i] = Process(messages[i], now_ns);

@@ -37,7 +37,8 @@ class EngineStage {
   virtual ir::ProcessResult Process(rpc::Message& message, int64_t now_ns) = 0;
   // Process messages[0..n) in place, filling results[0..n) with exactly the
   // outcomes n sequential Process calls would produce. The default is that
-  // scalar loop; compiled stages override with the SoA burst executor.
+  // scalar loop; compiled stages override with their executor's
+  // ProcessBurst (key prefetch plus batched telemetry).
   virtual void ProcessBurst(rpc::Message* messages, size_t n, int64_t now_ns,
                             ir::ProcessResult* results) {
     for (size_t i = 0; i < n; ++i) results[i] = Process(messages[i], now_ns);
@@ -45,9 +46,9 @@ class EngineStage {
   // Simulated CPU per message on a host core.
   virtual double CostNs(const sim::CostModel& model,
                         size_t payload_bytes) const = 0;
-  // Observability identity for spans this stage's executor emits on the
-  // burst path (interned processor name + tier). No-op for stages without
-  // a compiled executor.
+  // Observability identity for the spans this stage's executor writes
+  // itself, outside an RpcTraceScope (interned processor name + tier).
+  // No-op for stages without a compiled executor.
   virtual void set_trace_identity(obs::Tier /*tier*/,
                                   obs::NameId /*processor_id*/) {}
 };
@@ -134,12 +135,13 @@ class EngineChain {
   ir::ProcessResult Process(rpc::Message& message, int64_t now_ns);
 
   // Burst-process messages[0..n): stage-major — each stage runs across the
-  // whole burst (compiled stages via the SoA burst executor) before the next
-  // stage starts, with dropped lanes masked out. Outcomes, per-stage state
-  // and counters match n sequential Process calls exactly: every stage owns
-  // disjoint state and processes live lanes in lane order, which is the
-  // order message-major execution would have visited them. Falls back to the
-  // scalar loop when observability is on (per-RPC scopes are message-major).
+  // whole burst (compiled stages via their executor's ProcessBurst) before
+  // the next stage starts, with dropped lanes masked out. Outcomes,
+  // per-stage state and counters match n sequential Process calls exactly:
+  // every stage owns disjoint state and processes live lanes in lane order,
+  // which is the order message-major execution would have visited them.
+  // Falls back to the scalar loop when tracing is on (per-RPC scopes are
+  // message-major); metrics alone batch to one Inc(n) per burst.
   // The sim/mesh tiers deliberately stay on scalar Process: they charge
   // per-message simulated cost (ProcessWithCost) and model per-hop latency,
   // which burst coalescing would distort.

@@ -23,12 +23,6 @@ int64_t ThreadCpuNs() {
   return static_cast<int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
 }
 
-// Interned once per process: the root span name the per-message path opens.
-obs::NameId PoolRpcNameId() {
-  static const obs::NameId id = obs::InternName("rpc");
-  return id;
-}
-
 // Emit a reconfiguration state-machine transition (or program swap) as an
 // instant event into the calling thread's ring. Names are the docs/RECONFIG.md
 // "Emitted events" contract. Reconfigs are rare, so interning here is fine.
@@ -241,11 +235,13 @@ void EnginePool::WorkerLoop(int index) {
   int64_t exec_acc = 0;
   // One unified burst drain for both the measuring and non-measuring modes:
   // TryPopBurst moves up to burst_size messages per head/tail round trip
-  // into a fixed worker-local array (no per-batch heap traffic), then
-  // ProcessBatch runs the burst executor (or the per-message path when the
-  // chain is not burst-vectorizable and observability is on).
+  // into a fixed worker-local array (no per-batch heap traffic), then the
+  // executor's ProcessBurst runs it: key prefetch, the scalar loop per
+  // message, and batched telemetry (histograms and sampled spans, written
+  // to this worker's event ring). The pool's obs counters batch to one
+  // Inc per burst below.
   //
-  // measure_exec wraps only the ProcessBatch call in a
+  // measure_exec wraps only the ProcessBurst call in a
   // CLOCK_THREAD_CPUTIME_ID window: thread CPU time excludes preemption
   // (wall clocks lie on oversubscribed hosts) and the burst amortizes the
   // two clock syscalls to ~nothing per message. Dequeue, on_done, message
@@ -270,13 +266,13 @@ void EnginePool::WorkerLoop(int index) {
       const int64_t now_ns = config_.clock ? config_.clock() : 0;
       if (config_.measure_exec) {
         const int64_t exec_start = ThreadCpuNs();
-        ProcessBatch(w, burst.data(), got, now_ns, results.data());
+        w.chain_exec->ProcessBurst(burst.data(), got, now_ns, results.data());
         exec_acc += ThreadCpuNs() - exec_start;
         // Publish exec before done: after Drain() observes done==submitted,
         // worker_exec_ns() is exact for everything processed so far.
         w.exec_ns.store(exec_acc, std::memory_order_release);
       } else {
-        ProcessBatch(w, burst.data(), got, now_ns, results.data());
+        w.chain_exec->ProcessBurst(burst.data(), got, now_ns, results.data());
       }
       uint64_t drops = 0;
       for (size_t i = 0; i < got; ++i) {
@@ -288,6 +284,10 @@ void EnginePool::WorkerLoop(int index) {
         if (config_.on_done) config_.on_done(index, burst[i], results[i]);
       }
       if (drops > 0) w.dropped.fetch_add(drops, std::memory_order_relaxed);
+      if (obs::Enabled()) {
+        w.rpcs_counter->Inc(got);
+        if (drops > 0) w.drops_counter->Inc(drops);
+      }
       w.done.fetch_add(got, std::memory_order_release);
       continue;
     }
@@ -367,52 +367,6 @@ size_t EnginePool::RunPendingControl(Worker& w, size_t burst_max) {
   // is never zero: progress toward the barrier is always possible.
   return static_cast<size_t>(
       std::min<uint64_t>(burst_max, next_barrier - done));
-}
-
-void EnginePool::ProcessBatch(Worker& w, rpc::Message* msgs, size_t n,
-                              int64_t now_ns, ir::ProcessResult* results) {
-  // Observability is NOT a fallback condition: a burst-vectorizable
-  // whole-chain executor runs the SoA burst path with telemetry on — the
-  // executor batches histograms/spans internally (burst-granular, written
-  // to this worker's event ring) and the pool counters batch to one Inc(n)
-  // here. Only a chain the analysis could not vectorize takes the
-  // per-message path when obs is on, keeping its per-RPC trace scopes.
-  if (!obs::Enabled() || w.chain_exec->burst_vectorizable()) {
-    const bool timing = obs::Enabled();
-    w.chain_exec->ProcessBurst(msgs, n, now_ns, results);
-    if (timing) {
-      w.rpcs_counter->Inc(n);
-      uint64_t drops = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (results[i].outcome != ir::ProcessOutcome::kPass &&
-            results[i].outcome != ir::ProcessOutcome::kReply) {
-          ++drops;
-        }
-      }
-      if (drops > 0) w.drops_counter->Inc(drops);
-    }
-    return;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    results[i] = ProcessMessage(w, msgs[i], now_ns);
-  }
-}
-
-ir::ProcessResult EnginePool::ProcessMessage(Worker& w, rpc::Message& m,
-                                             int64_t now_ns) {
-  const bool timing = obs::Enabled();
-  std::optional<obs::RpcTraceScope> scope;
-  if (timing) {
-    w.rpcs_counter->Inc();
-    scope.emplace(m.id(), obs::Tier::kEngine, w.trace_processor_id,
-                  PoolRpcNameId());
-  }
-  ir::ProcessResult result = w.chain_exec->Process(m, now_ns);
-  if (timing && result.outcome != ir::ProcessOutcome::kPass &&
-      result.outcome != ir::ProcessOutcome::kReply) {
-    w.drops_counter->Inc();
-  }
-  return result;
 }
 
 uint64_t EnginePool::processed() const {

@@ -103,7 +103,7 @@ class EnginePool {
     uint64_t seed = 1;
     // Observability identity: workers count into
     // adn_chain_rpcs_total/adn_chain_drops_total{processor="<processor>-w<i>"}
-    // and open per-RPC trace scopes under that name.
+    // and stamp their sampled span trees with that name.
     std::string processor = "engine-pool";
     // Worker clock exposed to now(); null = constant 0 (deterministic).
     std::function<int64_t()> clock;
@@ -112,9 +112,8 @@ class EnginePool {
     // Costs ~2 clock reads per message; off by default.
     bool measure_exec = false;
     // Messages drained and processed per burst (1 = per-message drain).
-    // Each burst pays the ring's acquire/release pair once and, when the
-    // chain is burst-vectorizable, one instruction-dispatch pass for the
-    // whole burst (ChainExecutor::ProcessBurst). Clamped to
+    // Each burst pays the ring's acquire/release pair once, one key-prefetch
+    // pass and one telemetry flush (ChainExecutor::ProcessBurst). Clamped to
     // [1, ir::ChainExecutor::kMaxBurstLanes]. The default is the measured
     // knee on the fig5 chain — see bench_burst / BENCH_burst.json.
     size_t burst_size = 32;
@@ -299,12 +298,6 @@ class EnginePool {
   // Run the control ops whose barrier has been reached; returns how many
   // messages the next burst may pop without crossing the next op's barrier.
   size_t RunPendingControl(Worker& w, size_t burst_max);
-  // Process msgs[0..n) on worker w, filling results[0..n). Takes the burst
-  // executor when observability is off or the chain is burst-vectorizable;
-  // otherwise the per-message path (which owns trace scopes / counters).
-  void ProcessBatch(Worker& w, rpc::Message* msgs, size_t n, int64_t now_ns,
-                    ir::ProcessResult* results);
-  ir::ProcessResult ProcessMessage(Worker& w, rpc::Message& m, int64_t now_ns);
 
   std::vector<std::shared_ptr<const ir::ElementIr>> elements_;
   Config config_;

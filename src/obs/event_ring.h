@@ -30,8 +30,8 @@
 namespace adn::obs {
 
 // What one TraceEvent records. kSpan carries a completed span (start/end);
-// kBurst marks one executed burst wavefront (arg = lane count); kReconfig
-// and kSwap are the live-reconfiguration transitions.
+// kBurst marks one traced burst chunk a ChainExecutor ran (arg = lane
+// count); kReconfig and kSwap are the live-reconfiguration transitions.
 enum class EventKind : uint8_t {
   kSpan = 0,
   kBurst = 1,

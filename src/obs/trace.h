@@ -20,9 +20,10 @@
 //    call sites reduce to one thread-local load + null check.
 //  - Open spans are staged in the thread-local TraceContext and flushed —
 //    as 64-byte TraceEvent records into the calling thread's SPSC event
-//    ring (obs/event_ring.h) — once when the scope closes. The burst
-//    executor skips the scope entirely and writes span events straight
-//    into its worker's ring.
+//    ring (obs/event_ring.h) — once when the scope closes. A ChainExecutor
+//    lane the tracer samples outside any scope (the EnginePool workers)
+//    skips the scope entirely and writes its span events straight into
+//    its thread's ring.
 //  - Consumers (Collect and the query APIs) drain the rings into a
 //    fixed-capacity central store: recording never allocates on the data
 //    plane and never blocks it — ring-full drops are counted by

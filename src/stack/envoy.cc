@@ -174,7 +174,7 @@ void EnvoySidecar::AddFilter(std::unique_ptr<EnvoyFilter> filter) {
   filters_.push_back(std::move(filter));
 }
 
-Result<EnvoySidecar::Output> EnvoySidecar::ProcessMessage(
+Result<EnvoySidecar::Output> EnvoySidecar::ProcessWire(
     std::span<const uint8_t> wire, bool is_request, HpackCodec& inbound_hpack,
     HpackCodec& outbound_hpack) {
   ++processed_;

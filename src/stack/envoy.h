@@ -151,7 +151,7 @@ class CompressorFilter : public EnvoyFilter {
 
 // --- The sidecar ---------------------------------------------------------------
 // One proxy instance with separate HPACK state per direction, a filter
-// chain, and an access log. ProcessMessage does the real byte work:
+// chain, and an access log. ProcessWire does the real byte work:
 // parse -> decode -> filters -> re-encode.
 class EnvoySidecar {
  public:
@@ -168,9 +168,9 @@ class EnvoySidecar {
 
   // `inbound_hpack`/`outbound_hpack`: connection codec states for the two
   // hops this proxy bridges (real Envoy keeps per-connection HPACK too).
-  Result<Output> ProcessMessage(std::span<const uint8_t> wire,
-                                bool is_request, HpackCodec& inbound_hpack,
-                                HpackCodec& outbound_hpack);
+  Result<Output> ProcessWire(std::span<const uint8_t> wire, bool is_request,
+                             HpackCodec& inbound_hpack,
+                             HpackCodec& outbound_hpack);
 
   // Simulated CPU for one message of `wire_bytes` length.
   sim::SimTime MessageCostNs(const sim::CostModel& model, size_t wire_bytes,

@@ -179,7 +179,7 @@ struct Experiment {
                                                 /*is_request=*/true);
     Charge(client_sidecar_cpu, "client-sidecar", cost,
            [this, wire_bytes, start] {
-             auto out = client_sidecar.ProcessMessage(
+             auto out = client_sidecar.ProcessWire(
                  *wire_bytes, /*is_request=*/true, app_to_sca.decoder,
                  sca_to_scb.encoder);
              assert(out.ok());
@@ -210,7 +210,7 @@ struct Experiment {
                                                /*is_request=*/true);
       Charge(server_sidecar_cpu, "server-sidecar", c,
              [this, wire_bytes, start] {
-               auto out = server_sidecar.ProcessMessage(
+               auto out = server_sidecar.ProcessWire(
                    *wire_bytes, /*is_request=*/true, sca_to_scb.decoder,
                    scb_to_server.encoder);
                assert(out.ok());
@@ -270,7 +270,7 @@ struct Experiment {
                                                 /*is_request=*/false);
     Charge(server_sidecar_cpu, "server-sidecar", cost,
            [this, wire_bytes, start] {
-             auto out = server_sidecar.ProcessMessage(
+             auto out = server_sidecar.ProcessWire(
                  *wire_bytes, /*is_request=*/false, server_to_scb.decoder,
                  scb_to_sca.encoder);
              assert(out.ok() && !out->aborted);
@@ -292,7 +292,7 @@ struct Experiment {
           cfg.model, wire_bytes->size(), /*is_request=*/false);
       Charge(client_sidecar_cpu, "client-sidecar", cost,
              [this, wire_bytes, start] {
-               auto out = client_sidecar.ProcessMessage(
+               auto out = client_sidecar.ProcessWire(
                    *wire_bytes, /*is_request=*/false, scb_to_sca.decoder,
                    sca_to_app.encoder);
                assert(out.ok() && !out->aborted);

@@ -1,16 +1,18 @@
 // Burst-mode data plane: differential parity burst ≡ scalar ≡ interpreter.
 //
-// The SoA wavefront in program_burst.cc reorders execution from
-// message-major to instruction-major; these tests prove the reordering is
-// unobservable: outcomes, abort messages, message mutations, per-element
-// processed/dropped counters, nonce/RNG streams and table content hashes
-// must match the scalar tier bit for bit — for randomized chains, every
-// burst size, and mid-burst drop/abort lanes. Ring burst semantics and the
-// pool/engine wiring are covered here too; the concurrent-producer TSan
-// cases live in test_threads.cc.
+// ChainExecutor::ProcessBurst chunks a drained burst, prefetches every
+// lane's keyed-join rows, runs the scalar loop per message and batches the
+// chunk's telemetry; these tests prove none of that is observable:
+// outcomes, abort messages, message mutations, per-element processed/
+// dropped counters, nonce/RNG streams, table content hashes and telemetry
+// counts must match per-message execution exactly — for randomized chains,
+// every burst size, and mid-burst drop/abort lanes. Ring burst semantics
+// and the pool/engine wiring are covered here too; the concurrent-producer
+// TSan cases live in test_threads.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -109,8 +111,7 @@ std::shared_ptr<const ir::ElementIr> LowerNamed(const std::string& source,
 
 // The fig5 chain: Logging (INSERT), Acl (PK join + abort drop), Fault
 // (random() drop). Covers a mutated table, a prefetchable read-only join,
-// mid-burst aborts, and a per-element RNG stream — and is exactly the shape
-// the burst analysis must prove safe.
+// mid-burst aborts, and a per-element RNG stream.
 std::vector<std::shared_ptr<const ir::ElementIr>> Fig5Elements() {
   auto parsed = dsl::ParseProgram(std::string(elements::AclTableSql()) +
                                   std::string(elements::LogTableSql()) +
@@ -198,7 +199,7 @@ void ExpectBurstMatchesScalar(
 
 // --- Burst executor: fig5 chain ----------------------------------------------
 
-TEST(Burst, Fig5ChainIsVectorizableWithAPrefetchSite) {
+TEST(Burst, Fig5ChainHasAPrefetchSite) {
   auto elements = Fig5Elements();
   std::vector<std::unique_ptr<ir::ElementInstance>> state;
   std::vector<ir::ElementInstance*> ptrs;
@@ -209,7 +210,6 @@ TEST(Burst, Fig5ChainIsVectorizableWithAPrefetchSite) {
   auto program = compiler::CompileChainProgram(elements);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
   ir::ChainExecutor exec(program.value(), ptrs);
-  EXPECT_TRUE(exec.burst_vectorizable());
   // The ACL join (input.username = ac_tab.username) is the prefetch site.
   EXPECT_GE(exec.burst_prefetch_site_count(), 1u);
 }
@@ -241,11 +241,9 @@ TEST(Burst, AllLanesDropStillMatches) {
 
 // --- Burst executor: randomized programs -------------------------------------
 
-// Same shape as test_parity's generator. Most generated programs violate a
-// burst-safety rule (several mutation sites on one table, UPDATE+JOIN mixes)
-// and must take the transparent scalar fallback; the rest exercise the SoA
-// wavefront — parity must hold either way, and the test asserts both paths
-// actually occur across the corpus.
+// Same shape as test_parity's generator: several mutation sites on one
+// table, UPDATE+JOIN mixes and mid-chunk drops, each run at a random burst
+// size against the scalar and interpreter tiers.
 std::string RandomElementSource(Rng& rng) {
   auto num = [&](uint64_t lo, uint64_t hi) {
     return std::to_string(static_cast<int64_t>(lo + rng.NextBelow(hi - lo)));
@@ -302,7 +300,6 @@ void SeedJoinTable(ir::ElementInstance& inst) {
 
 TEST(Burst, RandomProgramsMatchScalarAndInterpreter) {
   Rng meta(4242);
-  int vectorized = 0, fallback = 0;
   for (int round = 0; round < 40; ++round) {
     const std::string src = RandomElementSource(meta);
     SCOPED_TRACE(src);
@@ -320,11 +317,6 @@ TEST(Burst, RandomProgramsMatchScalarAndInterpreter) {
     ASSERT_TRUE(program.ok()) << program.status().ToString();
     ir::ChainExecutor scalar_exec(program.value(), {&scalar_state});
     ir::ChainExecutor burst_exec(program.value(), {&burst_state});
-    if (burst_exec.burst_vectorizable()) {
-      ++vectorized;
-    } else {
-      ++fallback;
-    }
 
     Rng msgs(seed * 13 + 1);
     const size_t burst = 1 + msgs.NextBelow(64);
@@ -361,10 +353,6 @@ TEST(Burst, RandomProgramsMatchScalarAndInterpreter) {
     EXPECT_EQ(scalar_state.processed(), burst_state.processed());
     EXPECT_EQ(scalar_state.dropped(), burst_state.dropped());
   }
-  // The corpus must exercise both the wavefront and the fallback, or the
-  // test is weaker than it claims.
-  EXPECT_GT(vectorized, 0);
-  EXPECT_GT(fallback, 0);
 }
 
 // --- Burst prefetch under mutation --------------------------------------------
@@ -464,9 +452,8 @@ TEST(Burst, PrefetchPassIsInvisibleUnderMutation) {
     }
     ir::ChainExecutor scalar_exec(program.value(), scalar_ptrs);
     ir::ChainExecutor burst_exec(program.value(), burst_ptrs);
-    // Quota joins the table it mutates: the scalar loop runs every burst,
-    // behind the prefetch of both keyed joins (ac_tab and quota).
-    EXPECT_FALSE(burst_exec.burst_vectorizable());
+    // Both keyed joins (ac_tab and quota) are prefetched, although Churn
+    // mutates the table it joins.
     EXPECT_EQ(burst_exec.burst_prefetch_site_count(), 2u);
 
     std::vector<Message> interp_msgs = stream;
@@ -595,61 +582,170 @@ TEST(Burst, PoolBurstSizesProduceIdenticalStateAndCounts) {
   }
 }
 
+// Logging → Acl → Quota: Quota joins the table it updates on every message.
+std::vector<std::shared_ptr<const ir::ElementIr>> LogAclQuotaElements() {
+  auto parsed = dsl::ParseProgram(std::string(elements::AclTableSql()) +
+                                  std::string(elements::LogTableSql()) +
+                                  std::string(elements::QuotaTableSql()) +
+                                  std::string(elements::LoggingSql()) +
+                                  std::string(elements::AclSql()) +
+                                  std::string(elements::QuotaSql()));
+  auto lowered = compiler::LowerProgram(*parsed);
+  EXPECT_TRUE(lowered.ok());
+  return {lowered->FindElement("Logging"), lowered->FindElement("Acl"),
+          lowered->FindElement("Quota")};
+}
+
+// One obs-on pool run: everything the telemetry must leave identical
+// across burst sizes.
+struct ObsRun {
+  uint64_t processed = 0;
+  uint64_t dropped = 0;
+  uint64_t rpcs_metric = 0;
+  std::vector<uint64_t> hashes;
+  std::vector<uint64_t> element_counts;  // adn_element_latency_ns counts
+  uint64_t sampled_traces = 0;
+  uint64_t events_dropped = 0;
+
+  bool operator==(const ObsRun&) const = default;
+};
+
+void PrintTo(const ObsRun& r, std::ostream* os) {
+  *os << "{processed " << r.processed << ", dropped " << r.dropped
+      << ", rpcs " << r.rpcs_metric << ", element counts";
+  for (uint64_t c : r.element_counts) *os << " " << c;
+  *os << ", sampled " << r.sampled_traces << ", events dropped "
+      << r.events_dropped << "}";
+}
+
+// Runs 4000 fig5 messages through a one-worker pool with metrics and
+// 1-in-8 tracing on, then checks each sampled lane's span tree: exactly
+// one root "rpc" span and one child per element the lane entered, in chain
+// order. A lane enters every element up to the one that dropped it, named
+// by its abort message (`drop_messages[e]` for element e).
+ObsRun RunObsPool(
+    const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,
+    const std::vector<std::string>& drop_messages, size_t burst_size) {
+  constexpr uint64_t kMessages = 4000;
+  obs::Tracer::Default().Clear();
+  obs::EventRingRegistry::Default().Reset();
+  obs::MetricsRegistry::Default().Reset();
+  EnginePool::Config config;
+  config.workers = 1;
+  config.shard_key_field = "username";
+  config.burst_size = burst_size;
+  config.seed = 17;
+  config.processor = "obs-parity";
+  // One worker: on_done runs on its thread, and Drain() orders these
+  // writes before the reads below.
+  std::vector<ProcessResult> outcomes(kMessages);
+  config.on_done = [&](int, const Message& m, const ProcessResult& r) {
+    outcomes[m.id()] = r;
+  };
+  EnginePool pool(elements, {}, config);
+  SeedAcl(*pool.FindTemplateInstance("Acl"));
+  if (ir::ElementInstance* quota = pool.FindTemplateInstance("Quota")) {
+    rpc::Table* t = quota->FindTable("quota");
+    EXPECT_TRUE(t->Insert({Value("alice"), Value(int64_t{300})}).ok());
+    EXPECT_TRUE(t->Insert({Value("carol"), Value(int64_t{5})}).ok());
+  }
+  EXPECT_TRUE(pool.Start().ok());
+  Rng rng(55);
+  for (uint64_t i = 0; i < kMessages; ++i) pool.Submit(FigMessage(rng, i));
+  pool.Drain();
+
+  ObsRun run;
+  // Draining the rings folds ring-full drops into the counter read below.
+  const std::vector<obs::Span> spans = obs::Tracer::Default().AllSpans();
+  for (uint64_t id = 0; id < kMessages; ++id) {
+    if (!obs::Tracer::Default().ShouldSample(id)) continue;
+    ++run.sampled_traces;
+    size_t entered = elements.size();
+    if (outcomes[id].outcome != ProcessOutcome::kPass) {
+      for (size_t e = 0; e < drop_messages.size(); ++e) {
+        if (outcomes[id].abort_message == drop_messages[e]) entered = e + 1;
+      }
+    }
+    const obs::Span* root = nullptr;
+    std::vector<std::string> children;
+    for (const obs::Span& s : spans) {
+      if (s.trace_id != id || s.parent_id != 0) continue;
+      EXPECT_EQ(root, nullptr) << "trace " << id << ": two roots";
+      root = &s;
+    }
+    EXPECT_NE(root, nullptr) << "trace " << id;
+    if (root == nullptr) continue;
+    EXPECT_EQ(root->name(), "rpc");
+    EXPECT_EQ(root->processor(), "obs-parity-w0");
+    for (const obs::Span& s : spans) {
+      if (s.trace_id != id || s.parent_id == 0) continue;
+      EXPECT_EQ(s.parent_id, root->span_id) << "trace " << id;
+      EXPECT_LE(root->start_ns, s.start_ns);
+      EXPECT_LE(s.start_ns, s.end_ns);
+      EXPECT_LE(s.end_ns, root->end_ns);
+      children.emplace_back(s.name());
+    }
+    std::vector<std::string> want;
+    for (size_t e = 0; e < entered; ++e) want.push_back(elements[e]->name);
+    EXPECT_EQ(children, want) << "trace " << id << " outcome "
+                              << outcomes[id].abort_message;
+  }
+  const obs::MetricsSnapshot snap = obs::MetricsRegistry::Default().Snapshot();
+  for (const obs::MetricSample& s : snap.samples) {
+    if (s.name == "adn_chain_rpcs_total") {
+      run.rpcs_metric += static_cast<uint64_t>(s.value);
+    } else if (s.name == "adn_obs_events_dropped_total") {
+      run.events_dropped += static_cast<uint64_t>(s.value);
+    }
+  }
+  for (const auto& e : elements) {
+    const obs::MetricSample* lat = snap.Find(
+        "adn_element_latency_ns", "element=\"" + e->name + "\"");
+    run.element_counts.push_back(lat == nullptr ? 0 : lat->count);
+  }
+  pool.Stop();
+  run.processed = pool.processed();
+  run.dropped = pool.dropped();
+  for (size_t e = 0; e < pool.element_count(); ++e) {
+    run.hashes.push_back(pool.MergedStateHash(e));
+    // Every lane that entered an element is counted, whatever the chunk.
+    EXPECT_EQ(run.element_counts[e], pool.WorkerInstance(0, e).processed())
+        << elements[e]->name;
+  }
+  return run;
+}
+
 TEST(Burst, ObsOnBurstMatchesObsOnScalarCountsAndState) {
   // The always-on telemetry contract: with metrics AND sampled tracing
-  // enabled, the pool must still run the burst executor (no scalar
-  // fallback), and burst-batched telemetry must not perturb execution —
-  // processed/dropped counts, per-element state hashes, and the metric
-  // rpcs_total all match the obs-on scalar (burst=1) run exactly.
+  // enabled, burst-batched telemetry must not perturb execution, and its
+  // counts must not depend on the chunking — processed/dropped counts,
+  // per-element state hashes, rpcs_total, every element's latency count
+  // and the sampled span trees all match the per-message (burst=1) run,
+  // with no event lost. Fig5 and Logging-Acl-Quota (a chain that joins the
+  // table it updates) both run it.
   obs::SetEnabled(true);
   obs::Tracer::Default().SetTracingEnabled(true);
   obs::Tracer::Default().SetSampleEvery(8);
-  auto run = [&](size_t burst_size) {
-    obs::Tracer::Default().Clear();
-    obs::EventRingRegistry::Default().Reset();
-    obs::MetricsRegistry::Default().Reset();
-    auto parsed = dsl::ParseProgram(std::string(elements::AclTableSql()) +
-                                    std::string(elements::LogTableSql()) +
-                                    std::string(elements::LoggingSql()) +
-                                    std::string(elements::AclSql()) +
-                                    std::string(elements::FaultSql()));
-    auto lowered = compiler::LowerProgram(*parsed);
-    EXPECT_TRUE(lowered.ok());
-    std::vector<std::shared_ptr<const ir::ElementIr>> elements = {
-        lowered->FindElement("Logging"), lowered->FindElement("Acl"),
-        lowered->FindElement("Fault")};
-    EnginePool::Config config;
-    config.workers = 1;
-    config.shard_key_field = "username";
-    config.burst_size = burst_size;
-    config.seed = 17;
-    config.processor = "obs-parity";
-    EnginePool pool(elements, {}, config);
-    SeedAcl(*pool.FindTemplateInstance("Acl"));
-    EXPECT_TRUE(pool.Start().ok());
-    Rng rng(55);
-    for (uint64_t i = 0; i < 4000; ++i) pool.Submit(FigMessage(rng, i));
-    pool.Drain();
-    uint64_t rpcs_metric = 0;
-    for (const obs::MetricSample& s :
-         obs::MetricsRegistry::Default().Snapshot().samples) {
-      if (s.name == "adn_chain_rpcs_total") {
-        rpcs_metric += static_cast<uint64_t>(s.value);
-      }
+  const std::vector<std::pair<
+      std::vector<std::shared_ptr<const ir::ElementIr>>,
+      std::vector<std::string>>>
+      chains = {
+          {Fig5Elements(), {"", "permission denied", "fault injected"}},
+          {LogAclQuotaElements(), {"", "permission denied", "quota exceeded"}},
+      };
+  for (const auto& [elements, drop_messages] : chains) {
+    SCOPED_TRACE("chain ending in " + elements.back()->name);
+    const ObsRun scalar = RunObsPool(elements, drop_messages, 1);
+    EXPECT_EQ(scalar.rpcs_metric, 4000u);  // metrics counted every message
+    EXPECT_EQ(scalar.element_counts.front(), 4000u);
+    EXPECT_EQ(scalar.sampled_traces, 500u);
+    EXPECT_EQ(scalar.events_dropped, 0u);
+    EXPECT_GT(scalar.dropped, 0u);
+    EXPECT_LT(scalar.dropped, scalar.processed);
+    for (size_t burst : {4u, 32u}) {
+      SCOPED_TRACE("burst=" + std::to_string(burst));
+      EXPECT_EQ(RunObsPool(elements, drop_messages, burst), scalar);
     }
-    pool.Stop();
-    std::vector<uint64_t> hashes;
-    for (size_t e = 0; e < pool.element_count(); ++e) {
-      hashes.push_back(pool.MergedStateHash(e));
-    }
-    return std::make_tuple(pool.processed(), pool.dropped(), rpcs_metric,
-                           hashes);
-  };
-  const auto scalar = run(1);
-  EXPECT_EQ(std::get<2>(scalar), 4000u);  // metrics counted every message
-  for (size_t burst : {4u, 32u}) {
-    SCOPED_TRACE("burst=" + std::to_string(burst));
-    EXPECT_EQ(run(burst), scalar);
   }
   obs::Tracer::Default().Clear();
   obs::EventRingRegistry::Default().Reset();

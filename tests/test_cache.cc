@@ -316,7 +316,6 @@ TEST(CacheParity, ScalarStageAndBurstAgree) {
   std::vector<ir::ElementInstance*> raw;
   for (auto& inst : whole_state) raw.push_back(inst.get());
   ir::ChainExecutor whole(std::move(program).value(), std::move(raw));
-  EXPECT_FALSE(whole.burst_vectorizable()) << "kCacheProbe stays scalar";
 
   auto run_interp = [&](Message& m, int64_t now) {
     for (auto& inst : interp) {

@@ -509,19 +509,10 @@ const ir::ChainProgram::UpdateSpec& OnlyUpdateSpec(
   return holder->update_specs[0];
 }
 
-bool BurstVectorizable(const std::shared_ptr<const ir::ElementIr>& code,
-                       const std::shared_ptr<const ir::ChainProgram>& program) {
-  ir::ElementInstance inst(code, 1);
-  return ir::ChainExecutor(program, {&inst}).burst_vectorizable();
-}
-
 TEST(PointUpdate, QuotaMatchesOracleOnEveryTier) {
   auto code = QuotaElement();
   std::shared_ptr<const ir::ChainProgram> holder;
   EXPECT_TRUE(OnlyUpdateSpec(code, holder).in_place);
-  // Quota joins the table it updates, so its burst tier is the scalar
-  // loop; the single-statement elements below run the burst wavefront.
-  EXPECT_FALSE(BurstVectorizable(code, holder));
 
   Rng rng(31);
   std::vector<std::pair<std::string, rpc::Row>> seed;
@@ -557,7 +548,6 @@ ELEMENT Refill ON REQUEST {
                          "Refill");
   std::shared_ptr<const ir::ChainProgram> holder;
   EXPECT_TRUE(OnlyUpdateSpec(code, holder).in_place);
-  EXPECT_TRUE(BurstVectorizable(code, holder));
 
   const std::vector<std::pair<std::string, rpc::Row>> seed = {
       {"quota", {Value("alice"), Value(5)}}};
@@ -595,7 +585,6 @@ ELEMENT Swap ON REQUEST {
                          "Swap");
   std::shared_ptr<const ir::ChainProgram> holder;
   EXPECT_TRUE(OnlyUpdateSpec(code, holder).in_place);
-  EXPECT_TRUE(BurstVectorizable(code, holder));
   const std::vector<std::pair<std::string, rpc::Row>> seed = {
       {"pairs", {Value("x"), Value(1), Value(2)}},
       {"pairs", {Value("y"), Value(3), Value(4)}}};
@@ -626,7 +615,6 @@ ELEMENT Rename ON REQUEST {
   const ir::ChainProgram::UpdateSpec& spec = OnlyUpdateSpec(code, holder);
   EXPECT_NE(spec.key_entry, ir::ChainProgram::kNoSub);
   EXPECT_FALSE(spec.in_place);
-  EXPECT_TRUE(BurstVectorizable(code, holder));
   const std::vector<std::pair<std::string, rpc::Row>> seed = {
       {"quota", {Value("alice"), Value(1)}},
       {"quota", {Value("bob"), Value(2)}}};

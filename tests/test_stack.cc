@@ -342,9 +342,9 @@ TEST(Sidecar, ParsesFiltersAndReencodes) {
   msg.stream_id = 3;
   Bytes wire = EncodeGrpcMessage(msg, app_enc);
 
-  auto out = sidecar.ProcessMessage(wire, true, in_dec, out_enc);
+  auto out = sidecar.ProcessWire(wire, true, in_dec, out_enc);
   // in_dec must mirror app_enc's stream; re-sync by decoding what app sent.
-  // (ProcessMessage already consumed it through in_dec.)
+  // (ProcessWire already consumed it through in_dec.)
   ASSERT_TRUE(out.ok()) << out.error().ToString();
   EXPECT_FALSE(out->aborted);
   auto reparsed = ParseGrpcMessage(out->wire, upstream_dec);
@@ -369,7 +369,7 @@ TEST(Sidecar, AbortShortCircuits) {
                                        {{"x-user", "alice"}});
   msg.grpc_payload = {};
   Bytes wire = EncodeGrpcMessage(msg, app_enc);
-  auto out = sidecar.ProcessMessage(wire, true, in_dec, out_enc);
+  auto out = sidecar.ProcessWire(wire, true, in_dec, out_enc);
   ASSERT_TRUE(out.ok());
   EXPECT_TRUE(out->aborted);
   EXPECT_EQ(out->http_status, 403);

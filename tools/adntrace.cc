@@ -6,7 +6,7 @@
 // Drives the Figure-5 chain (Logging, Acl, Fault) through a multi-worker
 // EnginePool with the obs plane fully on — metrics AND sampled tracing —
 // which exercises the burst-mode telemetry path end to end: workers run
-// the SoA burst executor, span/burst records land in each worker's SPSC
+// the burst executor, span/burst records land in each worker's SPSC
 // event ring (obs/event_ring.h), and this tool drains the rings and writes
 // Chrome-trace ("Trace Event Format") JSON, loadable in chrome://tracing
 // or https://ui.perfetto.dev.
