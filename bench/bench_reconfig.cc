@@ -20,12 +20,18 @@
 // call to SwapComplete() (the window in which some worker may still run old
 // code; messages themselves keep flowing — the swap never drops).
 //
+// Each worker-side control op is timed too (p50/p99 per op): the five ops
+// of every live migration from LiveMigrationStats::op_ns, exact; the swap
+// op from the adn_reconfig_op_ns histogram (telemetry on for the swap
+// section only), so its quantiles are bucket-interpolated.
+//
 // Chain: Logging -> Acl -> Quota (append log, read-only keyed table, keyed
 // table mutated per message — the three state shapes the protocol carries).
 // Writes BENCH_reconfig.json; tools/check_perf.py gates
 // `blackout_improvement` (pause p99 / live p99) >= 10x and live p99 against
 // bench/baselines/reconfig_baseline.json.
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -39,6 +45,7 @@
 #include "ir/exec.h"
 #include "ir/program.h"
 #include "mrpc/engine_pool.h"
+#include "obs/metrics.h"
 
 #ifndef ADN_GIT_SHA
 #define ADN_GIT_SHA "unknown"
@@ -162,6 +169,8 @@ ELEMENT Acl ON REQUEST {
 
   // --- live slot migration under sustained load ---------------------------
   std::vector<int64_t> live_ns;
+  using Op = mrpc::EnginePool::ReconfigOp;
+  std::array<std::vector<int64_t>, mrpc::EnginePool::kReconfigOps> op_ns;
   uint64_t delta_replayed = 0;
   for (int round = 0; round < kRounds; ++round) {
     const int slot =
@@ -185,6 +194,11 @@ ELEMENT Acl ON REQUEST {
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     live_ns.push_back(pool.migration_stats().blackout_ns);
+    for (size_t op = 0; op < mrpc::EnginePool::kReconfigOps; ++op) {
+      if (op != static_cast<size_t>(Op::kSwap)) {
+        op_ns[op].push_back(pool.migration_stats().op_ns[op]);
+      }
+    }
     delta_replayed += pool.migration_stats().delta_upserts +
                       pool.migration_stats().delta_deletes;
     for (int i = 0; i < 2'000; ++i) submit();  // steady traffic between rounds
@@ -214,6 +228,8 @@ ELEMENT Acl ON REQUEST {
 
   // --- DSL hot-reload: SwapProgram under load ------------------------------
   std::vector<int64_t> swap_ns;
+  obs::MetricsRegistry::Default().Reset();
+  obs::SetEnabled(true);
   for (int round = 0; round < kSwaps; ++round) {
     const auto& next = (round % 2 == 0) ? *lowered_b : *lowered_a;
     for (int i = 0; i < 500; ++i) submit();
@@ -226,9 +242,12 @@ ELEMENT Acl ON REQUEST {
     swap_ns.push_back(ElapsedNs(t0));
   }
   pool.Drain();
+  obs::SetEnabled(false);
   const uint64_t processed = pool.processed();
   const uint64_t dropped = pool.dropped();
   pool.Stop();
+  const obs::Histogram& swap_op = obs::MetricsRegistry::Default().GetHistogram(
+      "adn_reconfig_op_ns", "processor=\"bench-reconfig\",op=\"swap\"");
 
   const double live_p50 = Quantile(live_ns, 0.50);
   const double live_p99 = Quantile(live_ns, 0.99);
@@ -246,6 +265,25 @@ ELEMENT Acl ON REQUEST {
               pause_p50 / 1e3, pause_p99 / 1e3);
   std::printf("%-28s %12.1f %12.1f\n", "program hot-swap",
               swap_p50 / 1e3, swap_p99 / 1e3);
+  std::printf("\n%-28s %12s %12s\n", "control op (worker)", "p50 us",
+              "p99 us");
+  std::printf("%.*s\n", 54, "-----------------------------------------------------");
+  std::array<double, mrpc::EnginePool::kReconfigOps> op_p50{};
+  std::array<double, mrpc::EnginePool::kReconfigOps> op_p99{};
+  for (size_t op = 0; op < mrpc::EnginePool::kReconfigOps; ++op) {
+    if (op == static_cast<size_t>(Op::kSwap)) {
+      op_p50[op] = swap_op.Quantile(0.50);
+      op_p99[op] = swap_op.Quantile(0.99);
+    } else {
+      op_p50[op] = Quantile(op_ns[op], 0.50);
+      op_p99[op] = Quantile(op_ns[op], 0.99);
+    }
+    std::printf("%-28s %12.1f %12.1f\n",
+                std::string(mrpc::EnginePool::ReconfigOpName(
+                                static_cast<Op>(op)))
+                    .c_str(),
+                op_p50[op] / 1e3, op_p99[op] / 1e3);
+  }
   std::printf("\nblackout improvement (pause p99 / live p99): %.1fx\n"
               "delta rows replayed across %d migrations: %llu\n"
               "processed %llu, dropped %llu\n",
@@ -254,6 +292,16 @@ ELEMENT Acl ON REQUEST {
               static_cast<unsigned long long>(processed),
               static_cast<unsigned long long>(dropped));
 
+  std::string op_keys;  // "op_<name>_p50_ns"/"op_<name>_p99_ns" per op
+  for (size_t op = 0; op < mrpc::EnginePool::kReconfigOps; ++op) {
+    const std::string name(
+        mrpc::EnginePool::ReconfigOpName(static_cast<Op>(op)));
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "  \"op_%s_p50_ns\": %.0f,\n  \"op_%s_p99_ns\": %.0f,\n",
+                  name.c_str(), op_p50[op], name.c_str(), op_p99[op]);
+    op_keys += line;
+  }
   std::FILE* f = std::fopen("BENCH_reconfig.json", "w");
   if (f == nullptr) return 1;
   std::fprintf(f,
@@ -271,12 +319,13 @@ ELEMENT Acl ON REQUEST {
                "  \"blackout_improvement\": %.2f,\n"
                "  \"swap_blackout_p50_ns\": %.0f,\n"
                "  \"swap_blackout_p99_ns\": %.0f,\n"
+               "%s"
                "  \"delta_replayed\": %llu,\n"
                "  \"processed\": %llu,\n"
                "  \"dropped\": %llu\n"
                "}\n",
                ADN_GIT_SHA, kUsers, kRounds, live_p50, live_p99, pause_p50,
-               pause_p99, improvement, swap_p50, swap_p99,
+               pause_p99, improvement, swap_p50, swap_p99, op_keys.c_str(),
                static_cast<unsigned long long>(delta_replayed),
                static_cast<unsigned long long>(processed),
                static_cast<unsigned long long>(dropped));

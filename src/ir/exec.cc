@@ -776,30 +776,36 @@ Bytes ElementInstance::SnapshotState() const {
   return out;
 }
 
-Status ElementInstance::RestoreState(std::span<const uint8_t> snapshot) {
+Status ElementInstance::DecodeState(
+    std::span<const uint8_t> snapshot,
+    std::vector<std::vector<rpc::Value>>& cells) const {
   ByteReader r(snapshot);
-  auto count = r.ReadVarint();
-  if (!count.ok()) return count.status();
-  if (count.value() != tables_.size()) {
+  ADN_ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
+  if (count != tables_.size()) {
     return Status(ErrorCode::kInvalidArgument,
-                  "snapshot has " + std::to_string(count.value()) +
+                  "snapshot has " + std::to_string(count) +
                       " tables, element " + name() + " expects " +
                       std::to_string(tables_.size()));
   }
-  std::vector<Table> restored;
-  for (uint64_t i = 0; i < count.value(); ++i) {
-    auto blob = r.ReadLengthPrefixed();
-    if (!blob.ok()) return blob.status();
-    auto table = Table::Restore(blob.value());
-    if (!table.ok()) return table.status();
-    if (!(table->schema() == tables_[i].schema())) {
-      return Status(ErrorCode::kInvalidArgument,
-                    "snapshot table " + table->name() +
-                        " schema mismatch for element " + name());
-    }
-    restored.push_back(std::move(table).value());
+  cells.resize(tables_.size());
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    ADN_ASSIGN_OR_RETURN(auto blob, r.ReadLengthPrefixed());
+    ADN_RETURN_IF_ERROR(tables_[i].DecodeSnapshot(blob, cells[i]));
   }
-  tables_ = std::move(restored);
+  if (r.remaining() != 0) {
+    return Status(ErrorCode::kParseError,
+                  "trailing bytes after the state of " + name());
+  }
+  return Status::Ok();
+}
+
+Status ElementInstance::RestoreState(std::span<const uint8_t> snapshot) {
+  std::vector<std::vector<rpc::Value>> cells;
+  ADN_RETURN_IF_ERROR(DecodeState(snapshot, cells));
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    tables_[i].Clear();
+    tables_[i].InsertDecoded(cells[i]);
+  }
   InvalidateCacheRuntime();
   return Status::Ok();
 }
@@ -827,19 +833,10 @@ Result<std::vector<Bytes>> ElementInstance::SplitState(size_t n) const {
 }
 
 Status ElementInstance::MergeState(std::span<const uint8_t> snapshot) {
-  ByteReader r(snapshot);
-  auto count = r.ReadVarint();
-  if (!count.ok()) return count.status();
-  if (count.value() != tables_.size()) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "cannot merge: table count mismatch for " + name());
-  }
-  for (uint64_t i = 0; i < count.value(); ++i) {
-    auto blob = r.ReadLengthPrefixed();
-    if (!blob.ok()) return blob.status();
-    auto table = Table::Restore(blob.value());
-    if (!table.ok()) return table.status();
-    ADN_RETURN_IF_ERROR(tables_[i].MergeFrom(table.value()));
+  std::vector<std::vector<rpc::Value>> cells;
+  ADN_RETURN_IF_ERROR(DecodeState(snapshot, cells));
+  for (size_t i = 0; i < tables_.size(); ++i) {
+    tables_[i].InsertDecoded(cells[i]);
   }
   InvalidateCacheRuntime();
   return Status::Ok();
@@ -850,8 +847,7 @@ Bytes ElementInstance::SnapshotSlice(size_t slot, size_t num_slots) const {
   ByteWriter w(out);
   w.WriteVarint(tables_.size());
   for (const Table& t : tables_) {
-    Bytes snap = t.SliceByKeySlot(slot, num_slots).Snapshot();
-    w.WriteLengthPrefixed(snap);
+    w.WriteLengthPrefixed(t.SnapshotKeySlot(slot, num_slots));
   }
   return out;
 }

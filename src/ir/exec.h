@@ -82,18 +82,22 @@ class ElementInstance {
 
   // --- Migration support ----------------------------------------------------
   // Snapshot/restore every table (format: varint count, then table snaps).
+  // Restore and merge decode and check the whole snapshot before any table
+  // changes: a malformed one is an error that leaves the state as it was.
   Bytes SnapshotState() const;
   Status RestoreState(std::span<const uint8_t> snapshot);
   // Shard every table by key hash into `n` snapshots for scale-out.
   Result<std::vector<Bytes>> SplitState(size_t n) const;
-  // Merge a peer's snapshot into this instance (scale-in).
+  // Merge a peer's snapshot (or slice) into this instance (scale-in, and a
+  // migration's bulk copy): keyed rows upsert by key.
   Status MergeState(std::span<const uint8_t> snapshot);
   uint64_t StateContentHash() const;
 
   // --- Live reconfiguration (see docs/RECONFIG.md) --------------------------
   // Snapshot only key slot `slot`'s keyed rows, in the SnapshotState format
   // (keyless tables serialize empty — append-log rows never move with a
-  // slice). The destination absorbs it with MergeState.
+  // slice), encoded straight from the slot's rows. The destination absorbs
+  // it with MergeState.
   Bytes SnapshotSlice(size_t slot, size_t num_slots) const;
   // Drop the slice locally after handoff; returns rows erased.
   size_t EraseSlice(size_t slot, size_t num_slots);
@@ -129,6 +133,10 @@ class ElementInstance {
   // tables (restore/merge/slice-erase/hot-reload) — the table alone is the
   // durable state, which is what keeps StateContentHash migration-invariant.
   void InvalidateCacheRuntime();
+  // Decode every table blob of a SnapshotState-format `snapshot` into
+  // `cells` (one block per table) without changing any table.
+  Status DecodeState(std::span<const uint8_t> snapshot,
+                     std::vector<std::vector<rpc::Value>>& cells) const;
   CacheRuntime& EnsureCacheRuntime();
   // Resolve the interned span-name id and the element-latency histogram
   // once (construction / ReplaceCode), so Process never builds a label

@@ -1,7 +1,6 @@
 #include "ir/state_delta.h"
 
-#include <algorithm>
-#include <functional>
+#include <bit>
 
 #include "rpc/wire.h"
 
@@ -40,35 +39,42 @@ Status CheckStateCompatible(const ElementIr& running, const ElementIr& next) {
   return Status::Ok();
 }
 
-namespace {
-// Visit the keyed rows a baseline of (`slot`, `num_slots`) covers: one slot
-// (live migration) or, for `slot` < 0, all of them. Either way a scan of
-// the table's contiguous cached key hashes, so a slot-scoped capture or
-// diff reads and hashes only the moving slot's rows and the blackout stays
-// close to delta-sized however much state the element carries.
-void ForEachBaselineRow(const Table& table, int slot, size_t num_slots,
-                        const std::function<void(rpc::RowRef, uint64_t)>& fn) {
-  if (slot < 0) {
-    table.ForEachKeySlotRow(0, 1, fn);
-  } else {
-    table.ForEachKeySlotRow(static_cast<size_t>(slot), num_slots, fn);
-  }
+
+void StateBaseline::TableMarks::Reserve(size_t rows) {
+  if (rows == 0) return;
+  const size_t slots = std::bit_ceil(2 * rows);
+  marks.assign(slots, RowMark{});
+  shift = 64 - std::countr_zero(slots);
 }
-}  // namespace
+
+void StateBaseline::TableMarks::Add(const RowMark& mark) {
+  const size_t mask = marks.size() - 1;
+  size_t pos = Home(mark.key_hash);
+  while (marks[pos].key != kNoKey) pos = (pos + 1) & mask;
+  marks[pos] = mark;
+  ++count;
+}
 
 const StateBaseline::RowMark* StateBaseline::TableMarks::Find(
     uint64_t key_hash) const {
-  auto it = std::lower_bound(
-      marks.begin(), marks.end(), key_hash,
-      [](const RowMark& m, uint64_t h) { return m.key_hash < h; });
-  return it != marks.end() && it->key_hash == key_hash ? &*it : nullptr;
+  if (marks.empty()) return nullptr;
+  const size_t mask = marks.size() - 1;
+  for (size_t pos = Home(key_hash); marks[pos].key != kNoKey;
+       pos = (pos + 1) & mask) {
+    if (marks[pos].key_hash == key_hash) return &marks[pos];
+  }
+  return nullptr;
 }
 
 StateBaseline StateBaseline::Capture(const ElementInstance& instance, int slot,
                                      size_t num_slots) {
   StateBaseline b;
-  b.slot_ = slot;
-  b.num_slots_ = num_slots;
+  // Every keyed row is slot 0 of 1. Either way capture and diff walk the
+  // table's per-slot row lists, so a slot-scoped baseline reads and hashes
+  // only the moving slot's rows and the blackout stays close to
+  // delta-sized however much state the element carries.
+  b.slot_ = slot < 0 ? 0 : static_cast<size_t>(slot);
+  b.num_slots_ = slot < 0 ? 1 : num_slots;
   b.tables_.resize(instance.tables().size());
   for (size_t t = 0; t < instance.tables().size(); ++t) {
     const Table& table = instance.tables()[t];
@@ -76,17 +82,14 @@ StateBaseline StateBaseline::Capture(const ElementInstance& instance, int slot,
     TableMarks& tm = b.tables_[t];
     const std::vector<size_t> pk = table.schema().PrimaryKeyIndexes();
     tm.key_width = pk.size();
-    ForEachBaselineRow(table, slot, num_slots,
-                       [&](rpc::RowRef row, uint64_t key_hash) {
-                         tm.marks.push_back(
-                             RowMark{key_hash, rpc::HashRow(row),
-                                     tm.keys.size()});
-                         for (size_t idx : pk) tm.keys.push_back(row[idx]);
-                       });
-    std::sort(tm.marks.begin(), tm.marks.end(),
-              [](const RowMark& a, const RowMark& b) {
-                return a.key_hash < b.key_hash;
-              });
+    const size_t rows = table.KeySlotRowCount(b.slot_, b.num_slots_);
+    tm.Reserve(rows);
+    tm.keys.reserve(rows * pk.size());
+    table.ForEachKeySlotRow(
+        b.slot_, b.num_slots_, [&](rpc::RowRef row, uint64_t key_hash) {
+          tm.Add(RowMark{key_hash, rpc::HashRow(row), tm.keys.size()});
+          for (size_t idx : pk) tm.keys.push_back(row[idx]);
+        });
   }
   return b;
 }
@@ -106,8 +109,8 @@ Result<StateDelta> StateBaseline::Diff(const ElementInstance& instance) const {
     std::vector<rpc::RowRef> upserts;
     size_t seen = 0;
     if (table.HasPrimaryKey()) {
-      ForEachBaselineRow(
-          table, slot_, num_slots_, [&](rpc::RowRef row, uint64_t key_hash) {
+      table.ForEachKeySlotRow(
+          slot_, num_slots_, [&](rpc::RowRef row, uint64_t key_hash) {
             const RowMark* mark = tm.Find(key_hash);
             if (mark == nullptr) {
               upserts.push_back(row);  // inserted since the baseline
@@ -120,9 +123,10 @@ Result<StateDelta> StateBaseline::Diff(const ElementInstance& instance) const {
           });
     }
     std::vector<rpc::RowRef> deletes;
-    if (seen < tm.marks.size()) {
+    if (seen < tm.count) {
       // Some baseline keys vanished; name them for replay.
       for (const RowMark& mark : tm.marks) {
+        if (mark.key == kNoKey) continue;
         const rpc::RowRef key(tm.keys.data() + mark.key, tm.key_width);
         if (table.LookupByKey(key) == nullptr) deletes.push_back(key);
       }
@@ -143,7 +147,7 @@ Result<StateDelta> StateBaseline::Diff(const ElementInstance& instance) const {
 
 size_t StateBaseline::tracked_rows() const {
   size_t n = 0;
-  for (const TableMarks& tm : tables_) n += tm.marks.size();
+  for (const TableMarks& tm : tables_) n += tm.count;
   return n;
 }
 

@@ -24,6 +24,7 @@
 // matrix these primitives enforce.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/bytes.h"
@@ -57,14 +58,16 @@ struct StateDelta {
 };
 
 // Per-row fingerprint of an instance's keyed tables at one instant,
-// optionally restricted to one key slot (see Table::SliceByKeySlot). Diffing
-// the live instance later yields exactly the mutations the copy window saw.
-// Row identity is the 64-bit key hash (the same hash the shard router and
-// the table index use); a hash collision would fold two keys into one delta
-// entry, which at 2^-64 per pair is below the error floor of everything
-// else in the system. Each table's marks are one flat vector sorted by key
-// hash, with the key cells inline in a second flat vector, so a capture
-// costs a few allocations per table rather than one per row.
+// optionally restricted to one key slot (see Table::ForEachKeySlotRow).
+// Diffing the live instance later yields exactly the mutations the copy
+// window saw. Row identity is the 64-bit key hash (the same hash the shard
+// router and the table index use); a hash collision would fold two keys
+// into one delta entry, which at 2^-64 per pair is below the error floor
+// of everything else in the system. Each table's marks are one flat
+// open-addressing array keyed by key hash, with the key cells inline in a
+// second flat vector, so a capture costs a few allocations per table
+// rather than one per row, and the diff finds each row's mark in about one
+// probe.
 class StateBaseline {
  public:
   // `slot` < 0 captures every keyed row; otherwise only rows whose key hash
@@ -79,21 +82,35 @@ class StateBaseline {
   size_t tracked_rows() const;
 
  private:
+  static constexpr size_t kNoKey = SIZE_MAX;
   struct RowMark {
     uint64_t key_hash = 0;
     uint64_t row_hash = 0;
-    size_t key = 0;  // offset of the row's PK cells in TableMarks::keys
+    // Offset of the row's PK cells in TableMarks::keys; kNoKey marks an
+    // empty slot.
+    size_t key = kNoKey;
   };
   struct TableMarks {
-    std::vector<RowMark> marks;    // sorted by key_hash
+    // Power-of-two slots, linear probing from the key hash's high bits
+    // (one slot's key hashes share their low bits), load <= 1/2.
+    std::vector<RowMark> marks;
     std::vector<rpc::Value> keys;  // PK values in PK-column order, per mark
     size_t key_width = 0;          // PK columns per mark
+    size_t count = 0;              // marks in use
+    int shift = 64;                // 64 - log2(marks.size())
+    // Size for `rows` marks.
+    void Reserve(size_t rows);
+    void Add(const RowMark& mark);
     // The mark keyed by `key_hash`, or null.
     const RowMark* Find(uint64_t key_hash) const;
+    size_t Home(uint64_t key_hash) const {
+      return static_cast<size_t>((key_hash * 0x9E3779B97F4A7C15ULL) >> shift);
+    }
   };
 
-  int slot_ = -1;
-  size_t num_slots_ = 0;
+  // The rows covered: slot slot_ of num_slots_ (0 of 1 is every keyed row).
+  size_t slot_ = 0;
+  size_t num_slots_ = 1;
   // Index-aligned with the instance's table vector; keyless tables hold no
   // marks.
   std::vector<TableMarks> tables_;

@@ -44,6 +44,12 @@ void EmitReconfigEvent(obs::EventKind kind, std::string_view name,
 
 // --- EnginePool ---------------------------------------------------------------
 
+std::string_view EnginePool::ReconfigOpName(ReconfigOp op) {
+  static constexpr std::array<std::string_view, kReconfigOps> kNames = {
+      "snapshot", "bulk_merge", "diff", "erase", "replay", "swap"};
+  return kNames[static_cast<size_t>(op)];
+}
+
 EnginePool::EnginePool(
     std::vector<std::shared_ptr<const ir::ElementIr>> elements,
     std::vector<int> /*parallel_groups*/, Config config)
@@ -183,7 +189,6 @@ int EnginePool::Submit(rpc::Message message) {
   }
   const int w = WorkerOfMessage(message);
   Worker& worker = *workers_[static_cast<size_t>(w)];
-  worker.submitted.fetch_add(1, std::memory_order_relaxed);
   while (!worker.ring.TryPush(std::move(message))) {
     // Backpressure: the SPSC contract means only this thread pushes, so
     // yielding until the worker frees a slot is safe (and on an
@@ -206,7 +211,7 @@ void EnginePool::Drain() {
   if (!started_) return;
   for (auto& worker : workers_) {
     while (worker->done.load(std::memory_order_acquire) <
-           worker->submitted.load(std::memory_order_relaxed)) {
+           worker->ring.enqueued()) {
       std::this_thread::yield();
     }
   }
@@ -268,7 +273,7 @@ void EnginePool::WorkerLoop(int index) {
         const int64_t exec_start = ThreadCpuNs();
         w.chain_exec->ProcessBurst(burst.data(), got, now_ns, results.data());
         exec_acc += ThreadCpuNs() - exec_start;
-        // Publish exec before done: after Drain() observes done==submitted,
+        // Publish exec before done: after Drain() observes done == enqueued,
         // worker_exec_ns() is exact for everything processed so far.
         w.exec_ns.store(exec_acc, std::memory_order_release);
       } else {
@@ -325,13 +330,17 @@ void EnginePool::WorkerLoop(int index) {
   w.exec_ns.store(exec_acc, std::memory_order_release);
 }
 
-void EnginePool::PostControl(int worker, std::function<void()> fn) {
+void EnginePool::PostControl(int worker, ReconfigOp op_kind,
+                             std::function<void()> fn) {
   Worker& w = *workers_[static_cast<size_t>(worker)];
   ControlOp op;
   // Barrier: everything submitted so far must be done before fn runs. The
   // ring is FIFO, so this equals "every message ahead of this post".
-  op.after_submitted = w.submitted.load(std::memory_order_relaxed);
+  op.after_submitted = w.ring.enqueued();
+  op.op = op_kind;
   op.fn = std::move(fn);
+  // Every op but a swap is a step of the migration in flight.
+  if (op_kind != ReconfigOp::kSwap) op.step = &mig_->step(op_kind);
   {
     std::lock_guard<std::mutex> lock(w.ctrl_mu);
     w.ctrl_ops.push_back(std::move(op));
@@ -345,13 +354,13 @@ void EnginePool::PostControl(int worker, std::function<void()> fn) {
 
 size_t EnginePool::RunPendingControl(Worker& w, size_t burst_max) {
   const uint64_t done = w.done.load(std::memory_order_relaxed);
-  std::vector<std::function<void()>> ready;
+  std::vector<ControlOp> ready;
   uint64_t next_barrier = 0;
   bool have_barrier = false;
   {
     std::lock_guard<std::mutex> lock(w.ctrl_mu);
     while (!w.ctrl_ops.empty() && w.ctrl_ops.front().after_submitted <= done) {
-      ready.push_back(std::move(w.ctrl_ops.front().fn));
+      ready.push_back(std::move(w.ctrl_ops.front()));
       w.ctrl_ops.pop_front();
     }
     if (w.ctrl_ops.empty()) {
@@ -361,7 +370,24 @@ size_t EnginePool::RunPendingControl(Worker& w, size_t burst_max) {
       next_barrier = w.ctrl_ops.front().after_submitted;
     }
   }
-  for (auto& fn : ready) fn();
+  for (ControlOp& op : ready) {
+    const auto start = std::chrono::steady_clock::now();
+    op.fn();
+    const int64_t ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+    if (obs::Enabled()) {
+      obs::MetricsRegistry::Default()
+          .GetHistogram("adn_reconfig_op_ns",
+                        "processor=\"" + config_.processor + "\",op=\"" +
+                            std::string(ReconfigOpName(op.op)) + "\"")
+          .Observe(static_cast<double>(ns));
+    }
+    if (op.step != nullptr) {
+      op.step->ns = ns;
+      op.step->done.store(true, std::memory_order_release);
+    }
+  }
   if (!have_barrier) return burst_max;
   // next_barrier > done (a reached barrier was popped above), so the clamp
   // is never zero: progress toward the barrier is always possible.
@@ -463,7 +489,7 @@ Status EnginePool::BeginSlotMigration(int slot, int to_worker) {
   // Source worker, between bursts: capture the slice snapshot (the bulk
   // copy) and a mutation baseline of the slot's keyed rows. The slot keeps
   // serving at the source while the destination absorbs the bulk.
-  PostControl(from, [this, m] {
+  PostControl(from, ReconfigOp::kSnapshot, [this, m] {
     Worker& src = *workers_[static_cast<size_t>(m->from)];
     m->baselines.reserve(src.instances.size());
     m->bulk.reserve(src.instances.size());
@@ -473,7 +499,6 @@ Status EnginePool::BeginSlotMigration(int slot, int to_worker) {
       m->bulk.push_back(inst->SnapshotSlice(
           static_cast<size_t>(m->slot), kRouteSlots));
     }
-    m->snapshot_ready.store(true, std::memory_order_release);
   });
   return Status::Ok();
 }
@@ -486,18 +511,20 @@ EnginePool::MigrationPhase EnginePool::PumpMigration() {
     case MigrationPhase::kDone:
       break;
     case MigrationPhase::kSnapshot: {
-      if (!m->snapshot_ready.load(std::memory_order_acquire)) break;
+      if (!m->step(ReconfigOp::kSnapshot).done.load(
+              std::memory_order_acquire)) {
+        break;
+      }
       for (const Bytes& b : m->bulk) m->stats.bulk_bytes += b.size();
       // Destination absorbs the bulk slice while the source keeps serving —
       // the double-buffer window. Mutations racing this copy are caught by
       // the baseline diff at cutover.
-      PostControl(m->to, [this, m] {
+      PostControl(m->to, ReconfigOp::kBulkMerge, [this, m] {
         Worker& dst = *workers_[static_cast<size_t>(m->to)];
         for (size_t e = 0; e < dst.instances.size(); ++e) {
           // Same element layout on both sides: cannot fail.
           (void)dst.instances[e]->MergeState(m->bulk[e]);
         }
-        m->bulk_merged.store(true, std::memory_order_release);
       });
       m->phase = MigrationPhase::kBulkMerge;
       EmitReconfigEvent(obs::EventKind::kReconfig, obs::kEventReconfigBulkMerge,
@@ -505,13 +532,16 @@ EnginePool::MigrationPhase EnginePool::PumpMigration() {
       break;
     }
     case MigrationPhase::kBulkMerge: {
-      if (!m->bulk_merged.load(std::memory_order_acquire)) break;
+      if (!m->step(ReconfigOp::kBulkMerge).done.load(
+              std::memory_order_acquire)) {
+        break;
+      }
       // Cutover: hold the slot's traffic producer-side (everything else
       // flows) and ask the source — after it drains everything submitted
       // before this instant — for the mutation delta, then drop its slice.
       m->holding = true;
       m->hold_start = std::chrono::steady_clock::now();
-      PostControl(m->from, [this, m] {
+      PostControl(m->from, ReconfigOp::kDiff, [this, m] {
         Worker& src = *workers_[static_cast<size_t>(m->from)];
         m->deltas.reserve(src.instances.size());
         for (size_t e = 0; e < src.instances.size(); ++e) {
@@ -519,19 +549,17 @@ EnginePool::MigrationPhase EnginePool::PumpMigration() {
           // Diff only fails on layout drift, impossible mid-run.
           m->deltas.push_back(std::move(delta).value());
         }
-        m->delta_ready.store(true, std::memory_order_release);
       });
-      // Slice cleanup is a separate op so the hold window ends at
-      // delta_ready, not after the erase: the source's slot state is final
+      // Slice cleanup is a separate op so the hold window ends when the
+      // diff is done, not after the erase: the source's slot state is final
       // once the diff ran (its barrier covers every pre-hold message, and
       // held traffic never reaches the source), so the erase can overlap
       // the flip. FIFO ctrl order keeps it behind the diff.
-      PostControl(m->from, [this, m] {
+      PostControl(m->from, ReconfigOp::kErase, [this, m] {
         Worker& src = *workers_[static_cast<size_t>(m->from)];
         for (auto& inst : src.instances) {
           inst->EraseSlice(static_cast<size_t>(m->slot), kRouteSlots);
         }
-        m->erase_done.store(true, std::memory_order_release);
       });
       m->phase = MigrationPhase::kCutover;
       EmitReconfigEvent(obs::EventKind::kReconfig, obs::kEventReconfigCutover,
@@ -539,7 +567,9 @@ EnginePool::MigrationPhase EnginePool::PumpMigration() {
       break;
     }
     case MigrationPhase::kCutover: {
-      if (!m->delta_ready.load(std::memory_order_acquire)) break;
+      if (!m->step(ReconfigOp::kDiff).done.load(std::memory_order_acquire)) {
+        break;
+      }
       for (const ir::StateDelta& d : m->deltas) {
         m->stats.delta_upserts += d.upserts;
         m->stats.delta_deletes += d.deletes;
@@ -547,12 +577,11 @@ EnginePool::MigrationPhase EnginePool::PumpMigration() {
       // Replay the delta at the destination, ahead of the flipped traffic:
       // the ctrl op's barrier is the destination's submitted count NOW, so
       // it runs before any message flushed or routed after this point.
-      PostControl(m->to, [this, m] {
+      PostControl(m->to, ReconfigOp::kReplay, [this, m] {
         Worker& dst = *workers_[static_cast<size_t>(m->to)];
         for (size_t e = 0; e < dst.instances.size(); ++e) {
           (void)m->deltas[e].ApplyTo(*dst.instances[e]);
         }
-        m->delta_applied.store(true, std::memory_order_release);
       });
       // Atomic flip + flush: the slot now routes to the destination and the
       // held messages re-enter in their original order, behind the replay.
@@ -573,9 +602,13 @@ EnginePool::MigrationPhase EnginePool::PumpMigration() {
       break;
     }
     case MigrationPhase::kReplay: {
-      if (!m->delta_applied.load(std::memory_order_acquire) ||
-          !m->erase_done.load(std::memory_order_acquire)) {
+      if (!m->step(ReconfigOp::kReplay).done.load(
+              std::memory_order_acquire) ||
+          !m->step(ReconfigOp::kErase).done.load(std::memory_order_acquire)) {
         break;
+      }
+      for (size_t op = 0; op < kReconfigOps; ++op) {
+        m->stats.op_ns[op] = m->steps[op].ns;
       }
       if (obs::Enabled()) {
         obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
@@ -636,7 +669,7 @@ Status EnginePool::SwapProgram(
     // Each worker swaps between bursts, after draining what was already in
     // its ring: code pointer replaced in place (live tables kept), executor
     // rebuilt over the new program.
-    PostControl(w, [this, w, program, new_elements] {
+    PostControl(w, ReconfigOp::kSwap, [this, w, program, new_elements] {
       Worker& wk = *workers_[static_cast<size_t>(w)];
       for (size_t e = 0; e < new_elements.size(); ++e) {
         (void)wk.instances[e]->ReplaceCode(new_elements[e]);  // pre-validated

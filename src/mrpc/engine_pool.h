@@ -44,6 +44,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -56,14 +57,29 @@
 #include "obs/metrics.h"
 #include "rpc/intern.h"
 #include "rpc/message.h"
+#include "rpc/table.h"
 
 namespace adn::mrpc {
 
 class EnginePool {
  public:
-  // Keys hash into this many fixed route slots; a slot maps to one worker
+  // Keys hash into this many fixed route slots — the key slots every keyed
+  // table keeps its rows listed by — and a slot maps to one worker
   // (route_). Live migration moves ownership of one slot at a time.
-  static constexpr size_t kRouteSlots = 64;
+  static constexpr size_t kRouteSlots = rpc::kKeySlots;
+
+  // The worker-side control ops of a reconfiguration. Each is timed on the
+  // worker into adn_reconfig_op_ns{processor,op=ReconfigOpName(op)}.
+  enum class ReconfigOp : uint8_t {
+    kSnapshot,   // source: slice snapshot + mutation baseline
+    kBulkMerge,  // destination: merge the slice snapshot
+    kDiff,       // source, inside the blackout: baseline diff -> delta
+    kErase,      // source, after the flip: drop the slice
+    kReplay,     // destination: apply the delta
+    kSwap,       // every worker: program hot-reload
+  };
+  static constexpr size_t kReconfigOps = 6;
+  static std::string_view ReconfigOpName(ReconfigOp op);
 
   // Producer-driven live-migration state machine (docs/RECONFIG.md):
   //   kIdle -> kSnapshot (source captures slice + mutation baseline between
@@ -90,6 +106,9 @@ class EnginePool {
     uint64_t delta_deletes = 0;
     uint64_t held_messages = 0;  // producer-held during the cutover window
     int64_t blackout_ns = 0;     // cutover hold window (steady clock)
+    // Worker wall time of each of this migration's control ops, indexed by
+    // ReconfigOp (kSwap stays 0).
+    std::array<int64_t, kReconfigOps> op_ns{};
   };
 
   struct Config {
@@ -224,6 +243,13 @@ class EnginePool {
 
  private:
 
+  // Completion of one migration control op: the worker records the op's
+  // time, then publishes `done` (release) for the producer's pump.
+  struct ControlStep {
+    int64_t ns = 0;
+    std::atomic<bool> done{false};
+  };
+
   // A reconfiguration step to run on the worker thread, between bursts,
   // only after the worker has finished every message that was submitted
   // before the op was posted (after_submitted). The ring's FIFO plus this
@@ -232,7 +258,9 @@ class EnginePool {
   // overtake it.
   struct ControlOp {
     uint64_t after_submitted = 0;
+    ReconfigOp op = ReconfigOp::kSwap;
     std::function<void()> fn;
+    ControlStep* step = nullptr;  // null for a swap
   };
 
   struct Worker {
@@ -244,8 +272,9 @@ class EnginePool {
     std::unique_ptr<ir::ChainExecutor> chain_exec;
     std::thread thread;
 
-    std::atomic<uint64_t> submitted{0};  // producer-side
-    std::atomic<uint64_t> done{0};       // worker-side
+    // Messages finished; Drain and control barriers compare it with the
+    // ring's enqueued() count, which only the producer advances.
+    std::atomic<uint64_t> done{0};
     std::atomic<uint64_t> dropped{0};
     std::atomic<int64_t> cpu_ns{0};
     std::atomic<int64_t> exec_ns{0};
@@ -266,9 +295,10 @@ class EnginePool {
     obs::NameId trace_processor_id = 0;  // interned once in Start
   };
 
-  // In-flight live migration. Producer-owned; the flags publish the vectors
-  // across the producer/source/destination handoffs (release/acquire, then
-  // the ctrl mailbox mutex carries them to the next worker).
+  // In-flight live migration. Producer-owned; each step's done flag
+  // publishes the vectors across the producer/source/destination handoffs
+  // (release/acquire, then the ctrl mailbox mutex carries them to the next
+  // worker).
   struct LiveMigration {
     MigrationPhase phase = MigrationPhase::kIdle;
     int slot = -1;
@@ -277,14 +307,13 @@ class EnginePool {
     std::vector<ir::StateBaseline> baselines;  // source-worker-owned
     std::vector<Bytes> bulk;                   // slice snapshots, per element
     std::vector<ir::StateDelta> deltas;        // cutover deltas, per element
-    std::atomic<bool> snapshot_ready{false};
-    std::atomic<bool> bulk_merged{false};
-    std::atomic<bool> delta_ready{false};
-    std::atomic<bool> delta_applied{false};
-    // Source-side slice cleanup runs in its own ctrl op AFTER delta_ready:
-    // the erase is O(slot) index work but still has no business inside the
-    // hold window. kDone waits for it so MergedStateHash never double-counts.
-    std::atomic<bool> erase_done{false};
+    // One per ReconfigOp (kSwap unused). The source-side erase runs in its
+    // own ctrl op AFTER the diff: it has no business inside the hold
+    // window. kDone waits for it so MergedStateHash never double-counts.
+    std::array<ControlStep, kReconfigOps> steps;
+    ControlStep& step(ReconfigOp op) {
+      return steps[static_cast<size_t>(op)];
+    }
     bool holding = false;                 // producer: slot traffic held?
     std::vector<rpc::Message> held;       // producer-held slot messages
     std::chrono::steady_clock::time_point hold_start;
@@ -293,8 +322,11 @@ class EnginePool {
 
   void WorkerLoop(int index);
   // Post `fn` to run on worker `worker`'s thread once it has drained every
-  // message submitted before this call. Wakes the worker if parked.
-  void PostControl(int worker, std::function<void()> fn);
+  // message submitted before this call, timed as control op `op`. Every
+  // op but kSwap is a step of the migration in flight (mig_): its
+  // ControlStep gets the time, then its done flag. Wakes the worker if
+  // parked.
+  void PostControl(int worker, ReconfigOp op, std::function<void()> fn);
   // Run the control ops whose barrier has been reached; returns how many
   // messages the next burst may pop without crossing the next op's barrier.
   size_t RunPendingControl(Worker& w, size_t burst_max);

@@ -69,22 +69,6 @@ uint64_t HashKeyValues(RowRef key) {
 // Size of a keyed table's first index: room for 8 rows at load 1/2.
 constexpr size_t kMinIndexSlots = 16;
 
-// "h % num_slots == slot" without a division for the power-of-two slot
-// counts the pool uses: a 64-bit divide per row would cost more than the
-// rest of a slot walk.
-struct SlotTest {
-  SlotTest(size_t slot, size_t num_slots)
-      : slot(slot),
-        num_slots(num_slots),
-        mask((num_slots & (num_slots - 1)) == 0 ? num_slots - 1 : 0) {}
-  bool operator()(uint64_t h) const {
-    return (mask != 0 ? h & mask : h % num_slots) == slot;
-  }
-  size_t slot;
-  size_t num_slots;
-  uint64_t mask;
-};
-
 // The cells a row-reading iterator points at: Append/Put read from
 // plain pointers (copy) and from move iterators (move).
 const Value* CellPtr(const Value* p) { return p; }
@@ -119,6 +103,7 @@ void Table::Reserve(size_t rows) {
   cells_.reserve(rows * ncols_);
   if (pk_indexes_.empty()) return;
   row_hash_.reserve(rows);
+  slot_pos_.reserve(rows);
   ReserveIndex(rows);
 }
 
@@ -139,6 +124,30 @@ void Table::ReindexAll() {
     while (index_[pos].row != kNoRow) pos = (pos + 1) & mask;
     index_[pos] = IndexSlot{row_hash_[i], static_cast<uint32_t>(i)};
   }
+}
+
+void Table::LinkRow(uint32_t row) {
+  std::vector<uint32_t>& rows = slot_rows_[KeySlotOf(row_hash_[row])];
+  slot_pos_[row] = static_cast<uint32_t>(rows.size());
+  rows.push_back(row);
+}
+
+void Table::UnlinkRow(uint32_t row) {
+  std::vector<uint32_t>& rows = slot_rows_[KeySlotOf(row_hash_[row])];
+  const uint32_t pos = slot_pos_[row];
+  rows[pos] = rows.back();
+  slot_pos_[rows[pos]] = pos;
+  rows.pop_back();
+}
+
+template <class Fn>
+void Table::ForEachKeySlot(size_t slot, size_t num_slots,
+                           const Fn& fn) const {
+  if (pk_indexes_.empty() || num_slots == 0 || kKeySlots % num_slots != 0 ||
+      slot >= num_slots) {
+    return;
+  }
+  for (size_t s = slot; s < kKeySlots; s += num_slots) fn(s);
 }
 
 void Table::EraseIndexSlot(size_t pos) {
@@ -213,6 +222,8 @@ void Table::Put(It first, uint64_t h) {
   }
   index_[pos] = IndexSlot{h, static_cast<uint32_t>(nrows_)};
   row_hash_.push_back(h);
+  slot_pos_.push_back(0);
+  LinkRow(static_cast<uint32_t>(nrows_));
   Append(first);
 }
 
@@ -286,7 +297,10 @@ size_t Table::EraseWhere(const std::function<bool(RowRef)>& pred) {
   nrows_ = dst;
   if (keyed) {
     row_hash_.resize(dst);
+    slot_pos_.resize(dst);
     ReindexAll();
+    for (std::vector<uint32_t>& rows : slot_rows_) rows.clear();
+    for (size_t i = 0; i < dst; ++i) LinkRow(static_cast<uint32_t>(i));
   }
   return n - dst;
 }
@@ -295,12 +309,12 @@ void Table::Clear() {
   cells_.clear();
   nrows_ = 0;
   row_hash_.clear();
+  slot_pos_.clear();
+  for (std::vector<uint32_t>& rows : slot_rows_) rows.clear();
   std::fill(index_.begin(), index_.end(), IndexSlot{});
 }
 
-Bytes Table::Snapshot() const {
-  Bytes out;
-  ByteWriter w(out);
+void Table::WriteHeader(ByteWriter& w) const {
   w.WriteString(name_);
   w.WriteVarint(schema_.size());
   for (const Column& c : schema_.columns()) {
@@ -308,43 +322,108 @@ Bytes Table::Snapshot() const {
     w.WriteU8(static_cast<uint8_t>(c.type));
     w.WriteU8(c.primary_key ? 1 : 0);
   }
+}
+
+Bytes Table::Snapshot() const {
+  Bytes out;
+  ByteWriter w(out);
+  WriteHeader(w);
   w.WriteVarint(nrows_);
   for (const Value& v : cells_) EncodeValue(v, w);  // row-major
   return out;
 }
 
-Result<Table> Table::Restore(std::span<const uint8_t> snapshot) {
-  ByteReader r(snapshot);
-  ADN_ASSIGN_OR_RETURN(std::string name, r.ReadString());
+namespace {
+// Reads Snapshot()'s header (name, then schema).
+Status ReadHeader(ByteReader& r, std::string& name, Schema& schema) {
+  ADN_ASSIGN_OR_RETURN(name, r.ReadString());
   ADN_ASSIGN_OR_RETURN(uint64_t ncols, r.ReadVarint());
-  Schema schema;
   for (uint64_t i = 0; i < ncols; ++i) {
     Column c;
     ADN_ASSIGN_OR_RETURN(c.name, r.ReadString());
     ADN_ASSIGN_OR_RETURN(uint8_t type, r.ReadU8());
     if (type > static_cast<uint8_t>(ValueType::kBytes)) {
-      return Error(ErrorCode::kParseError, "bad column type in snapshot");
+      return Status(ErrorCode::kParseError, "bad column type in snapshot");
     }
     c.type = static_cast<ValueType>(type);
     ADN_ASSIGN_OR_RETURN(uint8_t pk, r.ReadU8());
     c.primary_key = pk != 0;
     ADN_RETURN_IF_ERROR(schema.AddColumn(std::move(c)));
   }
-  Table table(std::move(name), std::move(schema));
+  return Status::Ok();
+}
+}  // namespace
+
+Status Table::DecodeRows(ByteReader& r, std::vector<Value>& cells) const {
+  cells.clear();
   ADN_ASSIGN_OR_RETURN(uint64_t nrows, r.ReadVarint());
-  // Every cell encodes to at least one byte, so size the cells and index
-  // up front only for a row count the remaining bytes can hold.
-  if (ncols > 0 && nrows <= r.remaining() / ncols) table.Reserve(nrows);
-  // One scratch row: each decoded row's cells move into the table.
-  Row row(ncols);
-  for (uint64_t i = 0; i < nrows; ++i) {
-    for (uint64_t j = 0; j < ncols; ++j) {
-      ADN_ASSIGN_OR_RETURN(row[j],
-                           DecodeValue(table.schema().columns()[j].type, r));
-    }
-    ADN_RETURN_IF_ERROR(table.InsertFrom(row));
+  // Every cell (and every row, even one without cells) takes at least one
+  // byte, so a count the remaining bytes cannot hold is malformed: sizing
+  // the block from it is safe.
+  if (nrows > r.remaining() / std::max<size_t>(ncols_, 1)) {
+    return Status(ErrorCode::kParseError,
+                  "snapshot of " + name_ + " claims more rows than it holds");
   }
+  cells.resize(nrows * ncols_);
+  for (size_t i = 0; i < cells.size(); i += ncols_) {
+    for (size_t j = 0; j < ncols_; ++j) {
+      ADN_ASSIGN_OR_RETURN(cells[i + j],
+                           DecodeValue(schema_.columns()[j].type, r));
+    }
+  }
+  if (r.remaining() != 0) {
+    return Status(ErrorCode::kParseError,
+                  "trailing bytes after the snapshot of " + name_);
+  }
+  return Status::Ok();
+}
+
+Result<Table> Table::Restore(std::span<const uint8_t> snapshot) {
+  ByteReader r(snapshot);
+  std::string name;
+  Schema schema;
+  ADN_RETURN_IF_ERROR(ReadHeader(r, name, schema));
+  Table table(std::move(name), std::move(schema));
+  std::vector<Value> cells;
+  ADN_RETURN_IF_ERROR(table.DecodeRows(r, cells));
+  table.Reserve(cells.size() / std::max<size_t>(table.ncols_, 1));
+  table.InsertDecoded(cells);
   return table;
+}
+
+Status Table::DecodeSnapshot(std::span<const uint8_t> snapshot,
+                             std::vector<Value>& cells) const {
+  ByteReader r(snapshot);
+  std::string name;
+  Schema schema;
+  ADN_RETURN_IF_ERROR(ReadHeader(r, name, schema));
+  if (!(schema == schema_)) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "snapshot table " + name + " " + schema.DebugString() +
+                      " does not match " + name_ + " " +
+                      schema_.DebugString());
+  }
+  return DecodeRows(r, cells);
+}
+
+void Table::InsertDecoded(std::span<Value> cells) {
+  if (ncols_ == 0) return;
+  const size_t n = cells.size() / ncols_;
+  if (pk_indexes_.empty()) {
+    cells_.insert(cells_.end(), std::make_move_iterator(cells.begin()),
+                  std::make_move_iterator(cells.begin() + n * ncols_));
+    nrows_ += n;
+    return;
+  }
+  ReserveIndex(nrows_ + n);
+  // Hash every row first (the block is warm), so each row's index home
+  // slot can be prefetched a few rows ahead of its probe.
+  std::vector<uint64_t> hashes(n);
+  for (size_t i = 0; i < n; ++i) hashes[i] = KeyHashOf(&cells[i * ncols_]);
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kRowsAhead < n) PrefetchRead(&index_[Home(hashes[i + kRowsAhead])]);
+    Put(std::make_move_iterator(&cells[i * ncols_]), hashes[i]);
+  }
 }
 
 Result<std::vector<Table>> Table::SplitByKeyHash(size_t shards) const {
@@ -371,27 +450,6 @@ std::vector<Table> Table::SplitRows(size_t shards,
     out[shard_of(h)].Put(CellsAt(i), h);
   }
   return out;
-}
-
-Status Table::MergeFrom(const Table& other) {
-  if (!(other.schema_ == schema_)) {
-    return Status(ErrorCode::kInvalidArgument,
-                  "cannot merge table '" + other.name_ + "' " +
-                      other.schema_.DebugString() + " into '" + name_ + "' " +
-                      schema_.DebugString());
-  }
-  // Same schema: `other`'s rows are already type-checked and its cached key
-  // hashes are this table's too.
-  if (pk_indexes_.empty()) {
-    cells_.insert(cells_.end(), other.cells_.begin(), other.cells_.end());
-    nrows_ += other.nrows_;
-    return Status::Ok();
-  }
-  ReserveIndex(nrows_ + other.nrows_);
-  for (size_t i = 0; i < other.nrows_; ++i) {
-    Put(other.CellsAt(i), other.row_hash_[i]);
-  }
-  return Status::Ok();
 }
 
 Row Table::KeyOf(RowRef row) const {
@@ -427,69 +485,118 @@ size_t Table::EraseSingleKey(const Value& key, Row& erased) {
 }
 
 void Table::EraseIndexed(size_t pos, Row* erased) {
+  UnlinkRow(index_[pos].row);
+  PopRow(pos, erased);
+}
+
+void Table::PopRow(size_t pos, Row* erased) {
   // Swap-and-pop: the last row's cells fill the hole and its one index
   // slot is re-pointed, so a per-key erase (delta replay, cache eviction)
   // costs O(1) and never touches the rest of the table.
-  const size_t hole = index_[pos].row;
-  const size_t last = nrows_ - 1;
+  const uint32_t hole = index_[pos].row;
+  const uint32_t last = static_cast<uint32_t>(nrows_ - 1);
   EraseIndexSlot(pos);
   if (erased != nullptr) {
     erased->resize(ncols_);
     std::move(CellsAt(hole), CellsAt(hole + 1), erased->begin());
   }
   if (hole != last) {
-    index_[SlotOfRow(last)].row = static_cast<uint32_t>(hole);
+    index_[SlotOfRow(last)].row = hole;
     std::move(CellsAt(last), CellsAt(last + 1), CellsAt(hole));
     row_hash_[hole] = row_hash_[last];
+    // The moved row keeps its place on its slot's list, renumbered.
+    slot_pos_[hole] = slot_pos_[last];
+    slot_rows_[KeySlotOf(row_hash_[hole])][slot_pos_[hole]] = hole;
   }
   cells_.resize(last * ncols_);
   nrows_ = last;
   row_hash_.pop_back();
+  slot_pos_.pop_back();
+}
+
+size_t Table::KeySlotRowCount(size_t slot, size_t num_slots) const {
+  size_t n = 0;
+  ForEachKeySlot(slot, num_slots,
+                 [&](size_t s) { n += slot_rows_[s].size(); });
+  return n;
+}
+
+void Table::PrefetchRow(uint32_t row) const {
+  // A row spans ncols_ cells: warm its first and last line, and its
+  // cached key hash.
+  PrefetchRead(CellsAt(row));
+  PrefetchRead(CellsAt(row) + ncols_ - 1);
+  PrefetchRead(&row_hash_[row]);
+}
+
+template <class Fn>
+void Table::ForEachSlotRowNumber(size_t slot, size_t num_slots,
+                                 const Fn& fn) const {
+  ForEachKeySlot(slot, num_slots, [&](size_t s) {
+    const std::vector<uint32_t>& rows = slot_rows_[s];
+    for (size_t j = 0; j < rows.size(); ++j) {
+      if (j + kRowsAhead < rows.size()) PrefetchRow(rows[j + kRowsAhead]);
+      fn(rows[j]);
+    }
+  });
 }
 
 void Table::ForEachKeySlotRow(
     size_t slot, size_t num_slots,
     const std::function<void(RowRef, uint64_t)>& fn) const {
-  if (pk_indexes_.empty() || num_slots == 0) return;
-  const SlotTest in_slot(slot, num_slots);
-  for (size_t i = 0; i < nrows_; ++i) {
-    if (in_slot(row_hash_[i])) fn(RowRef(CellsAt(i), ncols_), row_hash_[i]);
-  }
+  ForEachSlotRowNumber(slot, num_slots, [&](uint32_t row) {
+    fn(RowRef(CellsAt(row), ncols_), row_hash_[row]);
+  });
 }
 
-Table Table::SliceByKeySlot(size_t slot, size_t num_slots) const {
-  Table out(name_, schema_);
-  if (pk_indexes_.empty() || num_slots == 0) return out;
-  // Rows of one table have distinct keys: count the slot's rows, then
-  // append their cells and cached hashes into exactly-sized blocks and
-  // index once.
-  const SlotTest in_slot(slot, num_slots);
-  size_t n = 0;
-  for (size_t i = 0; i < nrows_; ++i) n += in_slot(row_hash_[i]) ? 1 : 0;
-  out.Reserve(n);
-  for (size_t i = 0; i < nrows_; ++i) {
-    if (!in_slot(row_hash_[i])) continue;
-    out.Append(CellsAt(i));
-    out.row_hash_.push_back(row_hash_[i]);
-  }
-  out.ReindexAll();
+Bytes Table::SnapshotKeySlot(size_t slot, size_t num_slots) const {
+  Bytes out;
+  ByteWriter w(out);
+  WriteHeader(w);
+  w.WriteVarint(KeySlotRowCount(slot, num_slots));
+  ForEachSlotRowNumber(slot, num_slots, [&](uint32_t row) {
+    for (const Value& v : RowRef(CellsAt(row), ncols_)) EncodeValue(v, w);
+  });
   return out;
 }
 
 size_t Table::EraseKeySlot(size_t slot, size_t num_slots) {
-  if (pk_indexes_.empty() || num_slots == 0) return 0;
-  // This runs on a live worker right after cutover: one backward pass over
-  // the cached hashes, then a swap-and-pop per slot row — no string
-  // hashing, no allocation, and the rest of the index stays untouched.
-  // Walking backward, the row swapped into position i was already passed.
-  const SlotTest in_slot(slot, num_slots);
-  size_t erased = 0;
-  for (size_t i = nrows_; i-- > 0;) {
-    if (!in_slot(row_hash_[i])) continue;
-    EraseIndexed(SlotOfRow(i), nullptr);
-    ++erased;
+  // This runs on a live worker right after cutover: the slot's lists are
+  // dropped whole, then a swap-and-pop per slot row — no string hashing,
+  // and the rest of the index stays untouched. Highest row first: every
+  // row above the one being erased is then outside the slot, so the tail
+  // row that fills each hole is never a slot row still to come, and every
+  // listed row number stays valid. Each erase pops one row, so the j-th
+  // one moves row n - 1 - j: both rows' index slots, the erased row's
+  // cells and the moved row's list entry are known ahead and prefetched
+  // (the erased row's hash, which locates its index slot, further ahead).
+  std::vector<uint32_t> rows;
+  rows.reserve(KeySlotRowCount(slot, num_slots));
+  ForEachKeySlot(slot, num_slots, [&](size_t s) {
+    rows.insert(rows.end(), slot_rows_[s].begin(), slot_rows_[s].end());
+  });
+  ForEachKeySlot(slot, num_slots, [&](size_t s) { slot_rows_[s].clear(); });
+  std::sort(rows.begin(), rows.end(), std::greater<>());
+  const size_t n = nrows_;
+  for (size_t j = 0; j < rows.size(); ++j) {
+    if (j + 2 * kRowsAhead < rows.size()) {
+      PrefetchRow(rows[j + 2 * kRowsAhead]);
+      PrefetchRead(&slot_pos_[rows[j + 2 * kRowsAhead]]);
+    }
+    if (j + kRowsAhead < rows.size()) {
+      const uint32_t doomed = rows[j + kRowsAhead];
+      const size_t moved = n - 1 - j - kRowsAhead;
+      PrefetchRead(&index_[Home(row_hash_[doomed])]);
+      PrefetchRead(&index_[Home(row_hash_[moved])]);
+      const std::vector<uint32_t>& list =
+          slot_rows_[KeySlotOf(row_hash_[moved])];
+      if (slot_pos_[moved] < list.size()) {
+        PrefetchRead(&list[slot_pos_[moved]]);
+      }
+    }
+    PopRow(SlotOfRow(rows[j]), nullptr);
   }
-  return erased;
+  return rows.size();
 }
 
 Result<std::vector<Table>> Table::SplitByKeySlot(size_t shards,

@@ -14,8 +14,14 @@
 // restore is one block of cells rather than one heap vector per row. Row
 // (an owning vector) stays the value type callers build and receive; reads
 // hand out RowRefs and cell pointers into the array.
+//
+// Every keyed row also belongs to one of kKeySlots key slots (key hash %
+// kKeySlots), and the table keeps one list of row numbers per slot, so a
+// live-migration step (slice snapshot, baseline, diff, erase) walks only
+// the moving slot's rows however large the table is.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -30,6 +36,12 @@
 namespace adn::rpc {
 
 using Row = std::vector<Value>;
+
+// Key slots every keyed table tracks membership of: a row's slot is its key
+// hash % kKeySlots. Live migration moves one slot (or a union of slots, for
+// any slot count that divides this one) at a time; the EnginePool routes by
+// the same slots (EnginePool::kRouteSlots).
+inline constexpr size_t kKeySlots = 64;
 
 // Read-only reference to one row's cells: a row inside a table, or a Row.
 // Indexes like a Row and converts to one (a copy) where an owning row is
@@ -159,16 +171,23 @@ class Table {
   // Snapshot the full table (schema + rows) to a portable byte string.
   Bytes Snapshot() const;
   static Result<Table> Restore(std::span<const uint8_t> snapshot);
+  // Decode a Snapshot() of a table with this table's schema into `cells`
+  // (`ncols` cells per row, replacing its contents), checking every byte:
+  // a schema other than this table's, a malformed cell or a byte left over
+  // is an error. Adds nothing to the table, so a caller can validate every
+  // blob of a multi-table state before any table changes. With
+  // InsertDecoded, this is how a table absorbs a peer's rows: scale-in
+  // merges and a live migration's bulk copy.
+  Status DecodeSnapshot(std::span<const uint8_t> snapshot,
+                        std::vector<Value>& cells) const;
+  // Insert rows that DecodeSnapshot produced, moving their cells out: one
+  // key hash and one upsert per keyed row, an append per keyless row.
+  void InsertDecoded(std::span<Value> cells);
 
   // Partition rows into `shards` tables by hash of the primary key (or of
   // the whole row when no PK is declared). Used when scaling OUT a stateful
   // element: each new instance receives one shard.
   Result<std::vector<Table>> SplitByKeyHash(size_t shards) const;
-
-  // Absorb all rows of `other` (same schema required). Used when scaling IN:
-  // surviving instances merge the states of retired ones. Rows are copied
-  // cell by cell and keep `other`'s cached key hashes (no re-hash).
-  Status MergeFrom(const Table& other);
 
   // Deterministic content hash (order-insensitive) — used by tests to prove
   // split+merge round-trips state exactly.
@@ -177,7 +196,14 @@ class Table {
   // --- Key-slot slices (live migration; see docs/RECONFIG.md) --------------
   // Keyed rows partition into `num_slots` slots by RowKeyHash % num_slots; a
   // slice is one slot's rows. Slices are the unit of shard ownership the
-  // EnginePool router moves between workers without draining.
+  // EnginePool router moves between workers without draining. `num_slots`
+  // must divide kKeySlots (slot s of num_slots is the union of key slots
+  // s, s + num_slots, ...; num_slots == 1 is every keyed row), and every
+  // slice operation walks only the slice's rows through the per-slot row
+  // lists: no scan of the table, no re-hash. Other slot counts, and keyless
+  // tables, yield empty slices. Append-log rows are location-independent
+  // (the merged state hash XORs across shards), so they never move with a
+  // slice.
   bool HasPrimaryKey() const { return !pk_indexes_.empty(); }
   // Key hash of a row OF THIS TABLE (PK hash, whole-row hash when keyless) —
   // exactly the hash slices and shard splits partition by.
@@ -195,22 +221,20 @@ class Table {
   // Row allocates nothing), values and all, so a caller about to insert a
   // row of the same shape can reuse its payload buffers.
   size_t EraseSingleKey(const Value& key, Row& erased);
-  // Visit every keyed row whose key hash lands in slot `slot`, with that
-  // hash — a scan of the contiguous cached-hash column (one integer test
-  // per row, no re-hashing, no pointer chasing); only the matching rows are
-  // touched. Must not mutate the table from inside `fn`.
+  // Rows in slot `slot` of `num_slots`.
+  size_t KeySlotRowCount(size_t slot, size_t num_slots) const;
+  // Visit every row of slot `slot`, with its cached key hash. Must not
+  // mutate the table from inside `fn`.
   void ForEachKeySlotRow(
       size_t slot, size_t num_slots,
       const std::function<void(RowRef, uint64_t key_hash)>& fn) const;
-  // Copy of this table holding only slot `slot`'s keyed rows, built as one
-  // block of cells. Keyless tables yield an empty copy: append-log rows are
-  // location-independent (the merged state hash XORs across shards), so
-  // they never move with a slice.
-  Table SliceByKeySlot(size_t slot, size_t num_slots) const;
-  // Drop slot `slot`'s keyed rows locally (post-handoff). Returns the count.
-  // One pass over the cached hashes and a swap-and-pop per slot row: no
-  // allocation, no re-hash, and surviving keys keep their index slots
-  // (rows from the tail fill the holes, as in EraseByKey).
+  // Snapshot() of the table holding only slot `slot`'s rows — the same
+  // bytes, encoded straight from this table's cells.
+  Bytes SnapshotKeySlot(size_t slot, size_t num_slots) const;
+  // Drop slot `slot`'s rows locally (post-handoff). Returns the count. A
+  // swap-and-pop per slot row: no allocation, no re-hash, and surviving
+  // keys keep their index slots (rows from the tail fill the holes, as in
+  // EraseByKey).
   size_t EraseKeySlot(size_t slot, size_t num_slots);
   // Two-level split: shard = (RowKeyHash % num_slots) % shards — the same
   // partition EnginePool's slot router applies to message keys, so shard s
@@ -228,6 +252,7 @@ class Table {
     uint32_t row = kNoRow;
   };
   static constexpr uint32_t kNoRow = UINT32_MAX;
+  static size_t KeySlotOf(uint64_t h) { return h & (kKeySlots - 1); }
 
   const Value* CellsAt(size_t row) const {
     return cells_.data() + row * ncols_;
@@ -270,11 +295,34 @@ class Table {
   // Empty the index and re-place every row from row_hash_ — no re-hash.
   // The index must already fit the rows (ReserveIndex).
   void ReindexAll();
+  // Append row `row` (its hash already in row_hash_) to its slot's list.
+  void LinkRow(uint32_t row);
+  // Take row `row` off its slot's list (the list's last entry fills its
+  // place).
+  void UnlinkRow(uint32_t row);
+  // Visit the key slots that make up slot `slot` of `num_slots`: none
+  // unless `num_slots` divides kKeySlots and `slot` < `num_slots`.
+  template <class Fn>
+  void ForEachKeySlot(size_t slot, size_t num_slots, const Fn& fn) const;
+  // Call `fn(row)` for every row number of slot `slot` of `num_slots`,
+  // prefetching each row's cells kRowsAhead rows ahead so the walk's cache
+  // misses overlap instead of queueing one behind another.
+  template <class Fn>
+  void ForEachSlotRowNumber(size_t slot, size_t num_slots,
+                            const Fn& fn) const;
+  static constexpr size_t kRowsAhead = 8;
+  void PrefetchRow(uint32_t row) const;
+  // Decode the rows that follow a snapshot's header into `cells`.
+  Status DecodeRows(ByteReader& r, std::vector<Value>& cells) const;
+  // Snapshot()'s header: name and schema.
+  void WriteHeader(ByteWriter& w) const;
   // Backward-shift delete of index position `pos` (no tombstones).
   void EraseIndexSlot(size_t pos);
   // Swap-and-pop erase of the row at index position `pos`. The row's cells
   // move into `*erased` when given, else they are destroyed.
   void EraseIndexed(size_t pos, Row* erased);
+  // EraseIndexed for a row already off its slot's list.
+  void PopRow(size_t pos, Row* erased);
 
   std::string name_;
   Schema schema_;
@@ -291,6 +339,13 @@ class Table {
   // Equal hashes are told apart by comparing the row's key cells.
   std::vector<IndexSlot> index_;
   int index_shift_ = 64;  // 64 - log2(index_.size())
+  // Key slot membership (keyed tables only): slot_rows_[s] lists the row
+  // numbers of slot s's rows, in no particular order, and slot_pos_[r] is
+  // row r's place in its slot's list. Every path that adds, moves or
+  // removes a keyed row keeps both; an upsert or point UPDATE keeps the
+  // key, so it never moves a row between lists.
+  std::array<std::vector<uint32_t>, kKeySlots> slot_rows_;
+  std::vector<uint32_t> slot_pos_;
 };
 
 uint64_t HashRow(RowRef row);

@@ -112,8 +112,9 @@ Result<Value> DecodeValue(ValueType declared, ByteReader& r) {
       return Value(d);
     }
     case ValueType::kText: {
-      ADN_ASSIGN_OR_RETURN(std::string s, r.ReadString());
-      return Value(std::move(s));
+      ADN_ASSIGN_OR_RETURN(auto span, r.ReadLengthPrefixed());
+      return Value(std::string_view(reinterpret_cast<const char*>(span.data()),
+                                    span.size()));
     }
     case ValueType::kBytes: {
       ADN_ASSIGN_OR_RETURN(auto span, r.ReadLengthPrefixed());

@@ -7,6 +7,10 @@
 #include <set>
 
 #include "common/rng.h"
+#include "compiler/lower.h"
+#include "dsl/parser.h"
+#include "elements/library.h"
+#include "ir/exec.h"
 #include "rpc/table.h"
 
 namespace adn::rpc {
@@ -102,10 +106,21 @@ TEST(Table, RestoreRejectsGarbage) {
   EXPECT_FALSE(Table::Restore(garbage).ok());
 }
 
+// Merge `from`'s rows into `into` the way a migration's bulk copy does:
+// through a snapshot, decoded and checked whole, then inserted.
+Status Merge(Table& into, const Table& from) {
+  std::vector<Value> cells;
+  ADN_RETURN_IF_ERROR(into.DecodeSnapshot(from.Snapshot(), cells));
+  into.InsertDecoded(cells);
+  return Status::Ok();
+}
+
 TEST(Table, MergeRequiresSameSchema) {
   Table a("ac", AclSchema());
   Table b("log", LogSchema());
-  EXPECT_FALSE(a.MergeFrom(b).ok());
+  ASSERT_TRUE(b.Insert({Value(1), Value(2)}).ok());
+  EXPECT_FALSE(Merge(a, b).ok());
+  EXPECT_TRUE(a.empty());
 }
 
 TEST(Table, MergeUpsertsOnKey) {
@@ -114,7 +129,7 @@ TEST(Table, MergeUpsertsOnKey) {
   ASSERT_TRUE(a.Insert({Value("alice"), Value("R")}).ok());
   ASSERT_TRUE(b.Insert({Value("alice"), Value("W")}).ok());
   ASSERT_TRUE(b.Insert({Value("bob"), Value("R")}).ok());
-  ASSERT_TRUE(a.MergeFrom(b).ok());
+  ASSERT_TRUE(Merge(a, b).ok());
   EXPECT_EQ(a.RowCount(), 2u);
   EXPECT_EQ(a.LookupByKey(Row{Value("alice")})[1].AsText(), "W");
 }
@@ -150,7 +165,7 @@ TEST_P(SplitMergeProperty, RoundTripsContent) {
   // Merging back equals the original.
   Table merged("ac", AclSchema());
   for (const Table& shard : split.value()) {
-    ASSERT_TRUE(merged.MergeFrom(shard).ok());
+    ASSERT_TRUE(Merge(merged, shard).ok());
   }
   EXPECT_EQ(merged.ContentHash(), t.ContentHash());
   EXPECT_EQ(merged.RowCount(), t.RowCount());
@@ -246,6 +261,13 @@ TEST(Table, EraseSingleKeyHandsBackTheRowAndKeepsTheIndex) {
   EXPECT_EQ(t.LookupSingleKey(Value("b"))[1].AsText(), "b-perm");
 }
 
+// Slot `slot` of `num_slots` of `t`, restored from its slice snapshot.
+Table Slice(const Table& t, size_t slot, size_t num_slots) {
+  auto slice = Table::Restore(t.SnapshotKeySlot(slot, num_slots));
+  EXPECT_TRUE(slice.ok());
+  return slice.ok() ? std::move(slice).value() : Table();
+}
+
 TEST(Table, SliceAndEraseKeySlotPartition) {
   constexpr size_t kSlots = 16;
   Table t("ac", AclSchema());
@@ -257,10 +279,11 @@ TEST(Table, SliceAndEraseKeySlotPartition) {
   size_t sliced_total = 0;
   uint64_t xored = 0;
   for (size_t slot = 0; slot < kSlots; ++slot) {
-    Table slice = t.SliceByKeySlot(slot, kSlots);
+    Table slice = Slice(t, slot, kSlots);
     for (const RowRef row : slice.rows()) {
       EXPECT_EQ(t.RowKeyHash(row) % kSlots, slot);
     }
+    EXPECT_EQ(slice.RowCount(), t.KeySlotRowCount(slot, kSlots));
     sliced_total += slice.RowCount();
     xored ^= slice.ContentHash();
   }
@@ -268,10 +291,19 @@ TEST(Table, SliceAndEraseKeySlotPartition) {
   EXPECT_EQ(xored, original);  // slices partition the content hash
 
   // Erasing a slot removes exactly what its slice held.
-  const size_t slot3 = t.SliceByKeySlot(3, kSlots).RowCount();
+  const size_t slot3 = Slice(t, 3, kSlots).RowCount();
   EXPECT_EQ(t.EraseKeySlot(3, kSlots), slot3);
   EXPECT_EQ(t.RowCount(), 200u - slot3);
-  EXPECT_EQ(t.SliceByKeySlot(3, kSlots).RowCount(), 0u);
+  EXPECT_EQ(Slice(t, 3, kSlots).RowCount(), 0u);
+
+  // A slot count that does not divide kKeySlots, or a slot past the count,
+  // names no rows.
+  EXPECT_EQ(t.KeySlotRowCount(0, 3), 0u);
+  EXPECT_EQ(t.KeySlotRowCount(kSlots, kSlots), 0u);
+  EXPECT_EQ(t.EraseKeySlot(0, 3), 0u);
+  EXPECT_EQ(t.RowCount(), 200u - slot3);
+  // One slot of one is every keyed row.
+  EXPECT_EQ(t.KeySlotRowCount(0, 1), t.RowCount());
 }
 
 TEST(Table, SplitByKeySlotAgreesWithSlotRouter) {
@@ -320,9 +352,9 @@ TEST(Table, SlotChurnRoundTripsContent) {
   const uint64_t original = t.ContentHash();
   for (size_t cycle = 0; cycle < 200; ++cycle) {
     const size_t slot = (cycle * 7) % kSlots;
-    Table slice = t.SliceByKeySlot(slot, kSlots);
+    Table slice = Slice(t, slot, kSlots);
     EXPECT_EQ(t.EraseKeySlot(slot, kSlots), slice.RowCount());
-    ASSERT_TRUE(t.MergeFrom(slice).ok());
+    ASSERT_TRUE(Merge(t, slice).ok());
     ASSERT_EQ(t.RowCount(), 10'000u) << "cycle " << cycle;
   }
   EXPECT_EQ(t.ContentHash(), original);
@@ -405,6 +437,70 @@ TEST(Table, SnapshotBytesAreStable) {
   auto restored = Table::Restore(keyed);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->Snapshot(), keyed);
+}
+
+// A slice snapshot, truncated or with one byte flipped, must never crash
+// MergeState or merge part of itself: each table blob is decoded and
+// checked whole before any row goes in, so an error leaves the state as it
+// was. (A flip inside a cell's payload can still decode; such a blob merges
+// whole, like any well-formed one.)
+TEST(Table, MalformedBlobMergesNothing) {
+  auto parsed = dsl::ParseProgram(std::string(elements::AclTableSql()) +
+                                  std::string(elements::QuotaTableSql()) +
+                                  std::string(elements::AclSql()) +
+                                  std::string(elements::QuotaSql()));
+  ASSERT_TRUE(parsed.ok());
+  auto lowered = compiler::LowerProgram(*parsed);
+  ASSERT_TRUE(lowered.ok());
+  auto quota = lowered->FindElement("Quota");
+  ir::ElementInstance source(quota, 1);
+  Table* rows = source.FindTable("quota");
+  ASSERT_NE(rows, nullptr);
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(rows->Insert({Value("user" + std::to_string(i)),
+                              Value(static_cast<int64_t>(i))})
+                    .ok());
+  }
+  const Bytes slice = source.SnapshotSlice(9, kKeySlots);
+  ASSERT_GT(source.FindTable("quota")->KeySlotRowCount(9, kKeySlots), 0u);
+
+  ir::ElementInstance dest(quota, 2);
+  ASSERT_TRUE(dest.FindTable("quota")
+                  ->Insert({Value("resident"), Value(static_cast<int64_t>(7))})
+                  .ok());
+  const uint64_t before = dest.StateContentHash();
+  // Every strict prefix is an error.
+  for (size_t n = 0; n < slice.size(); ++n) {
+    const Bytes cut(slice.begin(), slice.begin() + static_cast<long>(n));
+    ASSERT_FALSE(dest.MergeState(cut).ok()) << "prefix " << n;
+    ASSERT_EQ(dest.StateContentHash(), before) << "prefix " << n;
+  }
+  // So is a byte past the end.
+  Bytes longer = slice;
+  longer.push_back(0);
+  EXPECT_FALSE(dest.MergeState(longer).ok());
+  EXPECT_EQ(dest.StateContentHash(), before);
+  // Each single-byte flip either fails and changes nothing, or decodes to
+  // a well-formed slice and merges whole.
+  size_t rejected = 0;
+  for (size_t i = 0; i < slice.size(); ++i) {
+    for (uint8_t mask : {0x01, 0x80, 0xFF}) {
+      Bytes flipped = slice;
+      flipped[i] ^= mask;
+      ir::ElementInstance probe(quota, 3);
+      ASSERT_TRUE(probe.RestoreState(dest.SnapshotState()).ok());
+      if (probe.MergeState(flipped).ok()) continue;
+      ++rejected;
+      ASSERT_EQ(probe.StateContentHash(), before)
+          << "byte " << i << " mask " << static_cast<int>(mask);
+      ASSERT_EQ(probe.FindTable("quota")->RowCount(), 1u);
+    }
+  }
+  EXPECT_GT(rejected, slice.size()) << "most flips must be caught";
+  // The untouched slice still merges.
+  ASSERT_TRUE(dest.MergeState(slice).ok());
+  EXPECT_EQ(dest.FindTable("quota")->RowCount(),
+            1 + source.FindTable("quota")->KeySlotRowCount(9, kKeySlots));
 }
 
 // --- Flat key index vs a std::map oracle ------------------------------------
@@ -533,9 +629,31 @@ class IndexOracle {
       const size_t before = model_.size();
       EraseWhereModel(pred);
       ASSERT_EQ(table_.EraseWhere(pred), before - model_.size());
-    } else if (op < 980) {
+    } else if (op < 978) {
       table_.Clear();
       model_.clear();
+    } else if (op < 983) {
+      // Re-assemble the table from its SplitByKeySlot shards.
+      auto shards = table_.SplitByKeySlot(rng.NextBelow(4) + 1, 64);
+      ASSERT_TRUE(shards.ok());
+      Table whole("t", shape_.schema);
+      for (const Table& shard : *shards) {
+        CheckSlotWalks(shard);
+        ASSERT_TRUE(Merge(whole, shard).ok());
+      }
+      table_ = std::move(whole);
+    } else if (op < 987) {
+      // A slot leaves and comes back, the way a migration moves it: slice
+      // snapshot, erase, then decode and re-insert the slice.
+      const size_t slot = rng.NextBelow(64);
+      const Bytes slice = table_.SnapshotKeySlot(slot, 64);
+      const size_t n = table_.KeySlotRowCount(slot, 64);
+      ASSERT_EQ(table_.EraseKeySlot(slot, 64), n);
+      ASSERT_EQ(table_.KeySlotRowCount(slot, 64), 0u);
+      std::vector<Value> cells;
+      ASSERT_TRUE(table_.DecodeSnapshot(slice, cells).ok());
+      table_.InsertDecoded(cells);
+      ASSERT_EQ(table_.KeySlotRowCount(slot, 64), n);
     } else if (op < 992) {
       // Merge a batch that both overlaps and extends the current keys.
       Table other("t", shape_.schema);
@@ -546,7 +664,7 @@ class IndexOracle {
         ASSERT_TRUE(other.Insert(row).ok());
         model_[OracleKey(shape_.key(mk))] = std::move(row);
       }
-      ASSERT_TRUE(table_.MergeFrom(other).ok());
+      ASSERT_TRUE(Merge(table_, other).ok());
     } else {
       auto restored = Table::Restore(table_.Snapshot());
       ASSERT_TRUE(restored.ok());
@@ -630,6 +748,31 @@ class IndexOracle {
     const bool single = shape_.schema.PrimaryKeyIndexes().size() == 1;
     for (uint64_t k = 0; k < shape_.key_space; ++k) CheckKey(k, single);
   }
+  // Each of the 64 slot walks (and its row count and slice snapshot)
+  // against a full scan of `t`'s rows.
+  static void CheckSlotWalks(const Table& t) {
+    std::vector<std::multiset<uint64_t>> want(64);
+    for (const RowRef row : t.rows()) {
+      want[t.RowKeyHash(row) % 64].insert(HashRow(row));
+    }
+    for (size_t slot = 0; slot < 64; ++slot) {
+      std::multiset<uint64_t> got;
+      t.ForEachKeySlotRow(slot, 64, [&](RowRef row, uint64_t h) {
+        ASSERT_EQ(h, t.RowKeyHash(row));
+        got.insert(HashRow(row));
+      });
+      ASSERT_EQ(got, want[slot]) << "slot " << slot;
+      ASSERT_EQ(t.KeySlotRowCount(slot, 64), want[slot].size());
+      auto slice = Table::Restore(t.SnapshotKeySlot(slot, 64));
+      ASSERT_TRUE(slice.ok());
+      ASSERT_EQ(slice->RowCount(), want[slot].size());
+      uint64_t hash = 0;
+      for (uint64_t h : want[slot]) hash ^= h;
+      ASSERT_EQ(slice->ContentHash(), hash) << "slot " << slot;
+    }
+  }
+  void CheckSlotWalks() { CheckSlotWalks(table_); }
+
   void CheckSlotPartition() {
     std::set<std::string> seen;
     uint64_t hash = 0;
@@ -671,6 +814,7 @@ TEST(TableOracle, RandomOpsMatchStdMap) {
         peak = std::max(peak, oracle.rows());
         if (op % 100 == 99) {
           oracle.CheckWholeView();
+          oracle.CheckSlotWalks();
           if (HasFatalFailure()) return;
         }
         if (op % 500 == 499) {

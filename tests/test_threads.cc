@@ -835,6 +835,139 @@ TEST(EnginePoolReconfig, LiveSlotMigrationUnderTrafficIsLossless) {
   EXPECT_GE(stats.blackout_ns, 0);
 }
 
+// LogAclQuotaElements with a different Acl code object (its ON DROP text
+// differs): state-compatible and, for users holding 'W', behaviourally
+// identical, so a swap to it must leave every outcome and state unchanged.
+std::vector<std::shared_ptr<const ir::ElementIr>> LogAclQuotaElementsV2() {
+  auto parsed =
+      dsl::ParseProgram(std::string(elements::AclTableSql()) +
+                        std::string(elements::LogTableSql()) +
+                        std::string(elements::QuotaTableSql()) +
+                        std::string(elements::LoggingSql()) + R"(
+ELEMENT Acl ON REQUEST {
+  INPUT (username TEXT, payload BYTES);
+  ON DROP ABORT 'permission denied (v2)';
+  SELECT * FROM input JOIN ac_tab ON input.username = ac_tab.username
+    WHERE ac_tab.permission = 'W';
+}
+)" + std::string(elements::QuotaSql()));
+  auto lowered = compiler::LowerProgram(*parsed);
+  EXPECT_TRUE(lowered.ok());
+  return {lowered->FindElement("Logging"), lowered->FindElement("Acl"),
+          lowered->FindElement("Quota")};
+}
+
+TEST(EnginePoolReconfig, EverySlotMigratesAndReturnsLosslessly) {
+  constexpr int kUsers = 1024;  // rows in every one of the 64 slots
+  constexpr uint64_t kMinMessages = 20'000;
+  constexpr size_t kSlots = EnginePool::kRouteSlots;
+
+  obs::MetricsRegistry::Default().Reset();
+  obs::SetEnabled(true);
+  EnginePool::Config config;
+  config.workers = 2;
+  config.shard_key_field = "username";
+  config.processor = "every-slot";
+  config.ring_capacity = 256;
+  EnginePool pool(LogAclQuotaElements(), {}, config);
+  SeedUsers(pool, kUsers);
+  SeedQuota(pool, kUsers, 1'000'000);
+  ASSERT_TRUE(pool.Start().ok());
+  std::vector<int> home(kSlots);
+  for (size_t s = 0; s < kSlots; ++s) {
+    home[s] = pool.WorkerOfSlot(static_cast<int>(s));
+  }
+
+  // All 64 slots move to the other worker, one at a time, then all 64 move
+  // back; traffic to every user flows throughout, and one program swap
+  // lands between the two sweeps.
+  size_t migrations = 0;
+  bool swapped = false;
+  uint64_t id = 0;
+  size_t bulk_bytes = 0;
+  while (migrations < 2 * kSlots || pool.MigrationActive() ||
+         id < kMinMessages) {
+    ++id;
+    pool.Submit(MakeReq(id, UserName(static_cast<int>(id % kUsers))));
+    pool.PumpMigration();
+    if (pool.MigrationActive() || migrations == 2 * kSlots) continue;
+    if (migrations > 0) {
+      const EnginePool::LiveMigrationStats& st = pool.migration_stats();
+      bulk_bytes += st.bulk_bytes;
+      for (size_t op = 0; op < EnginePool::kReconfigOps; ++op) {
+        if (op == static_cast<size_t>(EnginePool::ReconfigOp::kSwap)) {
+          EXPECT_EQ(st.op_ns[op], 0);
+        } else {
+          EXPECT_GT(st.op_ns[op], 0) << EnginePool::ReconfigOpName(
+              static_cast<EnginePool::ReconfigOp>(op));
+        }
+      }
+    }
+    if (migrations == kSlots && !swapped) {
+      ASSERT_TRUE(pool.SwapProgram(LogAclQuotaElementsV2()).ok());
+      swapped = true;
+    }
+    const int slot = static_cast<int>(migrations % kSlots);
+    const int to = migrations < kSlots ? 1 - home[static_cast<size_t>(slot)]
+                                       : home[static_cast<size_t>(slot)];
+    ASSERT_TRUE(pool.BeginSlotMigration(slot, to).ok());
+    ++migrations;
+  }
+  const EnginePool::LiveMigrationStats& last = pool.migration_stats();
+  bulk_bytes += last.bulk_bytes;
+  pool.Drain();
+  EXPECT_TRUE(pool.SwapComplete());
+  pool.Stop();
+  const uint64_t total = id;
+
+  // Exactly once: every RPC completed, none dropped, one log row each.
+  EXPECT_EQ(pool.processed(), total);
+  EXPECT_EQ(pool.dropped(), 0u);
+  size_t log_rows = 0;
+  for (int w = 0; w < pool.workers(); ++w) {
+    log_rows +=
+        pool.WorkerInstance(w, kLoggingIdx).FindTable("log_tab")->RowCount();
+  }
+  EXPECT_EQ(log_rows, total);
+  for (size_t s = 0; s < kSlots; ++s) {
+    EXPECT_EQ(pool.WorkerOfSlot(static_cast<int>(s)), home[s]);
+  }
+  EXPECT_GT(bulk_bytes, 0u);
+  // Every control op was timed into the contract histogram.
+  const std::string label = "processor=\"every-slot\",op=\"";
+  for (const char* op : {"snapshot", "bulk_merge", "diff", "erase", "replay"}) {
+    EXPECT_EQ(obs::MetricsRegistry::Default()
+                  .GetHistogram("adn_reconfig_op_ns", label + op + "\"")
+                  .Count(),
+              2 * kSlots)
+        << op;
+  }
+  EXPECT_EQ(obs::MetricsRegistry::Default()
+                .GetHistogram("adn_reconfig_op_ns", label + "swap\"")
+                .Count(),
+            2u);
+  obs::SetEnabled(false);
+  obs::MetricsRegistry::Default().Reset();
+
+  // The one-instance oracle: the same RPCs through one worker, no moves.
+  EnginePool::Config one;
+  one.workers = 1;
+  one.shard_key_field = "username";
+  EnginePool ref(LogAclQuotaElements(), {}, one);
+  SeedUsers(ref, kUsers);
+  SeedQuota(ref, kUsers, 1'000'000);
+  ASSERT_TRUE(ref.Start().ok());
+  for (uint64_t i = 1; i <= total; ++i) {
+    ref.Submit(MakeReq(i, UserName(static_cast<int>(i % kUsers))));
+  }
+  ref.Stop();
+  ASSERT_EQ(ref.processed(), total);
+  for (size_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(pool.MergedStateHash(e), ref.MergedStateHash(e))
+        << "element " << e;
+  }
+}
+
 TEST(EnginePoolReconfig, ProgramHotSwapUnderTrafficKeepsState) {
   constexpr int kUsers = 16;
   constexpr uint64_t kBefore = 2'000;
