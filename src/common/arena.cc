@@ -45,12 +45,6 @@ size_t Arena::bytes_used() const {
   return total;
 }
 
-size_t Arena::bytes_reserved() const {
-  size_t total = 0;
-  for (const Slab& s : slabs_) total += s.capacity;
-  return total;
-}
-
 ArenaPool::ArenaPool(size_t slab_bytes) : slab_bytes_(slab_bytes) {}
 
 ArenaPool::~ArenaPool() = default;

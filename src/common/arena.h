@@ -73,7 +73,6 @@ class Arena {
 
   size_t slab_count() const { return slabs_.size(); }
   size_t bytes_used() const;
-  size_t bytes_reserved() const;
 
   // The pool this arena was leased from (null for free-standing arenas).
   ArenaPool* home_pool() const { return home_pool_; }

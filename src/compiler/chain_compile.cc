@@ -384,16 +384,14 @@ Result<std::shared_ptr<const ir::ChainProgram>> CompileChainProgram(
   ProgramBuilder builder(options);
   for (size_t i = 0; i < elements.size(); ++i) {
     ADN_RETURN_IF_ERROR(builder.AddElement(
-        *elements[i], static_cast<uint16_t>(i), options.kind_guards));
+        *elements[i], static_cast<uint16_t>(i), /*kind_guard=*/true));
   }
   return builder.Finish();
 }
 
 Result<std::shared_ptr<const ir::ChainProgram>> CompileElementProgram(
     const ir::ElementIr& element) {
-  ChainCompileOptions options;
-  options.kind_guards = false;
-  ProgramBuilder builder(options);
+  ProgramBuilder builder(ChainCompileOptions{});
   ADN_RETURN_IF_ERROR(builder.AddElement(element, 0, /*kind_guard=*/false));
   return builder.Finish();
 }

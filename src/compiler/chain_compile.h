@@ -28,24 +28,22 @@ struct ChainCompileOptions {
   // (the chain's wire-header field order from header_gen). Names the chain
   // touches beyond the seed get fresh IDs after it.
   std::vector<std::string> field_order_hint;
-  // Emit a per-element message-kind guard so one program serves requests and
-  // responses (the mesh-path tier runs whole chains this way). Engine stages
-  // check AppliesTo() before dispatching, so single-element programs skip
-  // the guard to keep Process() semantics identical to the interpreter's.
-  bool kind_guards = true;
 };
 
 // Lower an ordered element list (an optimized chain) into one ChainProgram.
-// SQL elements lower to register code; a CACHE element lowers to a single
-// kCacheProbe. Filter elements (retry/timeout/...) carry opaque operators
-// and stay on their FilterOp stages: passing one is a kUnsupported error
-// naming the element.
+// Each element is wrapped in a message-kind guard, so one program serves
+// requests and responses (the pool and the mesh-path tier run whole chains
+// this way). SQL elements lower to register code; a CACHE element lowers
+// to a single kCacheProbe. Filter elements (retry/timeout/...) carry opaque
+// operators and stay on their FilterOp stages: passing one is a
+// kUnsupported error naming the element.
 Result<std::shared_ptr<const ir::ChainProgram>> CompileChainProgram(
     const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,
     const ChainCompileOptions& options = {});
 
-// Single-element convenience used by the engine's GeneratedStage: no kind
-// guards, element index 0.
+// Single-element convenience used by the engine's GeneratedStage: element
+// index 0 and no kind guard (the stage checks AppliesTo() before
+// dispatching, keeping Process() semantics identical to the interpreter's).
 Result<std::shared_ptr<const ir::ChainProgram>> CompileElementProgram(
     const ir::ElementIr& element);
 

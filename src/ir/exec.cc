@@ -812,22 +812,19 @@ Status ElementInstance::RestoreState(std::span<const uint8_t> snapshot) {
 
 Result<std::vector<Bytes>> ElementInstance::SplitState(size_t n) const {
   // Shard each table, then assemble per-shard snapshots.
-  std::vector<std::vector<Table>> per_table_shards;
+  std::vector<std::vector<Bytes>> per_table_shards;
+  per_table_shards.reserve(tables_.size());
   for (const Table& t : tables_) {
-    ADN_ASSIGN_OR_RETURN(std::vector<Table> shards, t.SplitByKeyHash(n));
+    ADN_ASSIGN_OR_RETURN(std::vector<Bytes> shards, t.SnapshotShards(n));
     per_table_shards.push_back(std::move(shards));
   }
-  std::vector<Bytes> out;
-  out.reserve(n);
+  std::vector<Bytes> out(n);
   for (size_t shard = 0; shard < n; ++shard) {
-    Bytes snap;
-    ByteWriter w(snap);
+    ByteWriter w(out[shard]);
     w.WriteVarint(tables_.size());
-    for (size_t t = 0; t < tables_.size(); ++t) {
-      Bytes ts = per_table_shards[t][shard].Snapshot();
-      w.WriteLengthPrefixed(ts);
+    for (const std::vector<Bytes>& shards : per_table_shards) {
+      w.WriteLengthPrefixed(shards[shard]);
     }
-    out.push_back(std::move(snap));
   }
   return out;
 }
@@ -857,29 +854,6 @@ size_t ElementInstance::EraseSlice(size_t slot, size_t num_slots) {
   for (Table& t : tables_) erased += t.EraseKeySlot(slot, num_slots);
   InvalidateCacheRuntime();
   return erased;
-}
-
-Result<std::vector<Bytes>> ElementInstance::SplitStateSlotted(
-    size_t n, size_t num_slots) const {
-  std::vector<std::vector<Table>> per_table_shards;
-  for (const Table& t : tables_) {
-    ADN_ASSIGN_OR_RETURN(std::vector<Table> shards,
-                         t.SplitByKeySlot(n, num_slots));
-    per_table_shards.push_back(std::move(shards));
-  }
-  std::vector<Bytes> out;
-  out.reserve(n);
-  for (size_t shard = 0; shard < n; ++shard) {
-    Bytes snap;
-    ByteWriter w(snap);
-    w.WriteVarint(tables_.size());
-    for (size_t t = 0; t < tables_.size(); ++t) {
-      Bytes ts = per_table_shards[t][shard].Snapshot();
-      w.WriteLengthPrefixed(ts);
-    }
-    out.push_back(std::move(snap));
-  }
-  return out;
 }
 
 Status ElementInstance::ReplaceCode(std::shared_ptr<const ElementIr> new_code) {

@@ -86,7 +86,9 @@ class ElementInstance {
   // changes: a malformed one is an error that leaves the state as it was.
   Bytes SnapshotState() const;
   Status RestoreState(std::span<const uint8_t> snapshot);
-  // Shard every table by key hash into `n` snapshots for scale-out.
+  // Shard every table into `n` snapshots for scale-out (pool start-up
+  // included): shard i holds each table's Table::SnapshotShards(n)[i], the
+  // rows whose key EnginePool routes to worker i of n.
   Result<std::vector<Bytes>> SplitState(size_t n) const;
   // Merge a peer's snapshot (or slice) into this instance (scale-in, and a
   // migration's bulk copy): keyed rows upsert by key.
@@ -101,10 +103,6 @@ class ElementInstance {
   Bytes SnapshotSlice(size_t slot, size_t num_slots) const;
   // Drop the slice locally after handoff; returns rows erased.
   size_t EraseSlice(size_t slot, size_t num_slots);
-  // SplitState under the two-level slot partition ((key hash % num_slots)
-  // % n) — the same function EnginePool's slot router applies to messages.
-  Result<std::vector<Bytes>> SplitStateSlotted(size_t n,
-                                               size_t num_slots) const;
   // DSL hot-reload: swap in new element code, keeping the live tables, RNG
   // and counters. Fails (kFailedPrecondition, via CheckStateCompatible)
   // unless the new code declares the same state tables.

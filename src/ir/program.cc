@@ -51,12 +51,6 @@ uint32_t ChainProgram::TotalInstrCount() const {
   return static_cast<uint32_t>(code.size());
 }
 
-double ChainProgram::TotalPerByteCostNs() const {
-  double total = 0.0;
-  for (const ElementSeg& e : elements) total += e.per_byte_cost_ns;
-  return total;
-}
-
 std::string ChainProgram::DebugString() const {
   std::string out;
   out += "ChainProgram: " + std::to_string(code.size()) + " instrs, " +

@@ -144,7 +144,6 @@ struct ChainProgram {
   uint64_t version = 0;
 
   uint32_t TotalInstrCount() const;
-  double TotalPerByteCostNs() const;
   // Disassembly for tests/tools (one instruction per line).
   std::string DebugString() const;
 };

@@ -145,12 +145,6 @@ Result<StateDelta> StateBaseline::Diff(const ElementInstance& instance) const {
   return delta;
 }
 
-size_t StateBaseline::tracked_rows() const {
-  size_t n = 0;
-  for (const TableMarks& tm : tables_) n += tm.count;
-  return n;
-}
-
 Status StateDelta::ApplyTo(ElementInstance& instance) const {
   ByteReader r(blob);
   ADN_ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());

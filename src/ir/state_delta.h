@@ -79,8 +79,6 @@ class StateBaseline {
   // the captured slot. Fails when the table layout changed underneath.
   Result<StateDelta> Diff(const ElementInstance& instance) const;
 
-  size_t tracked_rows() const;
-
  private:
   static constexpr size_t kNoKey = SIZE_MAX;
   struct RowMark {

@@ -90,56 +90,6 @@ ir::ProcessResult EngineChain::Process(rpc::Message& message,
   return ir::ProcessResult::Pass();
 }
 
-void EngineChain::ProcessBurst(rpc::Message* messages, size_t n,
-                               int64_t now_ns, ir::ProcessResult* results) {
-  // Metrics are no longer a fallback condition: counters batch to one
-  // Inc(n) per burst. Only *tracing* still routes through the scalar loop
-  // here — this chain runs stage-major over independent per-stage
-  // executors, so per-RPC span trees (one root, children across stages)
-  // are inherently message-major. The single-executor whole-chain path
-  // (ir::ChainExecutor::ProcessBurst, used by EnginePool workers) writes
-  // each sampled lane's span tree itself, without any fallback.
-  const bool timing = obs::Enabled();
-  if (n < 2 || (timing && obs::Tracer::Default().tracing_enabled())) {
-    for (size_t i = 0; i < n; ++i) results[i] = Process(messages[i], now_ns);
-    return;
-  }
-  if (timing) {
-    EnsureCounters();
-    rpcs_counter_->Inc(n);
-  }
-  processed_ += n;
-  for (size_t i = 0; i < n; ++i) results[i] = ir::ProcessResult::Pass();
-  for (const auto& stage : stages_) {
-    // Hand the stage maximal contiguous runs of lanes that are still live
-    // and whose kind the stage applies to; dropped lanes stay masked out.
-    size_t i = 0;
-    while (i < n) {
-      if (results[i].outcome != ir::ProcessOutcome::kPass ||
-          !stage->AppliesTo(messages[i].kind())) {
-        ++i;
-        continue;
-      }
-      size_t j = i + 1;
-      while (j < n && results[j].outcome == ir::ProcessOutcome::kPass &&
-             stage->AppliesTo(messages[j].kind())) {
-        ++j;
-      }
-      stage->ProcessBurst(messages + i, j - i, now_ns, results + i);
-      i = j;
-    }
-  }
-  uint64_t drops = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (results[i].outcome != ir::ProcessOutcome::kPass &&
-        results[i].outcome != ir::ProcessOutcome::kReply) {
-      ++drops;
-    }
-  }
-  dropped_ += drops;
-  if (timing && drops > 0) drops_counter_->Inc(drops);
-}
-
 EngineChain::Outcome EngineChain::ProcessWithCost(
     rpc::Message& message, int64_t now_ns, const sim::CostModel& model) {
   ++processed_;

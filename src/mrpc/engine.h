@@ -35,14 +35,6 @@ class EngineStage {
   virtual bool AppliesTo(rpc::MessageKind kind) const = 0;
   // Process in place.
   virtual ir::ProcessResult Process(rpc::Message& message, int64_t now_ns) = 0;
-  // Process messages[0..n) in place, filling results[0..n) with exactly the
-  // outcomes n sequential Process calls would produce. The default is that
-  // scalar loop; compiled stages override with their executor's
-  // ProcessBurst (key prefetch plus batched telemetry).
-  virtual void ProcessBurst(rpc::Message* messages, size_t n, int64_t now_ns,
-                            ir::ProcessResult* results) {
-    for (size_t i = 0; i < n; ++i) results[i] = Process(messages[i], now_ns);
-  }
   // Simulated CPU per message on a host core.
   virtual double CostNs(const sim::CostModel& model,
                         size_t payload_bytes) const = 0;
@@ -73,10 +65,13 @@ class GeneratedStage : public EngineStage {
     if (executor_.has_value()) return executor_->Process(message, now_ns);
     return Reject();
   }
+  // Process messages[0..n) in place, filling results[0..n) with exactly the
+  // outcomes n sequential Process calls would produce, through the
+  // executor's ProcessBurst (key prefetch plus batched telemetry).
   void ProcessBurst(rpc::Message* messages, size_t n, int64_t now_ns,
-                    ir::ProcessResult* results) override {
+                    ir::ProcessResult* results) {
     if (!executor_.has_value()) {
-      EngineStage::ProcessBurst(messages, n, now_ns, results);
+      for (size_t i = 0; i < n; ++i) results[i] = Reject();
       return;
     }
     executor_->ProcessBurst(messages, n, now_ns, results);
@@ -134,19 +129,14 @@ class EngineChain {
   // Run all applicable stages; stops at the first drop.
   ir::ProcessResult Process(rpc::Message& message, int64_t now_ns);
 
-  // Burst-process messages[0..n): stage-major — each stage runs across the
-  // whole burst (compiled stages via their executor's ProcessBurst) before
-  // the next stage starts, with dropped lanes masked out. Outcomes,
-  // per-stage state and counters match n sequential Process calls exactly:
-  // every stage owns disjoint state and processes live lanes in lane order,
-  // which is the order message-major execution would have visited them.
-  // Falls back to the scalar loop when tracing is on (per-RPC scopes are
-  // message-major); metrics alone batch to one Inc(n) per burst.
-  // The sim/mesh tiers deliberately stay on scalar Process: they charge
-  // per-message simulated cost (ProcessWithCost) and model per-hop latency,
-  // which burst coalescing would distort.
+  // Process messages[0..n) one by one: results[i] = Process(messages[i]).
+  // The pool's burst path is ChainExecutor::ProcessBurst over the whole
+  // chain; the sim/mesh tiers stay on scalar Process, since they charge
+  // per-message simulated cost (ProcessWithCost) and model per-hop latency.
   void ProcessBurst(rpc::Message* messages, size_t n, int64_t now_ns,
-                    ir::ProcessResult* results);
+                    ir::ProcessResult* results) {
+    for (size_t i = 0; i < n; ++i) results[i] = Process(messages[i], now_ns);
+  }
 
   // Run the chain AND account the simulated CPU actually consumed: stages
   // after a drop cost nothing (this is what makes drop-early reordering

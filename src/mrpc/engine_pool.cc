@@ -100,14 +100,12 @@ Status EnginePool::Start() {
   }
   ADN_RETURN_IF_ERROR(compile_status_);
   const int n = config_.workers;
-  // Shard the template state under the two-level slot partition
-  // ((key hash % kRouteSlots) % workers) so table placement matches the
-  // route_ slot table for ANY worker count — the invariant live migration
-  // preserves one slot at a time.
+  // Shard the template state by (key hash % kRouteSlots) % workers, so
+  // table placement matches the route_ slot table for ANY worker count —
+  // the invariant live migration preserves one slot at a time.
   std::vector<std::vector<Bytes>> shards(elements_.size());
   for (size_t e = 0; e < elements_.size(); ++e) {
-    auto split = template_instances_[e]->SplitStateSlotted(
-        static_cast<size_t>(n), kRouteSlots);
+    auto split = template_instances_[e]->SplitState(static_cast<size_t>(n));
     if (!split.ok()) return split.status();
     shards[e] = std::move(split).value();
   }

@@ -8,7 +8,7 @@
 // every RPC through a fixed table of kRouteSlots key slots: the shard-key
 // field hashes (HashSingleKey) into a slot, and the slot maps to a worker.
 // Start() shards the tables with the SAME two-level function
-// ((key hash % kRouteSlots) % workers, ElementInstance::SplitStateSlotted),
+// ((key hash % kRouteSlots) % workers, ElementInstance::SplitState),
 // so the worker that receives a message is exactly the worker whose shard
 // holds that key's rows — and the slot indirection is what makes live
 // migration possible: moving one slot's rows and flipping one route_ entry

@@ -99,14 +99,6 @@ double WindowedSeries::CounterRatePerSec(std::string_view name,
          (static_cast<double>(span) / 1e9);
 }
 
-double WindowedSeries::GaugeValue(std::string_view name,
-                                  std::string_view labels) const {
-  if (windows_.empty()) return 0.0;
-  const auto& gauges = windows_.back().gauges;
-  auto it = gauges.find(Key(name, labels));
-  return it == gauges.end() ? 0.0 : it->second;
-}
-
 const SnapshotHistogram* WindowedSeries::HistogramDelta(
     std::string_view name, std::string_view labels) const {
   if (windows_.empty()) return nullptr;

@@ -87,7 +87,6 @@ class WindowedSeries {
   // Delta scaled by the window span (events per second of window time).
   double CounterRatePerSec(std::string_view name,
                            std::string_view labels) const;
-  double GaugeValue(std::string_view name, std::string_view labels) const;
   const SnapshotHistogram* HistogramDelta(std::string_view name,
                                           std::string_view labels) const;
 

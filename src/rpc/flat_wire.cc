@@ -64,171 +64,6 @@ bool FlattenValue(const Value& v, uint64_t& payload, uint32_t& len,
 
 }  // namespace
 
-size_t FlatEncodedSize(const Message& m) {
-  size_t total = kFlatBaseBytes + m.FieldCount() * kFlatRecordBytes + 4 +
-                 m.error_detail().size();
-  for (const Field& f : m.fields()) {
-    if (f.value.type() == ValueType::kText) total += f.value.AsText().size();
-    if (f.value.type() == ValueType::kBytes) total += f.value.AsBytes().size();
-  }
-  return total;
-}
-
-Status EncodeFlat(const Message& m, const MethodRegistry* methods,
-                  Bytes& out) {
-  if (m.FieldCount() > 0xFFFF) {
-    return Status(ErrorCode::kInvalidArgument, "too many fields for u16");
-  }
-  uint32_t method_id = 0;
-  if (methods != nullptr) {
-    auto r = methods->Lookup(m.method());
-    if (!r.ok()) return r.error();
-    method_id = r.value();
-  }
-  const size_t base = out.size();
-  out.resize(base + FlatEncodedSize(m));
-  uint8_t* p = out.data() + base;
-
-  p[0] = static_cast<uint8_t>(m.kind());
-  PutU64(p + 1, m.id());
-  PutU32(p + 9, method_id);
-  PutU32(p + 13, m.source());
-  PutU32(p + 17, m.destination());
-  PutU16(p + 21, static_cast<uint16_t>(m.FieldCount()));
-
-  uint8_t* rec = p + kFlatBaseBytes;
-  uint8_t* var = rec + m.FieldCount() * kFlatRecordBytes;
-  uint8_t* var_cursor = var;
-  for (const Field& f : m.fields()) {
-    uint64_t payload = 0;
-    uint32_t len = 0;
-    VarPayload vp;
-    if (!FlattenValue(f.value, payload, len, vp)) {
-      return Status(ErrorCode::kInternal, "unhandled value type");
-    }
-    PutU16(rec, f.id);
-    rec[2] = static_cast<uint8_t>(f.value.type());
-    rec[3] = 0;
-    PutU32(rec + 4, len);
-    if (vp.data != nullptr || len > 0) {
-      // TEXT/BYTES: payload = offset of the run in the var section.
-      payload = static_cast<uint64_t>(var_cursor - var);
-      if (vp.size > 0) std::memcpy(var_cursor, vp.data, vp.size);
-      var_cursor += vp.size;
-    } else if (f.value.type() == ValueType::kText ||
-               f.value.type() == ValueType::kBytes) {
-      payload = static_cast<uint64_t>(var_cursor - var);
-    }
-    PutU64(rec + 8, payload);
-    rec += kFlatRecordBytes;
-  }
-  PutU32(p + 23, static_cast<uint32_t>(var_cursor - var));
-  uint8_t* tail = var_cursor;
-  PutU32(tail, static_cast<uint32_t>(m.error_detail().size()));
-  if (!m.error_detail().empty()) {
-    std::memcpy(tail + 4, m.error_detail().data(), m.error_detail().size());
-  }
-  return Status::Ok();
-}
-
-Result<Message> DecodeFlat(std::span<const uint8_t> wire,
-                           const MethodRegistry* methods,
-                           common::Arena* arena) {
-  ByteReader r(wire);
-  Message m;
-  if (arena != nullptr) m.BindArena(arena);
-
-  ADN_ASSIGN_OR_RETURN(uint8_t kind, r.ReadU8());
-  if (kind > static_cast<uint8_t>(MessageKind::kError)) {
-    return Error(ErrorCode::kParseError,
-                 "bad message kind " + std::to_string(kind));
-  }
-  m.set_kind(static_cast<MessageKind>(kind));
-  ADN_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
-  m.set_id(id);
-  ADN_ASSIGN_OR_RETURN(uint32_t method_id, r.ReadU32());
-  if (methods != nullptr) {
-    ADN_ASSIGN_OR_RETURN(std::string method, methods->Reverse(method_id));
-    m.set_method(std::move(method));
-  }
-  ADN_ASSIGN_OR_RETURN(uint32_t src, r.ReadU32());
-  m.set_source(src);
-  ADN_ASSIGN_OR_RETURN(uint32_t dst, r.ReadU32());
-  m.set_destination(dst);
-  ADN_ASSIGN_OR_RETURN(uint16_t nfields, r.ReadU16());
-  ADN_ASSIGN_OR_RETURN(uint32_t var_len, r.ReadU32());
-
-  ADN_ASSIGN_OR_RETURN(auto records,
-                       r.ReadBytes(size_t{nfields} * kFlatRecordBytes));
-  ADN_ASSIGN_OR_RETURN(auto var, r.ReadBytes(var_len));
-
-  // One bulk copy of every TEXT/BYTES payload; fields then bind slices into
-  // it. Heap mode (no arena) falls back to per-field owned copies.
-  const uint8_t* var_base = var.data();
-  if (arena != nullptr && var_len > 0) {
-    var_base = arena->CopyBytes(var.data(), var_len);
-  }
-
-  ByteReader rec(records);
-  for (uint16_t i = 0; i < nfields; ++i) {
-    ADN_ASSIGN_OR_RETURN(uint16_t fid, rec.ReadU16());
-    ADN_ASSIGN_OR_RETURN(uint8_t type, rec.ReadU8());
-    if (Status s = rec.Skip(1); !s.ok()) return s.error();
-    ADN_ASSIGN_OR_RETURN(uint32_t len, rec.ReadU32());
-    ADN_ASSIGN_OR_RETURN(uint64_t payload, rec.ReadU64());
-    if (type > static_cast<uint8_t>(ValueType::kBytes)) {
-      return Error(ErrorCode::kParseError,
-                   "bad flat value type " + std::to_string(type));
-    }
-    const ValueType vt = static_cast<ValueType>(type);
-    switch (vt) {
-      case ValueType::kNull:
-        m.AppendField(fid, Value::Null());
-        break;
-      case ValueType::kBool:
-        m.AppendField(fid, Value(payload != 0));
-        break;
-      case ValueType::kInt:
-        m.AppendField(fid, Value(static_cast<int64_t>(payload)));
-        break;
-      case ValueType::kFloat: {
-        double d;
-        std::memcpy(&d, &payload, sizeof(d));
-        m.AppendField(fid, Value(d));
-        break;
-      }
-      case ValueType::kText:
-      case ValueType::kBytes: {
-        if (payload > var_len || len > var_len - payload) {
-          return Error(ErrorCode::kParseError, "flat slice out of range");
-        }
-        const uint8_t* data = var_base + payload;
-        if (arena != nullptr) {
-          m.AppendField(fid, vt == ValueType::kText
-                                 ? Value::BorrowText(
-                                       reinterpret_cast<const char*>(data),
-                                       len)
-                                 : Value::BorrowBytes(data, len));
-        } else {
-          m.AppendField(
-              fid, vt == ValueType::kText
-                       ? Value(std::string_view(
-                             reinterpret_cast<const char*>(data), len))
-                       : Value(Bytes(data, data + len)));
-        }
-        break;
-      }
-    }
-  }
-
-  ADN_ASSIGN_OR_RETURN(uint32_t err_len, r.ReadU32());
-  if (err_len > 0) {
-    ADN_ASSIGN_OR_RETURN(auto err, r.ReadBytes(err_len));
-    m.set_error_detail(std::string(AsStringView(err)));
-  }
-  return m;
-}
-
 Status EncodeFieldsFlat(const Message& m, Bytes& out) {
   if (m.FieldCount() > 0xFFFF) {
     return Status(ErrorCode::kInvalidArgument, "too many fields for u16");

@@ -1,71 +1,40 @@
-// Flat wire format: the on-the-wire twin of the flat in-memory Message.
+// Flat field section: a message's fields serialized in their in-memory
+// layout. The response cache stores each response as one such section and
+// grafts it onto the live request on a hit, whose id/method/endpoints must
+// survive the rewrite, so the section carries fields only.
 //
-// Where AdnWireCodec encodes a compiler-chosen HeaderSpec positionally
-// (per-link minimal headers, variable-width cells), the flat format is the
-// *memory layout* serialized: a fixed base header, one fixed-width 16-byte
-// record per field carrying the interned FieldId + type + an inline payload
-// (numerics) or an (offset, length) slice into a trailing variable section
-// (TEXT/BYTES) — exactly how an arena-backed Message lays fields out. That
-// makes encode a sequence of bulk copies with no per-field heap traffic, and
-// decode — given an arena — ONE memcpy of the variable section plus slice
-// binding: the decoded message borrows its TEXT/BYTES payloads straight from
-// the arena copy (zero per-field allocations).
-//
-//   [u8 kind][u64 id][u32 method_id][u32 src][u32 dst]    <- 21-byte base
-//   [u16 nfields][u32 var_len]                            <- 6 bytes
+//   [u16 nfields][u32 var_len]
 //   nfields x [u16 fid][u8 type][u8 0][u32 len][u64 payload]
 //   [var_len bytes of TEXT/BYTES payloads]
-//   [u32 err_len][err_len bytes]                          <- error detail
 //
-// FieldIds on the wire are the process-global interned ids — the flat format
-// is an intra-deployment format where both ends share the compiler's intern
-// table (the paper's premise: the controller distributes the chain and its
-// schemas). Cross-process use without a shared table must exchange the
-// interner contents out of band.
+// One fixed-width 16-byte record per field carries the interned FieldId,
+// the type and an inline payload (numerics) or an (offset, length) slice
+// into the trailing variable section (TEXT/BYTES) — exactly how an
+// arena-backed Message lays fields out. Encode is a sequence of bulk
+// copies with no per-field heap traffic; decode into an arena-backed
+// message is ONE copy of the variable section plus slice binding.
+//
+// FieldIds are the process-global interned ids: the section is an
+// intra-deployment format whose ends share the compiler's intern table.
 #pragma once
 
 #include <span>
 
-#include "common/arena.h"
 #include "common/bytes.h"
 #include "common/status.h"
 #include "rpc/message.h"
-#include "rpc/wire.h"
 
 namespace adn::rpc {
 
-// Bytes before the per-field records.
-inline constexpr size_t kFlatBaseBytes = HeaderSpec::kBaseHeaderBytes + 2 + 4;
 // Fixed bytes per field record.
 inline constexpr size_t kFlatRecordBytes = 16;
 
-// Appends the flat encoding of `m` to `out`. `methods` may be null (method
-// id 0 is written and the method name is dropped, mirroring AdnWireCodec).
-Status EncodeFlat(const Message& m, const MethodRegistry* methods, Bytes& out);
-
-// Decodes a flat frame. With `arena` non-null the variable section is copied
-// into the arena once and TEXT/BYTES fields are bound as slices (the decoded
-// message is arena-backed and must not outlive the arena's next Reset);
-// with a null arena every payload is an owned heap copy.
-Result<Message> DecodeFlat(std::span<const uint8_t> wire,
-                           const MethodRegistry* methods,
-                           common::Arena* arena = nullptr);
-
-// Exact encoded size of `m` in the flat format (frame sizing / cost models).
-size_t FlatEncodedSize(const Message& m);
-
-// --- Fields-only framing (response cache blobs) ----------------------------
-// The cache element stores responses as field sections without the base
-// header: the hit path grafts the cached fields onto the live request
-// message, whose id/method/endpoints must survive the rewrite.
-//   [u16 nfields][u32 var_len]
-//   nfields x [u16 fid][u8 type][u8 0][u32 len][u64 payload]
-//   [var_len bytes]
 // Appends the section for `m`'s fields to `out`.
 Status EncodeFieldsFlat(const Message& m, Bytes& out);
 // Replaces `m`'s fields with the decoded section; metadata is untouched.
 // Arena-backed messages get one bulk arena copy plus slice binding (zero
-// heap allocations); heap messages get per-field owned copies.
+// heap allocations); heap messages get per-field owned copies. A truncated
+// section or a slice past the variable section is a kParseError.
 Status DecodeFieldsFlatInto(std::span<const uint8_t> wire, Message& m);
 
 }  // namespace adn::rpc

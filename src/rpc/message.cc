@@ -230,14 +230,6 @@ bool Message::RemoveField(std::string_view name) {
 
 // --- Misc -------------------------------------------------------------------
 
-size_t Message::ApproximateSize() const {
-  size_t total = sizeof(Message) + method_.size();
-  for (const Field& f : fields()) {
-    total += f.name().size() + f.value.EncodedSizeHint();
-  }
-  return total;
-}
-
 std::string Message::DebugString() const {
   std::string out;
   out += kind_ == MessageKind::kRequest

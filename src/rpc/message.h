@@ -128,10 +128,6 @@ class Message {
   void SetField(std::string_view name, Value value);
   bool RemoveField(std::string_view name);
 
-  // Total bytes this message would occupy in memory-ish terms; used by cost
-  // models and compression accounting.
-  size_t ApproximateSize() const;
-
   std::string DebugString() const;
 
   // --- Convenience constructors -------------------------------------------

@@ -69,11 +69,6 @@ uint64_t HashKeyValues(RowRef key) {
 // Size of a keyed table's first index: room for 8 rows at load 1/2.
 constexpr size_t kMinIndexSlots = 16;
 
-// The cells a row-reading iterator points at: Append/Put read from
-// plain pointers (copy) and from move iterators (move).
-const Value* CellPtr(const Value* p) { return p; }
-const Value* CellPtr(std::move_iterator<Value*> it) { return it.base(); }
-
 void PrefetchRead(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
   __builtin_prefetch(p, 0, 3);
@@ -143,10 +138,7 @@ void Table::UnlinkRow(uint32_t row) {
 template <class Fn>
 void Table::ForEachKeySlot(size_t slot, size_t num_slots,
                            const Fn& fn) const {
-  if (pk_indexes_.empty() || num_slots == 0 || kKeySlots % num_slots != 0 ||
-      slot >= num_slots) {
-    return;
-  }
+  if (pk_indexes_.empty() || slot >= num_slots) return;
   for (size_t s = slot; s < kKeySlots; s += num_slots) fn(s);
 }
 
@@ -193,31 +185,29 @@ Status Table::InsertFrom(std::span<Value> cells) {
   // Keyless tables are append-only logs: nothing ever consults the key
   // index, so skip both the key hash and the index slot.
   if (pk_indexes_.empty()) {
-    Append(std::make_move_iterator(cells.data()));
+    Append(cells.data());
   } else {
-    Put(std::make_move_iterator(cells.data()), KeyHashOf(cells.data()));
+    Put(cells.data(), KeyHashOf(cells.data()));
   }
   return Status::Ok();
 }
 
-template <class It>
-void Table::Append(It first) {
-  cells_.insert(cells_.end(), first, first + ncols_);
+void Table::Append(Value* first) {
+  cells_.insert(cells_.end(), std::make_move_iterator(first),
+                std::make_move_iterator(first + ncols_));
   ++nrows_;
 }
 
-template <class It>
-void Table::Put(It first, uint64_t h) {
+void Table::Put(Value* first, uint64_t h) {
   if (pk_indexes_.empty()) {
     Append(first);
     return;
   }
   ReserveIndex(nrows_ + 1);
-  const Value* row = CellPtr(first);
   const size_t pos =
-      Probe(h, [&](const Value* r) { return KeysEqual(r, row); });
+      Probe(h, [&](const Value* r) { return KeysEqual(r, first); });
   if (index_[pos].row != kNoRow) {
-    std::copy(first, first + ncols_, CellsAt(index_[pos].row));  // upsert
+    std::move(first, first + ncols_, CellsAt(index_[pos].row));  // upsert
     return;
   }
   index_[pos] = IndexSlot{h, static_cast<uint32_t>(nrows_)};
@@ -422,32 +412,32 @@ void Table::InsertDecoded(std::span<Value> cells) {
   for (size_t i = 0; i < n; ++i) hashes[i] = KeyHashOf(&cells[i * ncols_]);
   for (size_t i = 0; i < n; ++i) {
     if (i + kRowsAhead < n) PrefetchRead(&index_[Home(hashes[i + kRowsAhead])]);
-    Put(std::make_move_iterator(&cells[i * ncols_]), hashes[i]);
+    Put(&cells[i * ncols_], hashes[i]);
   }
 }
 
-Result<std::vector<Table>> Table::SplitByKeyHash(size_t shards) const {
+Result<std::vector<Bytes>> Table::SnapshotShards(size_t shards) const {
   if (shards == 0) {
     return Error(ErrorCode::kInvalidArgument, "cannot split into 0 shards");
   }
-  return SplitRows(shards, [&](uint64_t h) { return h % shards; });
-}
-
-template <class ShardOf>
-std::vector<Table> Table::SplitRows(size_t shards,
-                                    const ShardOf& shard_of) const {
-  // Count first, so each shard's cells, hashes and index are sized once.
+  // Pass 1 places every row and counts each shard's rows, which lead their
+  // snapshots; pass 2 encodes each row straight into its shard. A shard
+  // number is below kKeySlots, so it fits a byte.
+  std::vector<uint8_t> shard_of(nrows_);
   std::vector<size_t> counts(shards, 0);
-  for (size_t i = 0; i < nrows_; ++i) ++counts[shard_of(RowHashAt(i))];
-  std::vector<Table> out;
-  out.reserve(shards);
+  for (size_t i = 0; i < nrows_; ++i) {
+    shard_of[i] = static_cast<uint8_t>(KeySlotOf(RowHashAt(i)) % shards);
+    ++counts[shard_of[i]];
+  }
+  std::vector<Bytes> out(shards);
   for (size_t s = 0; s < shards; ++s) {
-    out.emplace_back(name_, schema_);
-    out.back().Reserve(counts[s]);
+    ByteWriter w(out[s]);
+    WriteHeader(w);
+    w.WriteVarint(counts[s]);
   }
   for (size_t i = 0; i < nrows_; ++i) {
-    const uint64_t h = RowHashAt(i);
-    out[shard_of(h)].Put(CellsAt(i), h);
+    ByteWriter w(out[shard_of[i]]);
+    for (const Value& v : RowRef(CellsAt(i), ncols_)) EncodeValue(v, w);
   }
   return out;
 }
@@ -597,16 +587,6 @@ size_t Table::EraseKeySlot(size_t slot, size_t num_slots) {
     PopRow(SlotOfRow(rows[j]), nullptr);
   }
   return rows.size();
-}
-
-Result<std::vector<Table>> Table::SplitByKeySlot(size_t shards,
-                                                 size_t num_slots) const {
-  if (shards == 0 || num_slots == 0) {
-    return Error(ErrorCode::kInvalidArgument,
-                 "cannot split into 0 shards/slots");
-  }
-  return SplitRows(shards,
-                   [&](uint64_t h) { return (h % num_slots) % shards; });
 }
 
 uint64_t Table::ContentHash() const {

@@ -38,8 +38,8 @@ namespace adn::rpc {
 using Row = std::vector<Value>;
 
 // Key slots every keyed table tracks membership of: a row's slot is its key
-// hash % kKeySlots. Live migration moves one slot (or a union of slots, for
-// any slot count that divides this one) at a time; the EnginePool routes by
+// hash % kKeySlots. Live migration moves one slot (or slot s of any count
+// n: the key slots k with k % n == s) at a time; the EnginePool routes by
 // the same slots (EnginePool::kRouteSlots).
 inline constexpr size_t kKeySlots = 64;
 
@@ -184,29 +184,33 @@ class Table {
   // key hash and one upsert per keyed row, an append per keyless row.
   void InsertDecoded(std::span<Value> cells);
 
-  // Partition rows into `shards` tables by hash of the primary key (or of
-  // the whole row when no PK is declared). Used when scaling OUT a stateful
-  // element: each new instance receives one shard.
-  Result<std::vector<Table>> SplitByKeyHash(size_t shards) const;
+  // Partition the rows into `shards` Snapshot()s: a row goes to shard
+  // (RowKeyHash % kKeySlots) % shards, the function EnginePool routes
+  // messages by, so shard i holds exactly the keys whose messages route to
+  // worker i. Each shard keeps its rows in this table's storage order. Used
+  // when scaling OUT a stateful element (pool start-up included): each new
+  // instance receives one shard. Zero shards is an error.
+  Result<std::vector<Bytes>> SnapshotShards(size_t shards) const;
 
   // Deterministic content hash (order-insensitive) — used by tests to prove
   // split+merge round-trips state exactly.
   uint64_t ContentHash() const;
 
   // --- Key-slot slices (live migration; see docs/RECONFIG.md) --------------
-  // Keyed rows partition into `num_slots` slots by RowKeyHash % num_slots; a
-  // slice is one slot's rows. Slices are the unit of shard ownership the
-  // EnginePool router moves between workers without draining. `num_slots`
-  // must divide kKeySlots (slot s of num_slots is the union of key slots
-  // s, s + num_slots, ...; num_slots == 1 is every keyed row), and every
-  // slice operation walks only the slice's rows through the per-slot row
-  // lists: no scan of the table, no re-hash. Other slot counts, and keyless
-  // tables, yield empty slices. Append-log rows are location-independent
-  // (the merged state hash XORs across shards), so they never move with a
-  // slice.
+  // Slot s of `num_slots` is the union of the key slots k < kKeySlots with
+  // k % num_slots == s — the keyed rows of shard s of SnapshotShards
+  // (num_slots) — and a slice is one slot's rows. Slices are the unit of
+  // shard ownership the EnginePool router moves between workers without
+  // draining (num_slots == kKeySlots: one key slot each; num_slots == 1:
+  // every keyed row). Every slice operation walks only the slice's rows
+  // through the per-slot row lists: no scan of the table, no re-hash. A
+  // slot that holds no key slot (slot >= num_slots or slot >= kKeySlots),
+  // and every slot of a keyless table, yields an empty slice. Append-log
+  // rows are location-independent (the merged state hash XORs across
+  // shards), so they never move with a slice.
   bool HasPrimaryKey() const { return !pk_indexes_.empty(); }
   // Key hash of a row OF THIS TABLE (PK hash, whole-row hash when keyless) —
-  // exactly the hash slices and shard splits partition by.
+  // exactly the hash slices and shards partition by.
   uint64_t RowKeyHash(RowRef row) const { return KeyHashOf(row.data()); }
   // The row's primary-key values in PK-column order (empty when keyless).
   Row KeyOf(RowRef row) const;
@@ -236,11 +240,6 @@ class Table {
   // keys keep their index slots (rows from the tail fill the holes, as in
   // EraseByKey).
   size_t EraseKeySlot(size_t slot, size_t num_slots);
-  // Two-level split: shard = (RowKeyHash % num_slots) % shards — the same
-  // partition EnginePool's slot router applies to message keys, so shard s
-  // holds precisely the keys whose messages route to worker s.
-  Result<std::vector<Table>> SplitByKeySlot(size_t shards,
-                                            size_t num_slots) const;
 
   std::string DebugString(size_t max_rows = 10) const;
 
@@ -277,16 +276,11 @@ class Table {
   uint64_t RowHashAt(size_t row) const {
     return pk_indexes_.empty() ? KeyHashOf(CellsAt(row)) : row_hash_[row];
   }
-  // Append one type-checked row, read (copied or moved) from `first`.
-  template <class It>
-  void Append(It first);
-  // Insert of a type-checked row whose key hash is `h`: upsert when keyed,
-  // append when keyless.
-  template <class It>
-  void Put(It first, uint64_t h);
-  // Copy every row into the shard `shard_of(key hash)` of `shards` tables.
-  template <class ShardOf>
-  std::vector<Table> SplitRows(size_t shards, const ShardOf& shard_of) const;
+  // Append one type-checked row, moving its cells out of `first`.
+  void Append(Value* first);
+  // Insert of a type-checked row (cells moved out of `first`) whose key
+  // hash is `h`: upsert when keyed, append when keyless.
+  void Put(Value* first, uint64_t h);
   // Size an empty table's cells, hashes and index for `rows` rows.
   void Reserve(size_t rows);
   // Grow the index (when needed, then refilled) so `rows` rows keep its
@@ -300,8 +294,8 @@ class Table {
   // Take row `row` off its slot's list (the list's last entry fills its
   // place).
   void UnlinkRow(uint32_t row);
-  // Visit the key slots that make up slot `slot` of `num_slots`: none
-  // unless `num_slots` divides kKeySlots and `slot` < `num_slots`.
+  // Visit the key slots that make up slot `slot` of `num_slots` (none for a
+  // keyless table).
   template <class Fn>
   void ForEachKeySlot(size_t slot, size_t num_slots, const Fn& fn) const;
   // Call `fn(row)` for every row number of slot `slot` of `num_slots`,
@@ -353,7 +347,7 @@ uint64_t HashRow(RowRef row);
 // Hash of one key value — exactly the hash KeyHashOf/LookupSingleKey use
 // for a single-column primary key. Shard routers (mrpc::EnginePool) hash the
 // message's shard-key field with this so that worker i's table shard from
-// SplitByKeyHash(n) holds precisely the keys whose messages route to i.
+// SnapshotShards(n) holds precisely the keys whose messages route to i.
 uint64_t HashSingleKey(const Value& key);
 
 }  // namespace adn::rpc

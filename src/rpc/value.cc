@@ -119,18 +119,6 @@ std::string Value::ToDisplayString() const {
   return "?";
 }
 
-size_t Value::EncodedSizeHint() const {
-  switch (type()) {
-    case ValueType::kNull: return 1;
-    case ValueType::kBool: return 2;
-    case ValueType::kInt: return 10;
-    case ValueType::kFloat: return 9;
-    case ValueType::kText: return AsText().size() + 5;
-    case ValueType::kBytes: return AsBytes().size() + 5;
-  }
-  return 1;
-}
-
 uint64_t HashValue(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:

@@ -127,9 +127,8 @@ class Value {
   // NULL sorts before everything; cross-type numeric compares allowed.
   int CompareTo(const Value& other) const;
 
-  // Wire/debug helpers.
+  // Debug/display rendering.
   std::string ToDisplayString() const;
-  size_t EncodedSizeHint() const;
 
   bool operator==(const Value& other) const { return EqualsValue(other); }
 

@@ -17,15 +17,6 @@ void HeaderSpec::ResolveFieldIds() {
   }
 }
 
-size_t HeaderSpec::MaxEncodedSize(const Message& m) const {
-  size_t total = kBaseHeaderBytes;
-  for (const Column& c : fields) {
-    const Value& v = m.GetFieldOrNull(c.name);
-    total += 1 + v.EncodedSizeHint();
-  }
-  return total;
-}
-
 std::string HeaderSpec::DebugString() const {
   std::string out = "HeaderSpec[";
   for (size_t i = 0; i < fields.size(); ++i) {

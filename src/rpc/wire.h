@@ -42,10 +42,6 @@ struct HeaderSpec {
   // Fixed bytes before the field section.
   static constexpr size_t kBaseHeaderBytes = 1 + 8 + 4 + 4 + 4;
 
-  // Upper bound on encoded size for a message (used for P4 parse-depth
-  // feasibility checks; payload BYTES fields count their actual size).
-  size_t MaxEncodedSize(const Message& m) const;
-
   std::string DebugString() const;
 };
 

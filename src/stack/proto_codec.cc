@@ -36,14 +36,6 @@ const ProtoSchema::ProtoField* ProtoSchema::FindByNumber(
   return nullptr;
 }
 
-const ProtoSchema::ProtoField* ProtoSchema::FindByName(
-    std::string_view name) const {
-  for (const auto& f : fields_) {
-    if (f.name == name) return &f;
-  }
-  return nullptr;
-}
-
 Result<Bytes> ProtoEncode(const rpc::Message& message,
                           const ProtoSchema& schema) {
   Bytes out;

@@ -33,7 +33,6 @@ class ProtoSchema {
 
   const std::vector<ProtoField>& fields() const { return fields_; }
   const ProtoField* FindByNumber(uint32_t number) const;
-  const ProtoField* FindByName(std::string_view name) const;
 
  private:
   std::vector<ProtoField> fields_;

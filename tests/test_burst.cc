@@ -494,48 +494,57 @@ TEST(Burst, PrefetchPassIsInvisibleUnderMutation) {
   }
 }
 
-// --- EngineChain (single-threaded engine tier) -------------------------------
+// --- GeneratedStage (per-element engine tier) --------------------------------
 
-TEST(Burst, EngineChainBurstMatchesScalarChain) {
-  auto elements = Fig5Elements();
-  auto make_chain = [&](mrpc::EngineChain& chain) {
-    for (const auto& e : elements) {
-      auto stage = std::make_unique<mrpc::GeneratedStage>(e, 5);
-      SeedAcl(stage->instance());
-      chain.AddStage(std::move(stage));
-    }
-  };
-  mrpc::EngineChain scalar_chain, burst_chain;
-  make_chain(scalar_chain);
-  make_chain(burst_chain);
-
+// Each fig5 element as its own GeneratedStage, plus a filter element the
+// stage cannot compile (every message aborts with the compile error):
+// ProcessBurst over chunks of every size must match the stage's own scalar
+// Process message by message, in outcomes, mutations, counters and state.
+TEST(Burst, GeneratedStageBurstMatchesScalarProcess) {
+  auto codes = Fig5Elements();
+  codes.push_back(LowerNamed(std::string(elements::RateLimitFilterSql()),
+                             "Limiter"));
   Rng rng(123);
   std::vector<Message> stream;
   for (uint64_t i = 0; i < 130; ++i) stream.push_back(FigMessage(rng, i));
-  std::vector<Message> scalar_msgs = stream;
-  std::vector<ProcessResult> burst_results(stream.size());
-  std::vector<ProcessResult> scalar_results(stream.size());
-  for (size_t i = 0; i < stream.size(); ++i) {
-    scalar_results[i] = scalar_chain.Process(scalar_msgs[i], 0);
-  }
-  for (size_t off = 0; off < stream.size(); off += 32) {
-    const size_t n = std::min<size_t>(32, stream.size() - off);
-    burst_chain.ProcessBurst(stream.data() + off, n, 0,
-                             burst_results.data() + off);
-  }
-  for (size_t i = 0; i < stream.size(); ++i) {
-    ASSERT_EQ(scalar_results[i].outcome, burst_results[i].outcome)
-        << "message " << i;
-    ASSERT_EQ(scalar_msgs[i].DebugString(), stream[i].DebugString());
-  }
-  EXPECT_EQ(scalar_chain.processed(), burst_chain.processed());
-  EXPECT_EQ(scalar_chain.dropped(), burst_chain.dropped());
-  for (size_t s = 0; s < scalar_chain.size(); ++s) {
-    auto& a = static_cast<mrpc::GeneratedStage&>(scalar_chain.stage(s));
-    auto& b = static_cast<mrpc::GeneratedStage&>(burst_chain.stage(s));
-    EXPECT_EQ(a.instance().StateContentHash(),
-              b.instance().StateContentHash())
-        << "stage " << s;
+
+  for (const auto& e : codes) {
+    for (size_t burst : {size_t{1}, size_t{7}, size_t{32}}) {
+      mrpc::GeneratedStage scalar(e, 5);
+      mrpc::GeneratedStage bursty(e, 5);
+      SeedAcl(scalar.instance());
+      SeedAcl(bursty.instance());
+      EXPECT_EQ(scalar.compiled(), !e->IsFilter()) << e->name;
+
+      std::vector<Message> scalar_msgs = stream;
+      std::vector<Message> burst_msgs = stream;
+      std::vector<ProcessResult> scalar_results(stream.size());
+      std::vector<ProcessResult> burst_results(stream.size());
+      for (size_t i = 0; i < stream.size(); ++i) {
+        scalar_results[i] = scalar.Process(scalar_msgs[i], 0);
+      }
+      for (size_t off = 0; off < stream.size(); off += burst) {
+        const size_t n = std::min(burst, stream.size() - off);
+        bursty.ProcessBurst(burst_msgs.data() + off, n, 0,
+                            burst_results.data() + off);
+      }
+      for (size_t i = 0; i < stream.size(); ++i) {
+        ASSERT_EQ(scalar_results[i].outcome, burst_results[i].outcome)
+            << e->name << " burst=" << burst << " message " << i;
+        ASSERT_EQ(scalar_results[i].abort_message,
+                  burst_results[i].abort_message)
+            << e->name << " burst=" << burst << " message " << i;
+        ASSERT_EQ(scalar_msgs[i].DebugString(), burst_msgs[i].DebugString())
+            << e->name << " burst=" << burst << " message " << i;
+      }
+      EXPECT_EQ(scalar.instance().processed(), bursty.instance().processed())
+          << e->name << " burst=" << burst;
+      EXPECT_EQ(scalar.instance().dropped(), bursty.instance().dropped())
+          << e->name << " burst=" << burst;
+      EXPECT_EQ(scalar.instance().StateContentHash(),
+                bursty.instance().StateContentHash())
+          << e->name << " burst=" << burst;
+    }
   }
 }
 

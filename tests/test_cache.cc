@@ -1,6 +1,6 @@
 // The Cache element (ISSUE 10 tentpole): DSL surface, ARC hit/miss/fill
 // semantics, TTL expiry, capacity eviction, tier parity (interpreter vs
-// engine stage vs burst vs whole-chain program), migration invariance,
+// engine stage vs whole-chain program in bursts), migration invariance,
 // aggregation primitives and
 // the hit-rate-aware placement of caches toward the client.
 #include <gtest/gtest.h>
@@ -278,11 +278,11 @@ Message ChainResponse(const Message& request) {
 }
 
 // The cache has one implementation (ElementInstance::RunCache over its flat
-// CacheRuntime), reached through four paths over the whole cached chain:
+// CacheRuntime), reached through three paths over the whole cached chain:
 // the interpreter element by element (the oracle), GeneratedStages one
-// message at a time, the same stages' burst loop, and one whole-chain
-// ChainExecutor, where the cache is a single kCacheProbe. All four must
-// produce identical outcomes, message rewrites, counters and state hashes.
+// message at a time, and one whole-chain ChainExecutor's burst loop, where
+// the cache is a single kCacheProbe. All three must produce identical
+// outcomes, message rewrites, counters and state hashes.
 TEST(CacheParity, ScalarStageAndBurstAgree) {
   auto parsed = dsl::ParseProgram(SmallCacheChainSource());
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -296,20 +296,18 @@ TEST(CacheParity, ScalarStageAndBurstAgree) {
   const size_t n = codes.size();
 
   std::vector<std::unique_ptr<ir::ElementInstance>> interp, whole_state;
-  mrpc::EngineChain scalar, burst;
+  mrpc::EngineChain scalar;
   for (size_t e = 0; e < n; ++e) {
     interp.push_back(std::make_unique<ir::ElementInstance>(codes[e], 3));
     whole_state.push_back(std::make_unique<ir::ElementInstance>(codes[e], 3));
     auto scalar_stage = std::make_unique<mrpc::GeneratedStage>(codes[e], 3);
-    auto burst_stage = std::make_unique<mrpc::GeneratedStage>(codes[e], 3);
     EXPECT_TRUE(scalar_stage->compiled()) << codes[e]->name;
     for (ir::ElementInstance* inst :
          {interp.back().get(), whole_state.back().get(),
-          &scalar_stage->instance(), &burst_stage->instance()}) {
+          &scalar_stage->instance()}) {
       SeedParity(*inst);
     }
     scalar.AddStage(std::move(scalar_stage));
-    burst.AddStage(std::move(burst_stage));
   }
   auto program = compiler::CompileChainProgram(codes);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
@@ -328,18 +326,16 @@ TEST(CacheParity, ScalarStageAndBurstAgree) {
   // Every path over one batch; returns the oracle's outcomes.
   auto run_all = [&](const std::vector<Message>& base, int64_t now) {
     const size_t k = base.size();
-    std::vector<Message> m1 = base, m2 = base, m3 = base, m4 = base;
-    std::vector<ProcessResult> r3(k), r4(k);
-    burst.ProcessBurst(m3.data(), k, now, r3.data());
+    std::vector<Message> m1 = base, m2 = base, m4 = base;
+    std::vector<ProcessResult> r4(k);
     whole.ProcessBurst(m4.data(), k, now, r4.data());
     std::vector<ProcessOutcome> outcomes;
     for (size_t i = 0; i < k; ++i) {
       const ProcessResult r1 = run_interp(m1[i], now);
       const ProcessResult r2 = scalar.Process(m2[i], now);
       EXPECT_EQ(r1.outcome, r2.outcome) << "lane " << i;
-      EXPECT_EQ(r1.outcome, r3[i].outcome) << "lane " << i;
       EXPECT_EQ(r1.outcome, r4[i].outcome) << "lane " << i;
-      for (const Message* other : {&m2[i], &m3[i], &m4[i]}) {
+      for (const Message* other : {&m2[i], &m4[i]}) {
         EXPECT_EQ(m1[i].DebugString(), other->DebugString());
         EXPECT_EQ(m1[i].destination(), other->destination());
       }
@@ -379,10 +375,8 @@ TEST(CacheParity, ScalarStageAndBurstAgree) {
   for (size_t e = 0; e < n; ++e) {
     const ir::ElementInstance& want = *interp[e];
     auto& scalar_stage = dynamic_cast<mrpc::GeneratedStage&>(scalar.stage(e));
-    auto& burst_stage = dynamic_cast<mrpc::GeneratedStage&>(burst.stage(e));
     for (const ir::ElementInstance* got :
-         {&scalar_stage.instance(), &burst_stage.instance(),
-          whole_state[e].get()}) {
+         {&scalar_stage.instance(), whole_state[e].get()}) {
       EXPECT_EQ(want.processed(), got->processed()) << want.name();
       EXPECT_EQ(want.dropped(), got->dropped()) << want.name();
       EXPECT_EQ(want.cache_hits(), got->cache_hits()) << want.name();
@@ -395,17 +389,14 @@ TEST(CacheParity, ScalarStageAndBurstAgree) {
   }
   // Every path evicted and refilled: more fills than the cache can hold.
   auto& scalar_cache = dynamic_cast<mrpc::GeneratedStage&>(scalar.stage(0));
-  auto& burst_cache = dynamic_cast<mrpc::GeneratedStage&>(burst.stage(0));
   for (const ir::ElementInstance* cache :
-       {interp[0].get(), &scalar_cache.instance(), &burst_cache.instance(),
-        whole_state[0].get()}) {
+       {interp[0].get(), &scalar_cache.instance(), whole_state[0].get()}) {
     const size_t resident = cache->FindTable("__cache_RespCache")->RowCount();
     EXPECT_LE(resident, kParityCapacity);
     EXPECT_GT(cache->cache_fills(), resident);
     EXPECT_GT(cache->cache_evicted(), 0u);
   }
   EXPECT_EQ(scalar.dropped(), 0u) << "cache replies must not count as drops";
-  EXPECT_EQ(burst.dropped(), 0u);
 }
 
 // --- Migration ---------------------------------------------------------------

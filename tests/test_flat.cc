@@ -1,6 +1,8 @@
-// Zero-allocation message path: flat wire format round-trips, arena
-// lease/recycle semantics, the field-name interner, and the arena-backed
-// Message API (slices, materialize-on-copy, lease-carrying moves).
+// Zero-allocation message path: flat field-section round-trips
+// (EncodeFieldsFlat/DecodeFieldsFlatInto, the response cache's format),
+// arena lease/recycle semantics, the field-name interner, and the
+// arena-backed Message API (slices, materialize-on-copy, lease-carrying
+// moves).
 #include <gtest/gtest.h>
 
 #include <random>
@@ -32,15 +34,6 @@ void ExpectSameFields(const Message& a, const Message& b) {
   }
 }
 
-void ExpectSameMessage(const Message& a, const Message& b) {
-  EXPECT_EQ(a.id(), b.id());
-  EXPECT_EQ(a.kind(), b.kind());
-  EXPECT_EQ(a.source(), b.source());
-  EXPECT_EQ(a.destination(), b.destination());
-  EXPECT_EQ(a.error_detail(), b.error_detail());
-  ExpectSameFields(a, b);
-}
-
 Message SampleMessage() {
   std::vector<Field> fields = {
       {"username", Value(std::string("alice"))},
@@ -56,83 +49,108 @@ Message SampleMessage() {
   return m;
 }
 
+// Bytes of the section header plus the per-field records.
+size_t FixedBytes(const Message& m) {
+  return 6 + m.FieldCount() * kFlatRecordBytes;
+}
+
+// Decodes `wire` into a fresh heap message whose metadata must survive.
+Message DecodeOntoHeap(std::span<const uint8_t> wire, Status* status) {
+  Message m = Message::MakeRequest(99, "Live.Req", {{"stale", Value(1)}});
+  *status = DecodeFieldsFlatInto(wire, m);
+  return m;
+}
+
 TEST(FlatWire, RoundTripsAllValueTypes) {
   const Message m = SampleMessage();
   Bytes wire;
-  ASSERT_TRUE(EncodeFlat(m, nullptr, wire).ok());
-  EXPECT_EQ(wire.size(), FlatEncodedSize(m));
+  ASSERT_TRUE(EncodeFieldsFlat(m, wire).ok());
+  EXPECT_EQ(wire.size(), FixedBytes(m) + 5 + 5);  // "alice" + 5 payload bytes
 
-  auto decoded = DecodeFlat(wire, nullptr);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ExpectSameMessage(m, *decoded);
-  EXPECT_FALSE(decoded->arena_backed());
+  Status status;
+  const Message decoded = DecodeOntoHeap(wire, &status);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectSameFields(m, decoded);
+  EXPECT_FALSE(decoded.arena_backed());
+  // Only the fields are replaced: the live message keeps its metadata.
+  EXPECT_EQ(decoded.id(), 99u);
+  EXPECT_EQ(decoded.method(), "Live.Req");
 }
 
 TEST(FlatWire, ReEncodeIsByteExact) {
   const Message m = SampleMessage();
   Bytes first;
-  ASSERT_TRUE(EncodeFlat(m, nullptr, first).ok());
-  auto decoded = DecodeFlat(first, nullptr);
-  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(EncodeFieldsFlat(m, first).ok());
+  Status status;
+  const Message decoded = DecodeOntoHeap(first, &status);
+  ASSERT_TRUE(status.ok());
   Bytes second;
-  ASSERT_TRUE(EncodeFlat(*decoded, nullptr, second).ok());
+  ASSERT_TRUE(EncodeFieldsFlat(decoded, second).ok());
   EXPECT_EQ(first, second);
 }
 
 TEST(FlatWire, ArenaDecodeBorrowsFromArena) {
   const Message m = SampleMessage();
   Bytes wire;
-  ASSERT_TRUE(EncodeFlat(m, nullptr, wire).ok());
+  ASSERT_TRUE(EncodeFieldsFlat(m, wire).ok());
 
-  Arena arena;
-  auto decoded = DecodeFlat(wire, nullptr, &arena);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(decoded->arena_backed());
-  ExpectSameMessage(m, *decoded);
+  ArenaPool pool(512);
+  Message decoded = Message::WithArena(pool);
+  decoded.SetText(InternFieldName("stale"), "overwritten");
+  ASSERT_TRUE(DecodeFieldsFlatInto(wire, decoded).ok());
+  EXPECT_TRUE(decoded.arena_backed());
+  ExpectSameFields(m, decoded);
 
   // TEXT/BYTES came in as slices pointing into the arena's var-section copy.
-  const Value* user = decoded->FindField(InternFieldName("username"));
+  const Value* user = decoded.FindField(InternFieldName("username"));
   ASSERT_NE(user, nullptr);
   EXPECT_TRUE(user->is_borrowed());
-  EXPECT_GT(arena.bytes_used(), 0u);
+  const Value* payload = decoded.FindField(InternFieldName("payload"));
+  ASSERT_NE(payload, nullptr);
+  EXPECT_TRUE(payload->is_borrowed());
+  EXPECT_GT(decoded.arena()->bytes_used(), 0u);
 
   // Re-encoding the borrowed message is identical to encoding the original.
   Bytes again;
-  ASSERT_TRUE(EncodeFlat(*decoded, nullptr, again).ok());
+  ASSERT_TRUE(EncodeFieldsFlat(decoded, again).ok());
   EXPECT_EQ(wire, again);
-}
-
-TEST(FlatWire, MethodRegistryCarriesMethodNames) {
-  MethodRegistry methods;
-  methods.Intern("Obj.Put");
-  const Message m = SampleMessage();
-  Bytes wire;
-  ASSERT_TRUE(EncodeFlat(m, &methods, wire).ok());
-  auto decoded = DecodeFlat(wire, &methods);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->method(), "Obj.Put");
-}
-
-TEST(FlatWire, ErrorDetailSurvives) {
-  Message req = SampleMessage();
-  Message err = Message::MakeNetworkError(req, "permission denied");
-  Bytes wire;
-  ASSERT_TRUE(EncodeFlat(err, nullptr, wire).ok());
-  auto decoded = DecodeFlat(wire, nullptr);
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->kind(), MessageKind::kError);
-  EXPECT_EQ(decoded->error_detail(), "permission denied");
 }
 
 TEST(FlatWire, RejectsTruncatedFrames) {
   const Message m = SampleMessage();
   Bytes wire;
-  ASSERT_TRUE(EncodeFlat(m, nullptr, wire).ok());
-  for (size_t cut : {size_t{0}, size_t{5}, kFlatBaseBytes - 1,
-                     kFlatBaseBytes + 3, wire.size() - 1}) {
-    auto r = DecodeFlat(std::span<const uint8_t>(wire.data(), cut), nullptr);
-    EXPECT_FALSE(r.ok()) << "cut at " << cut;
+  ASSERT_TRUE(EncodeFieldsFlat(m, wire).ok());
+  // Inside the header, inside the records, and one byte short of the end.
+  for (size_t cut : {size_t{0}, size_t{5}, size_t{6} + 3,
+                     FixedBytes(m) - 1, wire.size() - 1}) {
+    Status status;
+    DecodeOntoHeap(std::span<const uint8_t>(wire.data(), cut), &status);
+    EXPECT_FALSE(status.ok()) << "cut at " << cut;
   }
+}
+
+TEST(FlatWire, RejectsSliceOutsideVarSection) {
+  const Message m = SampleMessage();
+  Bytes wire;
+  ASSERT_TRUE(EncodeFieldsFlat(m, wire).ok());
+  // Field 0 is TEXT "alice": its record's len (offset 4) and payload
+  // offset (offset 8) each point it past the 10-byte variable section.
+  uint8_t* rec = wire.data() + 6;
+  ASSERT_EQ(rec[2], static_cast<uint8_t>(ValueType::kText));
+  for (const auto& [at, value] : {std::pair<size_t, uint8_t>{4, 11},
+                                  std::pair<size_t, uint8_t>{8, 6}}) {
+    Bytes bad = wire;
+    bad[6 + at] = value;
+    Status status;
+    DecodeOntoHeap(bad, &status);
+    EXPECT_FALSE(status.ok()) << "record byte " << at;
+  }
+  // A type tag past kBytes is rejected too.
+  Bytes bad = wire;
+  bad[6 + 2] = static_cast<uint8_t>(ValueType::kBytes) + 1;
+  Status status;
+  DecodeOntoHeap(bad, &status);
+  EXPECT_FALSE(status.ok());
 }
 
 Value RandomValue(std::mt19937_64& rng) {
@@ -156,40 +174,42 @@ Value RandomValue(std::mt19937_64& rng) {
 
 TEST(FlatWire, RandomizedRoundTripHeapAndArena) {
   std::mt19937_64 rng(20260808);
-  Arena arena;
+  ArenaPool pool(1024);
   for (int iter = 0; iter < 200; ++iter) {
     std::vector<Field> fields;
     const size_t n = rng() % 8;
+    size_t var_bytes = 0;
     for (size_t i = 0; i < n; ++i) {
       fields.emplace_back("f" + std::to_string(i), RandomValue(rng));
+      const Value& v = fields.back().value;
+      if (v.type() == ValueType::kText) var_bytes += v.AsText().size();
+      if (v.type() == ValueType::kBytes) var_bytes += v.AsBytes().size();
     }
-    Message m = Message::MakeRequest(rng(), "Svc.M", std::move(fields));
-    m.set_source(static_cast<EndpointId>(rng() % 100));
-    m.set_destination(static_cast<EndpointId>(rng() % 100));
+    const Message m = Message::MakeRequest(rng(), "Svc.M", std::move(fields));
 
     Bytes wire;
-    ASSERT_TRUE(EncodeFlat(m, nullptr, wire).ok());
-    ASSERT_EQ(wire.size(), FlatEncodedSize(m));
+    ASSERT_TRUE(EncodeFieldsFlat(m, wire).ok());
+    ASSERT_EQ(wire.size(), FixedBytes(m) + var_bytes);
 
-    auto heap = DecodeFlat(wire, nullptr);
-    ASSERT_TRUE(heap.ok());
-    ExpectSameMessage(m, *heap);
+    Status status;
+    const Message heap = DecodeOntoHeap(wire, &status);
+    ASSERT_TRUE(status.ok());
+    ExpectSameFields(m, heap);
 
-    arena.Reset();
-    auto borrowed = DecodeFlat(wire, nullptr, &arena);
-    ASSERT_TRUE(borrowed.ok());
-    ExpectSameMessage(m, *borrowed);
+    Message borrowed = Message::WithArena(pool);
+    ASSERT_TRUE(DecodeFieldsFlatInto(wire, borrowed).ok());
+    ExpectSameFields(m, borrowed);
   }
 }
 
-// The flat format and the legacy positional codec must agree on content:
+// The flat section and the positional codec must agree on content:
 // decoding either encoding of the same message yields the same field values.
 TEST(FlatWire, AgreesWithLegacyCodecOnRandomMessages) {
   std::mt19937_64 rng(77);
   MethodRegistry methods;
   methods.Intern("Svc.M");
   for (int iter = 0; iter < 100; ++iter) {
-    // The legacy codec needs a typed HeaderSpec, so draw typed columns.
+    // The positional codec needs a typed HeaderSpec, so draw typed columns.
     HeaderSpec spec;
     std::vector<Field> fields;
     const size_t n = 1 + rng() % 6;
@@ -223,13 +243,12 @@ TEST(FlatWire, AgreesWithLegacyCodecOnRandomMessages) {
     ASSERT_TRUE(from_legacy.ok());
 
     Bytes flat_wire;
-    ASSERT_TRUE(EncodeFlat(m, &methods, flat_wire).ok());
-    auto from_flat = DecodeFlat(flat_wire, &methods);
-    ASSERT_TRUE(from_flat.ok());
+    ASSERT_TRUE(EncodeFieldsFlat(m, flat_wire).ok());
+    Status status;
+    const Message from_flat = DecodeOntoHeap(flat_wire, &status);
+    ASSERT_TRUE(status.ok());
 
-    ExpectSameFields(*from_legacy, *from_flat);
-    EXPECT_EQ(from_legacy->id(), from_flat->id());
-    EXPECT_EQ(from_legacy->method(), from_flat->method());
+    ExpectSameFields(*from_legacy, from_flat);
   }
 }
 

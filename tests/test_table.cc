@@ -11,6 +11,7 @@
 #include "dsl/parser.h"
 #include "elements/library.h"
 #include "ir/exec.h"
+#include "mrpc/engine_pool.h"
 #include "rpc/table.h"
 
 namespace adn::rpc {
@@ -134,6 +135,20 @@ TEST(Table, MergeUpsertsOnKey) {
   EXPECT_EQ(a.LookupByKey(Row{Value("alice")})[1].AsText(), "W");
 }
 
+// SnapshotShards(n), each shard restored into a table.
+std::vector<Table> Shards(const Table& t, size_t n) {
+  std::vector<Table> out;
+  auto blobs = t.SnapshotShards(n);
+  EXPECT_TRUE(blobs.ok());
+  if (!blobs.ok()) return out;
+  for (const Bytes& blob : *blobs) {
+    auto shard = Table::Restore(blob);
+    EXPECT_TRUE(shard.ok()) << shard.status().ToString();
+    out.push_back(shard.ok() ? std::move(shard).value() : Table());
+  }
+  return out;
+}
+
 // Property: splitting into k shards and merging back preserves the exact
 // content (hash-equal), for many table sizes and shard counts.
 class SplitMergeProperty
@@ -148,14 +163,13 @@ TEST_P(SplitMergeProperty, RoundTripsContent) {
                           Value(rng.NextBool(0.5) ? "W" : "R")})
                     .ok());
   }
-  auto split = t.SplitByKeyHash(static_cast<size_t>(shards));
-  ASSERT_TRUE(split.ok());
-  ASSERT_EQ(split->size(), static_cast<size_t>(shards));
+  const std::vector<Table> split = Shards(t, static_cast<size_t>(shards));
+  ASSERT_EQ(split.size(), static_cast<size_t>(shards));
 
   // Shards partition the rows.
   size_t total = 0;
   uint64_t xor_hash = 0;
-  for (const Table& shard : split.value()) {
+  for (const Table& shard : split) {
     total += shard.RowCount();
     xor_hash ^= shard.ContentHash();
   }
@@ -164,7 +178,7 @@ TEST_P(SplitMergeProperty, RoundTripsContent) {
 
   // Merging back equals the original.
   Table merged("ac", AclSchema());
-  for (const Table& shard : split.value()) {
+  for (const Table& shard : split) {
     ASSERT_TRUE(Merge(merged, shard).ok());
   }
   EXPECT_EQ(merged.ContentHash(), t.ContentHash());
@@ -174,11 +188,11 @@ TEST_P(SplitMergeProperty, RoundTripsContent) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, SplitMergeProperty,
     ::testing::Combine(::testing::Values(0, 1, 7, 64, 513),
-                       ::testing::Values(1, 2, 3, 8)));
+                       ::testing::Values(1, 2, 3, 5, 8)));
 
 TEST(Table, SplitIntoZeroShardsRejected) {
   Table t("ac", AclSchema());
-  EXPECT_FALSE(t.SplitByKeyHash(0).ok());
+  EXPECT_FALSE(t.SnapshotShards(0).ok());
 }
 
 TEST(Table, SplitIsDisjointByKey) {
@@ -187,12 +201,12 @@ TEST(Table, SplitIsDisjointByKey) {
     ASSERT_TRUE(
         t.Insert({Value("u" + std::to_string(i)), Value("W")}).ok());
   }
-  auto split = t.SplitByKeyHash(4);
-  ASSERT_TRUE(split.ok());
+  const std::vector<Table> split = Shards(t, 4);
+  ASSERT_EQ(split.size(), 4u);
   // Any given key appears in exactly one shard.
   for (int i = 0; i < 100; ++i) {
     int hits = 0;
-    for (const Table& shard : split.value()) {
+    for (const Table& shard : split) {
       hits +=
           shard.LookupByKey(Row{Value("u" + std::to_string(i))}) != nullptr;
     }
@@ -296,38 +310,69 @@ TEST(Table, SliceAndEraseKeySlotPartition) {
   EXPECT_EQ(t.RowCount(), 200u - slot3);
   EXPECT_EQ(Slice(t, 3, kSlots).RowCount(), 0u);
 
-  // A slot count that does not divide kKeySlots, or a slot past the count,
-  // names no rows.
-  EXPECT_EQ(t.KeySlotRowCount(0, 3), 0u);
+  // Slot s of any count is the key slots k with k % count == s, whether or
+  // not the count divides kKeySlots; a slot past the count names no rows.
+  size_t mod3 = 0;
+  for (size_t k = 0; k < kKeySlots; k += 3) {
+    mod3 += t.KeySlotRowCount(k, kKeySlots);
+  }
+  EXPECT_GT(mod3, 0u);
+  EXPECT_EQ(t.KeySlotRowCount(0, 3), mod3);
+  EXPECT_EQ(Slice(t, 0, 3).RowCount(), mod3);
+  EXPECT_EQ(t.KeySlotRowCount(3, 3), 0u);
   EXPECT_EQ(t.KeySlotRowCount(kSlots, kSlots), 0u);
-  EXPECT_EQ(t.EraseKeySlot(0, 3), 0u);
-  EXPECT_EQ(t.RowCount(), 200u - slot3);
+  EXPECT_EQ(t.KeySlotRowCount(5, 100), t.KeySlotRowCount(5, kKeySlots));
+  EXPECT_EQ(t.KeySlotRowCount(70, 100), 0u);
+  const size_t before = t.RowCount();
+  EXPECT_EQ(t.EraseKeySlot(0, 3), mod3);
+  EXPECT_EQ(t.RowCount(), before - mod3);
+  EXPECT_EQ(t.KeySlotRowCount(0, 3), 0u);
   // One slot of one is every keyed row.
   EXPECT_EQ(t.KeySlotRowCount(0, 1), t.RowCount());
 }
 
-TEST(Table, SplitByKeySlotAgreesWithSlotRouter) {
-  // shard = (key hash % num_slots) % shards — the EnginePool routing
-  // function. Every row must land on the shard its messages route to.
-  constexpr size_t kSlots = 64;
-  constexpr size_t kShards = 3;
+TEST(Table, SplitAgreesWithSlotRouter) {
+  // shard = (key hash % kKeySlots) % n, the EnginePool routing function:
+  // every row lands on the shard its messages route to, a shard's keyed
+  // rows are exactly slot s of n, and each shard is the Snapshot() of the
+  // table holding its rows in this table's storage order.
   Table t("ac", AclSchema());
+  Table log("log", LogSchema());
   for (int i = 0; i < 150; ++i) {
     ASSERT_TRUE(
         t.Insert({Value("user" + std::to_string(i)), Value("R")}).ok());
+    ASSERT_TRUE(log.Insert({Value(i), Value(i * 7)}).ok());
   }
-  auto shards = t.SplitByKeySlot(kShards, kSlots);
-  ASSERT_TRUE(shards.ok());
-  ASSERT_EQ(shards->size(), kShards);
-  size_t total = 0;
-  for (size_t s = 0; s < kShards; ++s) {
-    for (const RowRef row : (*shards)[s].rows()) {
-      EXPECT_EQ(t.RowKeyHash(row) % kSlots % kShards, s);
+  for (size_t n : {size_t{2}, size_t{3}, size_t{5}}) {
+    for (const Table* table : {&t, &log}) {
+      auto blobs = table->SnapshotShards(n);
+      ASSERT_TRUE(blobs.ok());
+      ASSERT_EQ(blobs->size(), n);
+      size_t total = 0;
+      for (size_t s = 0; s < n; ++s) {
+        auto shard = Table::Restore((*blobs)[s]);
+        ASSERT_TRUE(shard.ok());
+        Table expected(table->name(), table->schema());
+        for (const RowRef row : table->rows()) {
+          if (table->RowKeyHash(row) % kKeySlots % n == s) {
+            ASSERT_TRUE(expected.Insert(row).ok());
+          }
+        }
+        EXPECT_EQ((*blobs)[s], expected.Snapshot()) << "n=" << n;
+        if (table->HasPrimaryKey()) {
+          for (const RowRef row : shard->rows()) {
+            EXPECT_EQ(mrpc::EnginePool::SlotOfKey(row[0]) % n, s)
+                << row[0].AsText() << " n=" << n;
+          }
+          const Table slice = Slice(*table, s, n);
+          EXPECT_EQ(slice.RowCount(), shard->RowCount());
+          EXPECT_EQ(slice.ContentHash(), shard->ContentHash());
+        }
+        total += shard->RowCount();
+      }
+      EXPECT_EQ(total, 150u);
     }
-    total += (*shards)[s].RowCount();
   }
-  EXPECT_EQ(total, 150u);
-  EXPECT_FALSE(t.SplitByKeySlot(0, kSlots).ok());
 }
 
 TEST(Table, ClearEmptiesAndKeepsWorking) {
@@ -633,13 +678,15 @@ class IndexOracle {
       table_.Clear();
       model_.clear();
     } else if (op < 983) {
-      // Re-assemble the table from its SplitByKeySlot shards.
-      auto shards = table_.SplitByKeySlot(rng.NextBelow(4) + 1, 64);
+      // Re-assemble the table from its SnapshotShards shards.
+      auto shards = table_.SnapshotShards(rng.NextBelow(4) + 1);
       ASSERT_TRUE(shards.ok());
       Table whole("t", shape_.schema);
-      for (const Table& shard : *shards) {
-        CheckSlotWalks(shard);
-        ASSERT_TRUE(Merge(whole, shard).ok());
+      for (const Bytes& blob : *shards) {
+        auto shard = Table::Restore(blob);
+        ASSERT_TRUE(shard.ok());
+        CheckSlotWalks(*shard);
+        ASSERT_TRUE(Merge(whole, *shard).ok());
       }
       table_ = std::move(whole);
     } else if (op < 987) {

@@ -231,10 +231,12 @@ TEST(SpscRingStress, ArenaMessagesHandOffAndRecycleAcrossThreads) {
   for (auto& t : consumers) t.join();
   EXPECT_TRUE(ok.load());
   // Steady state must run on recycled arenas, not fresh heap: the pool can
-  // only ever create as many arenas as are simultaneously in flight
-  // (bounded by the ring capacities), and everything else is reuse.
+  // only ever create as many arenas as are simultaneously in flight, and
+  // everything else is reuse. In flight at once: a full 64-slot ring per
+  // consumer, plus the message each consumer holds after popping it (its
+  // ring refills meanwhile), plus the one the producer is pushing.
   EXPECT_GT(pool.reused(), 0u);
-  EXPECT_LE(pool.created(), static_cast<uint64_t>(kConsumers * 64 + 1));
+  EXPECT_LE(pool.created(), static_cast<uint64_t>(kConsumers * (64 + 1) + 1));
   EXPECT_EQ(pool.created() + pool.reused(), static_cast<uint64_t>(kItems));
 }
 
@@ -584,6 +586,41 @@ TEST(EnginePool, StateHashInvariantAfterStart) {
   // Sharding the seed state across workers loses nothing.
   EXPECT_EQ(pool.MergedStateHash(kAclIdx), seeded_hash);
   pool.Stop();
+}
+
+// One partition: Start() shards the template state with the router's own
+// function, so at any worker count every seeded key's row sits on the
+// worker its messages route to, and nowhere else.
+TEST(EnginePool, StartPlacesEverySeededKeyOnItsRoutedWorker) {
+  constexpr int kUsers = 200;
+  for (int workers : {1, 2, 3}) {
+    EnginePool::Config config;
+    config.workers = workers;
+    config.shard_key_field = "username";
+    EnginePool pool(LogAclElements(), {}, config);
+    SeedUsers(pool, kUsers);
+    const uint64_t seeded_hash =
+        pool.FindTemplateInstance("Acl")->StateContentHash();
+    ASSERT_TRUE(pool.Start().ok());
+    pool.Stop();
+    size_t rows = 0;
+    for (int w = 0; w < workers; ++w) {
+      rows += pool.WorkerInstance(w, kAclIdx).FindTable("ac_tab")->RowCount();
+    }
+    EXPECT_EQ(rows, static_cast<size_t>(kUsers)) << workers << " workers";
+    for (int i = 0; i < kUsers; ++i) {
+      const Value key(UserName(i));
+      const int owner = pool.WorkerOfKey(key);
+      for (int w = 0; w < workers; ++w) {
+        const rpc::Table* acl =
+            pool.WorkerInstance(w, kAclIdx).FindTable("ac_tab");
+        EXPECT_EQ(acl->LookupSingleKey(key) != nullptr, w == owner)
+            << UserName(i) << " on worker " << w << " of " << workers;
+      }
+    }
+    EXPECT_EQ(pool.MergedStateHash(kAclIdx), seeded_hash)
+        << workers << " workers";
+  }
 }
 
 TEST(EnginePool, MissingShardKeyFallsBackToIdRouting) {
