@@ -5,11 +5,12 @@
 // (so their ratio is immune to runner speed):
 //
 //  - live      BeginSlotMigration/PumpMigration (docs/RECONFIG.md): the
-//              source keeps serving while the slot bulk-copies; only the
-//              cutover window — producer holds the moving slot's messages,
-//              source diffs its baseline, destination replays the delta —
-//              blacks out, and only for that slot. The pool measures this
-//              window itself (LiveMigrationStats::blackout_ns).
+//              producer holds the moving slot's messages while the source
+//              finishes the slot's earlier ones and hands the slot's table
+//              shards out; the route then flips and the held messages
+//              follow the shards to the destination. Only that slot blacks
+//              out. The pool measures this window itself
+//              (LiveMigrationStats::blackout_ns).
 //  - pause     the classic drain-the-world protocol the live path replaces:
 //              stop submitting, Drain() every ring, then copy the FULL
 //              state of every element (snapshot + restore; re-sharding is
@@ -20,8 +21,9 @@
 // call to SwapComplete() (the window in which some worker may still run old
 // code; messages themselves keep flowing — the swap never drops).
 //
-// Each worker-side control op is timed too (p50/p99 per op): the five ops
-// of every live migration from LiveMigrationStats::op_ns, exact; the swap
+// Each worker-side control op is timed too (p50/p99 per op): detach and
+// adopt of every live migration from LiveMigrationStats::op_ns, exact; the
+// swap
 // op from the adn_reconfig_op_ns histogram (telemetry on for the swap
 // section only), so its quantiles are bucket-interpolated.
 //
@@ -171,27 +173,28 @@ ELEMENT Acl ON REQUEST {
   std::vector<int64_t> live_ns;
   using Op = mrpc::EnginePool::ReconfigOp;
   std::array<std::vector<int64_t>, mrpc::EnginePool::kReconfigOps> op_ns;
-  uint64_t delta_replayed = 0;
+  uint64_t moved_rows = 0;
   for (int round = 0; round < kRounds; ++round) {
     const int slot =
         (round * 7 + 1) % static_cast<int>(mrpc::EnginePool::kRouteSlots);
     const int to = (pool.WorkerOfSlot(slot) + 1) % pool.workers();
     if (!pool.BeginSlotMigration(slot, to).ok()) return 1;
     while (pool.MigrationActive()) {
-      // Pump first — during the cutover hold the moving slot's messages sit
-      // in the producer's hold buffer and count against the backlog, so only
-      // the pump (which flips the route and flushes them) can clear it. Then
-      // a burst of traffic, skipping (not blocking) while backlogged, and a
-      // short sleep to release the core: every migration phase is a
-      // producer->worker handoff, and a producer that never sleeps keeps the
-      // worker off the run queue on small hosts, measuring the OS timeslice
-      // instead of the protocol.
+      // Pump on every pass, never after a sleep: the pump is what sees an
+      // op finish and flips the route, so time spent sleeping here would be
+      // reported as blackout. During the hold the moving slot's messages
+      // sit in the producer's hold buffer and count against the backlog,
+      // which only the pump's flush can clear. Then a burst of traffic,
+      // backing off (a yield, not a sleep) only while the backlog is full.
       pool.PumpMigration();
+      if (id - pool.processed() > 64) {
+        std::this_thread::yield();
+        continue;
+      }
       for (int i = 0; i < 32 && id - pool.processed() <= 64; ++i) {
         ++id;
         pool.Submit(MakeReq(id, static_cast<int>(id % kUsers)));
       }
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     live_ns.push_back(pool.migration_stats().blackout_ns);
     for (size_t op = 0; op < mrpc::EnginePool::kReconfigOps; ++op) {
@@ -199,8 +202,7 @@ ELEMENT Acl ON REQUEST {
         op_ns[op].push_back(pool.migration_stats().op_ns[op]);
       }
     }
-    delta_replayed += pool.migration_stats().delta_upserts +
-                      pool.migration_stats().delta_deletes;
+    moved_rows += pool.migration_stats().moved_rows;
     for (int i = 0; i < 2'000; ++i) submit();  // steady traffic between rounds
   }
   pool.Drain();
@@ -285,10 +287,10 @@ ELEMENT Acl ON REQUEST {
                 op_p50[op] / 1e3, op_p99[op] / 1e3);
   }
   std::printf("\nblackout improvement (pause p99 / live p99): %.1fx\n"
-              "delta rows replayed across %d migrations: %llu\n"
+              "rows handed over across %d migrations: %llu\n"
               "processed %llu, dropped %llu\n",
               improvement, kRounds,
-              static_cast<unsigned long long>(delta_replayed),
+              static_cast<unsigned long long>(moved_rows),
               static_cast<unsigned long long>(processed),
               static_cast<unsigned long long>(dropped));
 
@@ -320,13 +322,13 @@ ELEMENT Acl ON REQUEST {
                "  \"swap_blackout_p50_ns\": %.0f,\n"
                "  \"swap_blackout_p99_ns\": %.0f,\n"
                "%s"
-               "  \"delta_replayed\": %llu,\n"
+               "  \"moved_rows\": %llu,\n"
                "  \"processed\": %llu,\n"
                "  \"dropped\": %llu\n"
                "}\n",
                ADN_GIT_SHA, kUsers, kRounds, live_p50, live_p99, pause_p50,
                pause_p99, improvement, swap_p50, swap_p99, op_keys.c_str(),
-               static_cast<unsigned long long>(delta_replayed),
+               static_cast<unsigned long long>(moved_rows),
                static_cast<unsigned long long>(processed),
                static_cast<unsigned long long>(dropped));
   std::fclose(f);

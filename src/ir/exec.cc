@@ -152,7 +152,7 @@ struct ElementInstance::CacheRuntime {
   struct Entry {
     uint64_t key;
     uint32_t prev, next;
-    uint32_t row;  // last known row index of a resident key (a hint)
+    Table::RowId row;  // last known address of a resident key's row (a hint)
     uint8_t list;
   };
   // An in-flight miss, keyed by rpc id.
@@ -208,37 +208,31 @@ struct ElementInstance::CacheRuntime {
     entries.Remove(e);
   }
 
-  // The row backing resident slot `e`, or null. The cached row index is
+  // The row backing resident slot `e`, or null. The cached row address is
   // checked against the row's key and refreshed from the table's index when
-  // rows have moved underneath it.
+  // rows have moved underneath it, so on return a found row's address is
+  // entries[e].row.
   const Value* RowOf(uint32_t e, const Table& table) {
     Entry& entry = entries[e];
-    if (entry.row < table.RowCount()) {
-      const Value* row = table.rows()[entry.row].data();
-      if (row[0].type() == rpc::ValueType::kInt &&
-          static_cast<uint64_t>(row[0].AsInt()) == entry.key) {
-        return row;
-      }
+    if (const Value* row = table.RowAt(entry.row);
+        row != nullptr && row[0].type() == rpc::ValueType::kInt &&
+        static_cast<uint64_t>(row[0].AsInt()) == entry.key) {
+      return row;
     }
-    const Value* row =
-        table.LookupSingleKey(Value(static_cast<int64_t>(entry.key)));
-    entry.row = row != nullptr ? static_cast<uint32_t>(table.RowIndex(row))
-                               : kNone;
-    return row;
+    entry.row = table.FindSingleKey(Value(static_cast<int64_t>(entry.key)));
+    return table.RowAt(entry.row);
   }
 
-  // Drop resident slot `e`'s row into `spare`. The table fills the hole
-  // with its last row; that row's slot learns its new index.
+  // Drop resident slot `e`'s row into `spare`. The row's key slot fills
+  // the hole with its last row; that row's entry learns its new address.
   void EraseRow(uint32_t e, Table& table) {
-    const Value* row = RowOf(e, table);
-    const size_t hole = row != nullptr ? table.RowIndex(row) : SIZE_MAX;
+    const Table::RowId hole =
+        RowOf(e, table) != nullptr ? entries[e].row : Table::kNoRowId;
     table.EraseSingleKey(Value(static_cast<int64_t>(entries[e].key)), spare);
-    if (hole < table.RowCount()) {
-      const Value& moved = table.rows()[hole][0];
-      if (moved.type() != rpc::ValueType::kInt) return;
-      const uint32_t m = entries.Find(static_cast<uint64_t>(moved.AsInt()));
-      if (m != kNone) entries[m].row = static_cast<uint32_t>(hole);
-    }
+    const Value* moved = table.RowAt(hole);
+    if (moved == nullptr || moved[0].type() != rpc::ValueType::kInt) return;
+    const uint32_t m = entries.Find(static_cast<uint64_t>(moved[0].AsInt()));
+    if (m != kNone) entries[m].row = hole;
   }
 
   // ARC REPLACE: evict one resident entry to its ghost list and drop the
@@ -605,11 +599,10 @@ ElementInstance::CacheRuntime& ElementInstance::EnsureCacheRuntime() {
     // snapshot/restore/split/merge.
     if (const Table* table = FindTable(code_->cache_op->table);
         table != nullptr) {
-      const rpc::RowsView rows = table->rows();
-      for (size_t i = 0; i < rows.size(); ++i) {
-        if (rows[i][0].type() != rpc::ValueType::kInt) continue;
-        rt.PushMru(CacheRuntime::kT1, static_cast<uint64_t>(rows[i][0].AsInt()),
-                   static_cast<uint32_t>(i));
+      for (const rpc::RowRef row : table->rows()) {
+        if (row[0].type() != rpc::ValueType::kInt) continue;
+        rt.PushMru(CacheRuntime::kT1, static_cast<uint64_t>(row[0].AsInt()),
+                   Table::kNoRowId);
       }
     }
     rt.built = true;
@@ -758,9 +751,8 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
     if (t1 + t2 >= c) rt.Replace(*table, /*in_b2=*/false);
   }
   (void)table->InsertFrom(row);
-  // Insert appends a new key's row, so the slot's row hint is the last row.
   rt.PushMru(admit_to, fill_key,
-             static_cast<uint32_t>(table->RowCount() - 1));
+             table->FindSingleKey(Value(static_cast<int64_t>(fill_key))));
   ++rt.fills;
   return ProcessResult::Pass();
 }
@@ -839,21 +831,20 @@ Status ElementInstance::MergeState(std::span<const uint8_t> snapshot) {
   return Status::Ok();
 }
 
-Bytes ElementInstance::SnapshotSlice(size_t slot, size_t num_slots) const {
-  Bytes out;
-  ByteWriter w(out);
-  w.WriteVarint(tables_.size());
-  for (const Table& t : tables_) {
-    w.WriteLengthPrefixed(t.SnapshotKeySlot(slot, num_slots));
-  }
-  return out;
+std::vector<rpc::TableShard> ElementInstance::TakeKeySlot(size_t k) {
+  std::vector<rpc::TableShard> shards;
+  shards.reserve(tables_.size());
+  for (Table& t : tables_) shards.push_back(t.TakeKeySlot(k));
+  InvalidateCacheRuntime();
+  return shards;
 }
 
-size_t ElementInstance::EraseSlice(size_t slot, size_t num_slots) {
-  size_t erased = 0;
-  for (Table& t : tables_) erased += t.EraseKeySlot(slot, num_slots);
+void ElementInstance::AdoptKeySlot(size_t k,
+                                   std::vector<rpc::TableShard> shards) {
+  for (size_t i = 0; i < tables_.size() && i < shards.size(); ++i) {
+    tables_[i].AdoptKeySlot(k, std::move(shards[i]));
+  }
   InvalidateCacheRuntime();
-  return erased;
 }
 
 Status ElementInstance::ReplaceCode(std::shared_ptr<const ElementIr> new_code) {

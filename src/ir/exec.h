@@ -90,19 +90,18 @@ class ElementInstance {
   // included): shard i holds each table's Table::SnapshotShards(n)[i], the
   // rows whose key EnginePool routes to worker i of n.
   Result<std::vector<Bytes>> SplitState(size_t n) const;
-  // Merge a peer's snapshot (or slice) into this instance (scale-in, and a
-  // migration's bulk copy): keyed rows upsert by key.
+  // Merge a peer's snapshot into this instance (scale-in, and the
+  // simulated controller's migration): keyed rows upsert by key.
   Status MergeState(std::span<const uint8_t> snapshot);
   uint64_t StateContentHash() const;
 
   // --- Live reconfiguration (see docs/RECONFIG.md) --------------------------
-  // Snapshot only key slot `slot`'s keyed rows, in the SnapshotState format
-  // (keyless tables serialize empty — append-log rows never move with a
-  // slice), encoded straight from the slot's rows. The destination absorbs
-  // it with MergeState.
-  Bytes SnapshotSlice(size_t slot, size_t num_slots) const;
-  // Drop the slice locally after handoff; returns rows erased.
-  size_t EraseSlice(size_t slot, size_t num_slots);
+  // Hand key slot `k` of every table out whole, one shard per table (a
+  // keyless table's is empty — append-log rows never move with a slot), and
+  // take such shards in from another instance of the same element. O(tables):
+  // no row is copied. See rpc::Table::TakeKeySlot / AdoptKeySlot.
+  std::vector<rpc::TableShard> TakeKeySlot(size_t k);
+  void AdoptKeySlot(size_t k, std::vector<rpc::TableShard> shards);
   // DSL hot-reload: swap in new element code, keeping the live tables, RNG
   // and counters. Fails (kFailedPrecondition, via CheckStateCompatible)
   // unless the new code declares the same state tables.
@@ -128,7 +127,7 @@ class ElementInstance {
                              EvalContext& ctx);
   // ARC recency/frequency metadata lives outside the state table and is
   // rebuilt lazily from the rows after anything replaces or merges the
-  // tables (restore/merge/slice-erase/hot-reload) — the table alone is the
+  // tables (restore/merge/slot take or adopt/hot-reload) — the table alone is the
   // durable state, which is what keeps StateContentHash migration-invariant.
   void InvalidateCacheRuntime();
   // Decode every table blob of a SnapshotState-format `snapshot` into

@@ -66,15 +66,8 @@ const StateBaseline::RowMark* StateBaseline::TableMarks::Find(
   return nullptr;
 }
 
-StateBaseline StateBaseline::Capture(const ElementInstance& instance, int slot,
-                                     size_t num_slots) {
+StateBaseline StateBaseline::Capture(const ElementInstance& instance) {
   StateBaseline b;
-  // Every keyed row is slot 0 of 1. Either way capture and diff walk the
-  // table's per-slot row lists, so a slot-scoped baseline reads and hashes
-  // only the moving slot's rows and the blackout stays close to
-  // delta-sized however much state the element carries.
-  b.slot_ = slot < 0 ? 0 : static_cast<size_t>(slot);
-  b.num_slots_ = slot < 0 ? 1 : num_slots;
   b.tables_.resize(instance.tables().size());
   for (size_t t = 0; t < instance.tables().size(); ++t) {
     const Table& table = instance.tables()[t];
@@ -82,14 +75,12 @@ StateBaseline StateBaseline::Capture(const ElementInstance& instance, int slot,
     TableMarks& tm = b.tables_[t];
     const std::vector<size_t> pk = table.schema().PrimaryKeyIndexes();
     tm.key_width = pk.size();
-    const size_t rows = table.KeySlotRowCount(b.slot_, b.num_slots_);
-    tm.Reserve(rows);
-    tm.keys.reserve(rows * pk.size());
-    table.ForEachKeySlotRow(
-        b.slot_, b.num_slots_, [&](rpc::RowRef row, uint64_t key_hash) {
-          tm.Add(RowMark{key_hash, rpc::HashRow(row), tm.keys.size()});
-          for (size_t idx : pk) tm.keys.push_back(row[idx]);
-        });
+    tm.Reserve(table.RowCount());
+    tm.keys.reserve(table.RowCount() * pk.size());
+    for (const rpc::RowRef row : table.rows()) {
+      tm.Add(RowMark{table.RowKeyHash(row), rpc::HashRow(row), tm.keys.size()});
+      for (size_t idx : pk) tm.keys.push_back(row[idx]);
+    }
   }
   return b;
 }
@@ -109,18 +100,17 @@ Result<StateDelta> StateBaseline::Diff(const ElementInstance& instance) const {
     std::vector<rpc::RowRef> upserts;
     size_t seen = 0;
     if (table.HasPrimaryKey()) {
-      table.ForEachKeySlotRow(
-          slot_, num_slots_, [&](rpc::RowRef row, uint64_t key_hash) {
-            const RowMark* mark = tm.Find(key_hash);
-            if (mark == nullptr) {
-              upserts.push_back(row);  // inserted since the baseline
-            } else {
-              ++seen;
-              if (mark->row_hash != rpc::HashRow(row)) {
-                upserts.push_back(row);  // updated in place (by key)
-              }
-            }
-          });
+      for (const rpc::RowRef row : table.rows()) {
+        const RowMark* mark = tm.Find(table.RowKeyHash(row));
+        if (mark == nullptr) {
+          upserts.push_back(row);  // inserted since the baseline
+        } else {
+          ++seen;
+          if (mark->row_hash != rpc::HashRow(row)) {
+            upserts.push_back(row);  // updated in place (by key)
+          }
+        }
+      }
     }
     std::vector<rpc::RowRef> deletes;
     if (seen < tm.count) {

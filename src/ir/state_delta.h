@@ -1,13 +1,15 @@
-// Reconfiguration toolkit: mutation deltas, key-slot slices and hot-swap
-// compatibility checks over element state (paper §5.2).
+// Reconfiguration toolkit: mutation deltas and hot-swap compatibility checks
+// over element state (paper §5.2).
 //
-// Live migration moves a shard of tabular state from a running source to a
+// A cross-machine migration (the simulated controller's kLive cutover,
+// controller/migration.h) moves tabular state from a running source to a
 // destination WITHOUT stopping the source: the bulk of the state is copied
 // while the source keeps serving (and keeps mutating its tables), then the
 // mutations that happened during the copy window — the delta — are replayed
 // at the destination before traffic flips over. The blackout is proportional
-// to the delta, not to the state size. This header holds the pieces every
-// cutover implementation shares:
+// to the delta, not to the state size. (In-process EnginePool workers need
+// none of this: they hand a key slot's storage over whole, see
+// rpc::Table::TakeKeySlot.) This header holds:
 //
 //  - StateBaseline / StateDelta: capture a per-row fingerprint of an
 //    instance's keyed tables, then diff the live instance against it to
@@ -57,8 +59,7 @@ struct StateDelta {
   Status ApplyTo(ElementInstance& instance) const;
 };
 
-// Per-row fingerprint of an instance's keyed tables at one instant,
-// optionally restricted to one key slot (see Table::ForEachKeySlotRow).
+// Per-row fingerprint of an instance's keyed tables at one instant.
 // Diffing the live instance later yields exactly the mutations the copy
 // window saw. Row identity is the 64-bit key hash (the same hash the shard
 // router and the table index use); a hash collision would fold two keys
@@ -70,13 +71,10 @@ struct StateDelta {
 // probe.
 class StateBaseline {
  public:
-  // `slot` < 0 captures every keyed row; otherwise only rows whose key hash
-  // lands in `slot` of `num_slots` (the moving slice).
-  static StateBaseline Capture(const ElementInstance& instance, int slot = -1,
-                               size_t num_slots = 0);
+  static StateBaseline Capture(const ElementInstance& instance);
 
-  // Mutations of `instance`'s keyed tables since the capture, restricted to
-  // the captured slot. Fails when the table layout changed underneath.
+  // Mutations of `instance`'s keyed tables since the capture. Fails when
+  // the table layout changed underneath.
   Result<StateDelta> Diff(const ElementInstance& instance) const;
 
  private:
@@ -89,8 +87,8 @@ class StateBaseline {
     size_t key = kNoKey;
   };
   struct TableMarks {
-    // Power-of-two slots, linear probing from the key hash's high bits
-    // (one slot's key hashes share their low bits), load <= 1/2.
+    // Power-of-two slots, linear probing from the key hash's high bits,
+    // load <= 1/2.
     std::vector<RowMark> marks;
     std::vector<rpc::Value> keys;  // PK values in PK-column order, per mark
     size_t key_width = 0;          // PK columns per mark
@@ -106,9 +104,6 @@ class StateBaseline {
     }
   };
 
-  // The rows covered: slot slot_ of num_slots_ (0 of 1 is every keyed row).
-  size_t slot_ = 0;
-  size_t num_slots_ = 1;
   // Index-aligned with the instance's table vector; keyless tables hold no
   // marks.
   std::vector<TableMarks> tables_;

@@ -7,6 +7,7 @@
 #include <chrono>
 
 #include "compiler/chain_compile.h"
+#include "ir/state_delta.h"
 #include "obs/trace.h"
 #include "rpc/table.h"
 
@@ -46,7 +47,7 @@ void EmitReconfigEvent(obs::EventKind kind, std::string_view name,
 
 std::string_view EnginePool::ReconfigOpName(ReconfigOp op) {
   static constexpr std::array<std::string_view, kReconfigOps> kNames = {
-      "snapshot", "bulk_merge", "diff", "erase", "replay", "swap"};
+      "detach", "adopt", "swap"};
   return kNames[static_cast<size_t>(op)];
 }
 
@@ -175,9 +176,9 @@ int EnginePool::WorkerOfMessage(const rpc::Message& message) const {
 
 int EnginePool::Submit(rpc::Message message) {
   if (mig_ != nullptr && mig_->holding) {
-    // Cutover window: the moving slot's messages wait producer-side (in
-    // order) until the delta lands at the destination; everything else
-    // flows. This — not a pool-wide pause — is the whole blackout.
+    // Hold window: the moving slot's messages wait producer-side (in order)
+    // until its shards are on their way to the destination; everything
+    // else flows. This — not a pool-wide pause — is the whole blackout.
     const int slot = SlotOfMessage(message);
     if (slot == mig_->slot) {
       mig_->held.push_back(std::move(message));
@@ -256,12 +257,19 @@ void EnginePool::WorkerLoop(int index) {
   std::array<ir::ProcessResult, ir::ChainExecutor::kMaxBurstLanes> results;
   int spins = 0;
   for (;;) {
-    // Reconfiguration mailbox: one relaxed load per burst when idle. A
-    // pending op whose barrier is ahead clamps the burst so no pop crosses
-    // it — the "swap at burst boundaries" guarantee.
-    size_t burst_limit = burst_max;
+    // Reconfiguration mailbox: one flag load per burst when idle. A pending
+    // op whose barrier is ahead clamps the burst so no pop crosses it — the
+    // "ops run at burst boundaries" guarantee. The ring's tail is read
+    // BEFORE the flag and the pop goes no further than it: the producer
+    // sets the flag before it pushes anything that must run after the op,
+    // so every message this tail covers was pushed either inside the
+    // barrier of an op the mailbox check below sees, or before that op was
+    // posted. Otherwise an op posted after the flag load, or while
+    // RunPendingControl runs an earlier op, would not clamp this pop, and
+    // the messages pushed behind it would run ahead of it.
+    size_t burst_limit = std::min(burst_max, w.ring.size());
     if (w.ctrl_pending.load(std::memory_order_acquire)) {
-      burst_limit = RunPendingControl(w, burst_max);
+      burst_limit = std::min(burst_limit, RunPendingControl(w, burst_max));
     }
     const size_t got = w.ring.TryPopBurst(burst.data(), burst_limit);
     if (got > 0) {
@@ -473,29 +481,28 @@ Status EnginePool::BeginSlotMigration(int slot, int to_worker) {
                   "BeginSlotMigration: slot already lives on that worker");
   }
   auto mig = std::make_unique<LiveMigration>();
-  mig->phase = MigrationPhase::kSnapshot;
+  mig->phase = MigrationPhase::kDetach;
   mig->slot = slot;
   mig->from = from;
   mig->to = to_worker;
   mig->stats.slot = slot;
   mig->stats.from = from;
   mig->stats.to = to_worker;
+  // From here the slot's messages wait producer-side: the source's last
+  // message of the slot is already in its ring, ahead of the detach.
+  mig->holding = true;
+  mig->hold_start = std::chrono::steady_clock::now();
   LiveMigration* m = mig.get();
   mig_ = std::move(mig);
-  EmitReconfigEvent(obs::EventKind::kReconfig, obs::kEventReconfigSnapshot,
+  EmitReconfigEvent(obs::EventKind::kReconfig, obs::kEventReconfigDetach,
                     config_.processor, static_cast<uint64_t>(slot));
-  // Source worker, between bursts: capture the slice snapshot (the bulk
-  // copy) and a mutation baseline of the slot's keyed rows. The slot keeps
-  // serving at the source while the destination absorbs the bulk.
-  PostControl(from, ReconfigOp::kSnapshot, [this, m] {
+  // Source worker, once it has run every message submitted before the
+  // hold: hand the slot's shards out. No row is touched.
+  PostControl(from, ReconfigOp::kDetach, [this, m] {
     Worker& src = *workers_[static_cast<size_t>(m->from)];
-    m->baselines.reserve(src.instances.size());
-    m->bulk.reserve(src.instances.size());
+    m->shards.reserve(src.instances.size());
     for (auto& inst : src.instances) {
-      m->baselines.push_back(ir::StateBaseline::Capture(
-          *inst, m->slot, kRouteSlots));
-      m->bulk.push_back(inst->SnapshotSlice(
-          static_cast<size_t>(m->slot), kRouteSlots));
+      m->shards.push_back(inst->TakeKeySlot(static_cast<size_t>(m->slot)));
     }
   });
   return Status::Ok();
@@ -508,81 +515,28 @@ EnginePool::MigrationPhase EnginePool::PumpMigration() {
     case MigrationPhase::kIdle:
     case MigrationPhase::kDone:
       break;
-    case MigrationPhase::kSnapshot: {
-      if (!m->step(ReconfigOp::kSnapshot).done.load(
+    case MigrationPhase::kDetach: {
+      if (!m->step(ReconfigOp::kDetach).done.load(
               std::memory_order_acquire)) {
         break;
       }
-      for (const Bytes& b : m->bulk) m->stats.bulk_bytes += b.size();
-      // Destination absorbs the bulk slice while the source keeps serving —
-      // the double-buffer window. Mutations racing this copy are caught by
-      // the baseline diff at cutover.
-      PostControl(m->to, ReconfigOp::kBulkMerge, [this, m] {
+      for (const std::vector<rpc::TableShard>& tables : m->shards) {
+        for (const rpc::TableShard& shard : tables) {
+          m->stats.moved_rows += shard.RowCount();
+        }
+      }
+      // The destination takes the shards in ahead of the flipped traffic:
+      // the op's barrier is the destination's submitted count NOW, so it
+      // runs before any message flushed or routed after this point.
+      PostControl(m->to, ReconfigOp::kAdopt, [this, m] {
         Worker& dst = *workers_[static_cast<size_t>(m->to)];
         for (size_t e = 0; e < dst.instances.size(); ++e) {
-          // Same element layout on both sides: cannot fail.
-          (void)dst.instances[e]->MergeState(m->bulk[e]);
-        }
-      });
-      m->phase = MigrationPhase::kBulkMerge;
-      EmitReconfigEvent(obs::EventKind::kReconfig, obs::kEventReconfigBulkMerge,
-                        config_.processor, m->stats.bulk_bytes);
-      break;
-    }
-    case MigrationPhase::kBulkMerge: {
-      if (!m->step(ReconfigOp::kBulkMerge).done.load(
-              std::memory_order_acquire)) {
-        break;
-      }
-      // Cutover: hold the slot's traffic producer-side (everything else
-      // flows) and ask the source — after it drains everything submitted
-      // before this instant — for the mutation delta, then drop its slice.
-      m->holding = true;
-      m->hold_start = std::chrono::steady_clock::now();
-      PostControl(m->from, ReconfigOp::kDiff, [this, m] {
-        Worker& src = *workers_[static_cast<size_t>(m->from)];
-        m->deltas.reserve(src.instances.size());
-        for (size_t e = 0; e < src.instances.size(); ++e) {
-          auto delta = m->baselines[e].Diff(*src.instances[e]);
-          // Diff only fails on layout drift, impossible mid-run.
-          m->deltas.push_back(std::move(delta).value());
-        }
-      });
-      // Slice cleanup is a separate op so the hold window ends when the
-      // diff is done, not after the erase: the source's slot state is final
-      // once the diff ran (its barrier covers every pre-hold message, and
-      // held traffic never reaches the source), so the erase can overlap
-      // the flip. FIFO ctrl order keeps it behind the diff.
-      PostControl(m->from, ReconfigOp::kErase, [this, m] {
-        Worker& src = *workers_[static_cast<size_t>(m->from)];
-        for (auto& inst : src.instances) {
-          inst->EraseSlice(static_cast<size_t>(m->slot), kRouteSlots);
-        }
-      });
-      m->phase = MigrationPhase::kCutover;
-      EmitReconfigEvent(obs::EventKind::kReconfig, obs::kEventReconfigCutover,
-                        config_.processor, static_cast<uint64_t>(m->slot));
-      break;
-    }
-    case MigrationPhase::kCutover: {
-      if (!m->step(ReconfigOp::kDiff).done.load(std::memory_order_acquire)) {
-        break;
-      }
-      for (const ir::StateDelta& d : m->deltas) {
-        m->stats.delta_upserts += d.upserts;
-        m->stats.delta_deletes += d.deletes;
-      }
-      // Replay the delta at the destination, ahead of the flipped traffic:
-      // the ctrl op's barrier is the destination's submitted count NOW, so
-      // it runs before any message flushed or routed after this point.
-      PostControl(m->to, ReconfigOp::kReplay, [this, m] {
-        Worker& dst = *workers_[static_cast<size_t>(m->to)];
-        for (size_t e = 0; e < dst.instances.size(); ++e) {
-          (void)m->deltas[e].ApplyTo(*dst.instances[e]);
+          dst.instances[e]->AdoptKeySlot(static_cast<size_t>(m->slot),
+                                         std::move(m->shards[e]));
         }
       });
       // Atomic flip + flush: the slot now routes to the destination and the
-      // held messages re-enter in their original order, behind the replay.
+      // held messages re-enter in their original order, behind the adopt.
       route_[static_cast<size_t>(m->slot)] = static_cast<int32_t>(m->to);
       m->holding = false;
       m->stats.held_messages = static_cast<uint64_t>(m->held.size());
@@ -593,16 +547,14 @@ EnginePool::MigrationPhase EnginePool::PumpMigration() {
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - m->hold_start)
               .count();
-      m->phase = MigrationPhase::kReplay;
-      EmitReconfigEvent(obs::EventKind::kReconfig, obs::kEventReconfigReplay,
+      m->phase = MigrationPhase::kAdopt;
+      EmitReconfigEvent(obs::EventKind::kReconfig, obs::kEventReconfigCutover,
                         config_.processor,
                         static_cast<uint64_t>(m->stats.blackout_ns));
       break;
     }
-    case MigrationPhase::kReplay: {
-      if (!m->step(ReconfigOp::kReplay).done.load(
-              std::memory_order_acquire) ||
-          !m->step(ReconfigOp::kErase).done.load(std::memory_order_acquire)) {
+    case MigrationPhase::kAdopt: {
+      if (!m->step(ReconfigOp::kAdopt).done.load(std::memory_order_acquire)) {
         break;
       }
       for (size_t op = 0; op < kReconfigOps; ++op) {
@@ -613,8 +565,6 @@ EnginePool::MigrationPhase EnginePool::PumpMigration() {
         const std::string label = "processor=\"" + config_.processor + "\"";
         reg.GetHistogram("adn_reconfig_blackout_ns", label)
             .Observe(static_cast<double>(m->stats.blackout_ns));
-        reg.GetCounter("adn_reconfig_delta_replayed", label)
-            .Inc(m->stats.delta_upserts + m->stats.delta_deletes);
       }
       m->phase = MigrationPhase::kDone;
       break;

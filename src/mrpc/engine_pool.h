@@ -11,8 +11,9 @@
 // ((key hash % kRouteSlots) % workers, ElementInstance::SplitState),
 // so the worker that receives a message is exactly the worker whose shard
 // holds that key's rows — and the slot indirection is what makes live
-// migration possible: moving one slot's rows and flipping one route_ entry
-// re-homes that key range without touching the rest (docs/RECONFIG.md).
+// migration possible: handing one slot's table shards to another worker and
+// flipping one route_ entry re-homes that key range without touching the
+// rest (docs/RECONFIG.md).
 // Messages are handed over on a true SPSC ring (ring.h); RPCs without the
 // shard-key field fall back to a hash of the RPC/connection id.
 //
@@ -51,7 +52,6 @@
 #include "common/status.h"
 #include "ir/exec.h"
 #include "ir/program.h"
-#include "ir/state_delta.h"
 #include "mrpc/ring.h"
 #include "obs/intern.h"
 #include "obs/metrics.h"
@@ -64,36 +64,29 @@ namespace adn::mrpc {
 class EnginePool {
  public:
   // Keys hash into this many fixed route slots — the key slots every keyed
-  // table keeps its rows listed by — and a slot maps to one worker
+  // table keeps one storage shard per — and a slot maps to one worker
   // (route_). Live migration moves ownership of one slot at a time.
   static constexpr size_t kRouteSlots = rpc::kKeySlots;
 
   // The worker-side control ops of a reconfiguration. Each is timed on the
   // worker into adn_reconfig_op_ns{processor,op=ReconfigOpName(op)}.
   enum class ReconfigOp : uint8_t {
-    kSnapshot,   // source: slice snapshot + mutation baseline
-    kBulkMerge,  // destination: merge the slice snapshot
-    kDiff,       // source, inside the blackout: baseline diff -> delta
-    kErase,      // source, after the flip: drop the slice
-    kReplay,     // destination: apply the delta
-    kSwap,       // every worker: program hot-reload
+    kDetach,  // source: hand the slot's table shards out (TakeKeySlot)
+    kAdopt,   // destination: take them in (AdoptKeySlot)
+    kSwap,    // every worker: program hot-reload
   };
-  static constexpr size_t kReconfigOps = 6;
+  static constexpr size_t kReconfigOps = 3;
   static std::string_view ReconfigOpName(ReconfigOp op);
 
   // Producer-driven live-migration state machine (docs/RECONFIG.md):
-  //   kIdle -> kSnapshot (source captures slice + mutation baseline between
-  //   bursts) -> kBulkMerge (destination absorbs the bulk copy while the
-  //   source keeps serving the slot) -> kCutover (producer holds slot
-  //   traffic; source diffs the baseline into a delta and drops the slice)
-  //   -> kReplay (destination applies the delta; route flipped, held
-  //   messages flushed behind it) -> kDone.
+  //   kIdle -> kDetach (producer holds the slot's traffic; the source, once
+  //   it has run every message submitted before the hold, hands the slot's
+  //   shards out) -> kAdopt (destination takes them in; the route flips and
+  //   the held messages are flushed behind the adopt) -> kDone.
   enum class MigrationPhase : uint8_t {
     kIdle,
-    kSnapshot,
-    kBulkMerge,
-    kCutover,
-    kReplay,
+    kDetach,
+    kAdopt,
     kDone,
   };
 
@@ -101,11 +94,15 @@ class EnginePool {
     int slot = -1;
     int from = -1;
     int to = -1;
-    size_t bulk_bytes = 0;       // slice snapshot copied before the cutover
-    uint64_t delta_upserts = 0;  // rows replayed at cutover
+    // The hand-off moves storage, not bytes: bulk_bytes and the delta
+    // counts read 0. They stay because perfbench reports them
+    // (mrpc.migration.bulk_kb, mrpc.migration.delta_rows).
+    size_t bulk_bytes = 0;
+    uint64_t delta_upserts = 0;
     uint64_t delta_deletes = 0;
-    uint64_t held_messages = 0;  // producer-held during the cutover window
-    int64_t blackout_ns = 0;     // cutover hold window (steady clock)
+    uint64_t moved_rows = 0;     // keyed rows whose shards changed worker
+    uint64_t held_messages = 0;  // producer-held during the hold window
+    int64_t blackout_ns = 0;     // hold window: Begin to the flip (steady)
     // Worker wall time of each of this migration's control ops, indexed by
     // ReconfigOp (kSwap stays 0).
     std::array<int64_t, kReconfigOps> op_ns{};
@@ -179,10 +176,9 @@ class EnginePool {
 
   // --- Live reconfiguration (producer thread; docs/RECONFIG.md) --------------
   // Start moving key slot `slot` from its current owner to `to_worker`.
-  // Non-blocking: ingestion continues (including into the moving slot) while
-  // the bulk copy proceeds; only the cutover holds slot traffic, for the
-  // delta-sized blackout window. Drive with PumpMigration() until kDone.
-  // One migration in flight at a time.
+  // Non-blocking: the moving slot's messages are held producer-side (in
+  // order) from here until the flip; every other slot keeps flowing. Drive
+  // with PumpMigration() until kDone. One migration in flight at a time.
   Status BeginSlotMigration(int slot, int to_worker);
   // Advance the migration state machine (cheap; call from the submit loop).
   MigrationPhase PumpMigration();
@@ -295,21 +291,17 @@ class EnginePool {
     obs::NameId trace_processor_id = 0;  // interned once in Start
   };
 
-  // In-flight live migration. Producer-owned; each step's done flag
-  // publishes the vectors across the producer/source/destination handoffs
-  // (release/acquire, then the ctrl mailbox mutex carries them to the next
-  // worker).
+  // In-flight live migration. Producer-owned; the detach step's done flag
+  // publishes the shards to the producer (release/acquire), and the ctrl
+  // mailbox mutex carries them on to the destination worker.
   struct LiveMigration {
     MigrationPhase phase = MigrationPhase::kIdle;
     int slot = -1;
     int from = -1;
     int to = -1;
-    std::vector<ir::StateBaseline> baselines;  // source-worker-owned
-    std::vector<Bytes> bulk;                   // slice snapshots, per element
-    std::vector<ir::StateDelta> deltas;        // cutover deltas, per element
-    // One per ReconfigOp (kSwap unused). The source-side erase runs in its
-    // own ctrl op AFTER the diff: it has no business inside the hold
-    // window. kDone waits for it so MergedStateHash never double-counts.
+    // The slot's shards in transit: per element, one per table.
+    std::vector<std::vector<rpc::TableShard>> shards;
+    // One per ReconfigOp (kSwap unused).
     std::array<ControlStep, kReconfigOps> steps;
     ControlStep& step(ReconfigOp op) {
       return steps[static_cast<size_t>(op)];

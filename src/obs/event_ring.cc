@@ -16,8 +16,7 @@ std::string_view EventKindName(EventKind kind) {
 
 const std::vector<std::string_view>& ReconfigEventNames() {
   static const std::vector<std::string_view> kNames = {
-      kEventReconfigSnapshot, kEventReconfigBulkMerge, kEventReconfigCutover,
-      kEventReconfigReplay, kEventReconfigSwapProgram,
+      kEventReconfigDetach, kEventReconfigCutover, kEventReconfigSwapProgram,
   };
   return kNames;
 }

@@ -42,13 +42,10 @@ std::string_view EventKindName(EventKind kind);
 
 // First-class reconfiguration event names (contract: docs/RECONFIG.md
 // "Emitted events"; check_docs.py enforces src <-> docs agreement both
-// directions). One per live-migration state-machine transition plus the
-// program hot-swap.
-inline constexpr std::string_view kEventReconfigSnapshot = "reconfig.snapshot";
-inline constexpr std::string_view kEventReconfigBulkMerge =
-    "reconfig.bulk_merge";
+// directions). One per live-migration state-machine transition (hold +
+// detach posted; route flip + adopt posted) plus the program hot-swap.
+inline constexpr std::string_view kEventReconfigDetach = "reconfig.detach";
 inline constexpr std::string_view kEventReconfigCutover = "reconfig.cutover";
-inline constexpr std::string_view kEventReconfigReplay = "reconfig.replay";
 inline constexpr std::string_view kEventReconfigSwapProgram =
     "reconfig.swap_program";
 // All reconfig event names the runtime may emit (for tools and the

@@ -16,6 +16,19 @@ void PutU32(uint8_t* p, uint32_t v) {
 void PutU64(uint8_t* p, uint64_t v) {
   for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
 }
+uint16_t GetU16(const uint8_t* p) {
+  return static_cast<uint16_t>(p[0] | (p[1] << 8));
+}
+uint32_t GetU32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
+uint64_t GetU64(const uint8_t* p) {
+  uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
+  return v;
+}
 
 struct VarPayload {
   const uint8_t* data = nullptr;
@@ -114,6 +127,25 @@ Status DecodeFieldsFlatInto(std::span<const uint8_t> wire, Message& m) {
                        r.ReadBytes(size_t{nfields} * kFlatRecordBytes));
   ADN_ASSIGN_OR_RETURN(auto var, r.ReadBytes(var_len));
 
+  // Check every record before the message changes: a bad type tag or a
+  // slice outside the variable section is an error that leaves `m` as it
+  // was. A record is {u16 field id, u8 type, u8 pad, u32 len, u64 payload}.
+  for (uint16_t i = 0; i < nfields; ++i) {
+    const uint8_t* rec = records.data() + size_t{i} * kFlatRecordBytes;
+    const uint8_t type = rec[2];
+    if (type > static_cast<uint8_t>(ValueType::kBytes)) {
+      return Error(ErrorCode::kParseError,
+                   "bad flat value type " + std::to_string(type));
+    }
+    const uint32_t len = GetU32(rec + 4);
+    const uint64_t payload = GetU64(rec + 8);
+    const bool sliced = type == static_cast<uint8_t>(ValueType::kText) ||
+                        type == static_cast<uint8_t>(ValueType::kBytes);
+    if (sliced && (payload > var_len || len > var_len - payload)) {
+      return Error(ErrorCode::kParseError, "flat slice out of range");
+    }
+  }
+
   common::Arena* arena = m.arena();
   const uint8_t* var_base = var.data();
   if (arena != nullptr && var_len > 0) {
@@ -123,17 +155,12 @@ Status DecodeFieldsFlatInto(std::span<const uint8_t> wire, Message& m) {
   // Destroy the current fields in place (allocation-free), then graft the
   // decoded ones.
   m.ProjectFields({});
-  ByteReader rec(records);
   for (uint16_t i = 0; i < nfields; ++i) {
-    ADN_ASSIGN_OR_RETURN(uint16_t fid, rec.ReadU16());
-    ADN_ASSIGN_OR_RETURN(uint8_t type, rec.ReadU8());
-    if (Status s = rec.Skip(1); !s.ok()) return s.error();
-    ADN_ASSIGN_OR_RETURN(uint32_t len, rec.ReadU32());
-    ADN_ASSIGN_OR_RETURN(uint64_t payload, rec.ReadU64());
-    if (type > static_cast<uint8_t>(ValueType::kBytes)) {
-      return Error(ErrorCode::kParseError,
-                   "bad flat value type " + std::to_string(type));
-    }
+    const uint8_t* rec = records.data() + size_t{i} * kFlatRecordBytes;
+    const uint16_t fid = GetU16(rec);
+    const uint8_t type = rec[2];
+    const uint32_t len = GetU32(rec + 4);
+    const uint64_t payload = GetU64(rec + 8);
     const ValueType vt = static_cast<ValueType>(type);
     switch (vt) {
       case ValueType::kNull:
@@ -153,9 +180,6 @@ Status DecodeFieldsFlatInto(std::span<const uint8_t> wire, Message& m) {
       }
       case ValueType::kText:
       case ValueType::kBytes: {
-        if (payload > var_len || len > var_len - payload) {
-          return Error(ErrorCode::kParseError, "flat slice out of range");
-        }
         const uint8_t* data = var_base + payload;
         if (arena != nullptr) {
           m.AppendField(fid, vt == ValueType::kText

@@ -34,7 +34,9 @@ Status EncodeFieldsFlat(const Message& m, Bytes& out);
 // Replaces `m`'s fields with the decoded section; metadata is untouched.
 // Arena-backed messages get one bulk arena copy plus slice binding (zero
 // heap allocations); heap messages get per-field owned copies. A truncated
-// section or a slice past the variable section is a kParseError.
+// section, a bad type tag or a slice past the variable section is a
+// kParseError that leaves `m` as it was: every record is checked before the
+// first field changes.
 Status DecodeFieldsFlatInto(std::span<const uint8_t> wire, Message& m);
 
 }  // namespace adn::rpc

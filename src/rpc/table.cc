@@ -1,8 +1,10 @@
 #include "rpc/table.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <iterator>
+#include <utility>
 
 #include "rpc/wire.h"
 
@@ -21,6 +23,7 @@ Table::Table(std::string name, Schema schema)
     : name_(std::move(name)), schema_(std::move(schema)) {
   pk_indexes_ = schema_.PrimaryKeyIndexes();
   ncols_ = schema_.size();
+  if (!pk_indexes_.empty()) shards_.resize(kKeySlots);
 }
 
 uint64_t HashSingleKey(const Value& key) {
@@ -66,8 +69,14 @@ uint64_t HashKeyValues(RowRef key) {
   return h;
 }
 
-// Size of a keyed table's first index: room for 8 rows at load 1/2.
-constexpr size_t kMinIndexSlots = 16;
+// A shard's first allocation: room for 8 rows, in its cells and hashes and
+// (at load 1/2) its index, so a table of a few rows per key slot fills
+// with one allocation per array instead of a doubling chain.
+constexpr size_t kMinShardRows = 8;
+constexpr size_t kMinIndexSlots = 2 * kMinShardRows;
+
+// Rows ahead of a bulk insert whose index home slot is prefetched.
+constexpr size_t kRowsAhead = 8;
 
 void PrefetchRead(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -79,82 +88,69 @@ void PrefetchRead(const void* p) {
 }  // namespace
 
 template <class Match>
-size_t Table::Probe(uint64_t h, const Match& match) const {
-  const size_t mask = index_.size() - 1;
-  for (size_t pos = Home(h);; pos = (pos + 1) & mask) {
-    const IndexSlot& s = index_[pos];
-    if (s.row == kNoRow || (s.hash == h && match(CellsAt(s.row)))) return pos;
+size_t Table::Probe(const TableShard& s, uint64_t h, const Match& match) const {
+  const size_t mask = s.index_.size() - 1;
+  for (size_t pos = Home(s, h);; pos = (pos + 1) & mask) {
+    const IndexSlot& slot = s.index_[pos];
+    if (slot.row == kNoRow || (slot.hash == h && match(CellsAt(s, slot.row)))) {
+      return pos;
+    }
   }
 }
 
-size_t Table::SlotOfRow(size_t row) const {
-  const size_t mask = index_.size() - 1;
-  size_t pos = Home(row_hash_[row]);
-  while (index_[pos].row != row) pos = (pos + 1) & mask;
+size_t Table::SlotOfRow(const TableShard& s, size_t row) {
+  const size_t mask = s.index_.size() - 1;
+  size_t pos = Home(s, s.hashes_[row]);
+  while (s.index_[pos].row != row) pos = (pos + 1) & mask;
   return pos;
 }
 
-void Table::Reserve(size_t rows) {
-  cells_.reserve(rows * ncols_);
-  if (pk_indexes_.empty()) return;
-  row_hash_.reserve(rows);
-  slot_pos_.reserve(rows);
-  ReserveIndex(rows);
-}
-
-void Table::ReserveIndex(size_t rows) {
-  if (2 * rows <= index_.size()) return;
-  size_t slots = std::max(kMinIndexSlots, index_.size());
+void Table::ReserveIndex(TableShard& s, size_t rows) {
+  if (2 * rows <= s.index_.size()) return;
+  size_t slots = std::max(kMinIndexSlots, s.index_.size());
   while (slots < 2 * rows) slots *= 2;
-  index_.resize(slots);
-  index_shift_ = 64 - std::countr_zero(slots);
-  ReindexAll();
+  s.index_.resize(slots);
+  s.index_shift_ = 64 - std::countr_zero(slots);
+  ReindexAll(s);
 }
 
-void Table::ReindexAll() {
-  std::fill(index_.begin(), index_.end(), IndexSlot{});
-  const size_t mask = index_.size() - 1;
-  for (size_t i = 0; i < nrows_; ++i) {
-    size_t pos = Home(row_hash_[i]);
-    while (index_[pos].row != kNoRow) pos = (pos + 1) & mask;
-    index_[pos] = IndexSlot{row_hash_[i], static_cast<uint32_t>(i)};
+void Table::ReindexAll(TableShard& s) {
+  std::fill(s.index_.begin(), s.index_.end(), IndexSlot{});
+  const size_t mask = s.index_.size() - 1;
+  for (size_t i = 0; i < s.nrows_; ++i) {
+    size_t pos = Home(s, s.hashes_[i]);
+    while (s.index_[pos].row != kNoRow) pos = (pos + 1) & mask;
+    s.index_[pos] = IndexSlot{s.hashes_[i], static_cast<uint32_t>(i)};
   }
 }
 
-void Table::LinkRow(uint32_t row) {
-  std::vector<uint32_t>& rows = slot_rows_[KeySlotOf(row_hash_[row])];
-  slot_pos_[row] = static_cast<uint32_t>(rows.size());
-  rows.push_back(row);
-}
-
-void Table::UnlinkRow(uint32_t row) {
-  std::vector<uint32_t>& rows = slot_rows_[KeySlotOf(row_hash_[row])];
-  const uint32_t pos = slot_pos_[row];
-  rows[pos] = rows.back();
-  slot_pos_[rows[pos]] = pos;
-  rows.pop_back();
-}
-
-template <class Fn>
-void Table::ForEachKeySlot(size_t slot, size_t num_slots,
-                           const Fn& fn) const {
-  if (pk_indexes_.empty() || slot >= num_slots) return;
-  for (size_t s = slot; s < kKeySlots; s += num_slots) fn(s);
-}
-
-void Table::EraseIndexSlot(size_t pos) {
-  const size_t mask = index_.size() - 1;
+void Table::EraseIndexSlot(TableShard& s, size_t pos) {
+  const size_t mask = s.index_.size() - 1;
   size_t hole = pos;
-  for (size_t j = (pos + 1) & mask; index_[j].row != kNoRow;
+  for (size_t j = (pos + 1) & mask; s.index_[j].row != kNoRow;
        j = (j + 1) & mask) {
     // Slot j may move back into the hole only if the hole lies on its
     // probe run, i.e. its home is no later than the hole.
-    if (((j - Home(index_[j].hash)) & mask) >= ((j - hole) & mask)) {
-      index_[hole] = index_[j];
+    if (((j - Home(s, s.index_[j].hash)) & mask) >= ((j - hole) & mask)) {
+      s.index_[hole] = s.index_[j];
       hole = j;
     }
   }
-  index_[hole].row = kNoRow;
+  s.index_[hole].row = kNoRow;
+}
+
+RowRef RowsView::operator[](size_t i) const {
+  const TableShard* s = shards_;
+  while (i >= s->nrows_) i -= (s++)->nrows_;
+  return RowRef(s->cells_.data() + i * ncols_, ncols_);
+}
+
+const Value* Table::RowAt(RowId id) const {
+  static_assert(kKeySlots == 64, "RowId keeps the key slot in 6 bits");
+  const size_t k = id & (kKeySlots - 1);
+  const size_t r = id >> 6;
+  if (k >= shards_.size() || r >= shards_[k].nrows_) return nullptr;
+  return CellsAt(shards_[k], r);
 }
 
 Status Table::CheckCell(size_t col, const Value& v) const {
@@ -182,77 +178,103 @@ Status Table::InsertFrom(std::span<Value> cells) {
       return CheckCell(i, cells[i]);
     }
   }
-  // Keyless tables are append-only logs: nothing ever consults the key
+  // Keyless tables are append-only logs: nothing ever consults a key
   // index, so skip both the key hash and the index slot.
   if (pk_indexes_.empty()) {
-    Append(cells.data());
+    Append(shards_[0], cells.data());
   } else {
     Put(cells.data(), KeyHashOf(cells.data()));
   }
   return Status::Ok();
 }
 
-void Table::Append(Value* first) {
-  cells_.insert(cells_.end(), std::make_move_iterator(first),
-                std::make_move_iterator(first + ncols_));
+void Table::Append(TableShard& s, Value* first) {
+  if (s.cells_.capacity() == 0) s.cells_.reserve(kMinShardRows * ncols_);
+  s.cells_.insert(s.cells_.end(), std::make_move_iterator(first),
+                  std::make_move_iterator(first + ncols_));
+  ++s.nrows_;
   ++nrows_;
 }
 
 void Table::Put(Value* first, uint64_t h) {
   if (pk_indexes_.empty()) {
-    Append(first);
+    Append(shards_[0], first);
     return;
   }
-  ReserveIndex(nrows_ + 1);
+  TableShard& s = shards_[KeySlotOf(h)];
+  ReserveIndex(s, s.nrows_ + 1);
   const size_t pos =
-      Probe(h, [&](const Value* r) { return KeysEqual(r, first); });
-  if (index_[pos].row != kNoRow) {
-    std::move(first, first + ncols_, CellsAt(index_[pos].row));  // upsert
+      Probe(s, h, [&](const Value* r) { return KeysEqual(r, first); });
+  if (s.index_[pos].row != kNoRow) {
+    std::move(first, first + ncols_, CellsAt(s, s.index_[pos].row));  // upsert
     return;
   }
-  index_[pos] = IndexSlot{h, static_cast<uint32_t>(nrows_)};
-  row_hash_.push_back(h);
-  slot_pos_.push_back(0);
-  LinkRow(static_cast<uint32_t>(nrows_));
-  Append(first);
+  s.index_[pos] = IndexSlot{h, static_cast<uint32_t>(s.nrows_)};
+  if (s.hashes_.capacity() == 0) s.hashes_.reserve(kMinShardRows);
+  s.hashes_.push_back(h);
+  Append(s, first);
 }
 
 const Value* Table::LookupByKey(RowRef key) const {
-  if (pk_indexes_.empty() || index_.empty()) return nullptr;
-  if (key.size() != pk_indexes_.size()) return nullptr;
-  const size_t pos = Probe(HashKeyValues(key), [&](const Value* row) {
+  if (pk_indexes_.empty() || key.size() != pk_indexes_.size()) return nullptr;
+  const uint64_t h = HashKeyValues(key);
+  const TableShard& s = shards_[KeySlotOf(h)];
+  if (s.index_.empty()) return nullptr;
+  const size_t pos = Probe(s, h, [&](const Value* row) {
     for (size_t i = 0; i < pk_indexes_.size(); ++i) {
       if (row[pk_indexes_[i]].CompareTo(key[i]) != 0) return false;
     }
     return true;
   });
-  return index_[pos].row != kNoRow ? CellsAt(index_[pos].row) : nullptr;
+  return s.index_[pos].row != kNoRow ? CellsAt(s, s.index_[pos].row)
+                                     : nullptr;
+}
+
+const Table::IndexSlot* Table::ProbeSingleKey(const Value& key,
+                                              size_t& slot) const {
+  if (pk_indexes_.size() != 1) return nullptr;
+  const uint64_t h = HashSingleKey(key);
+  slot = KeySlotOf(h);
+  const TableShard& s = shards_[slot];
+  if (s.index_.empty()) return nullptr;
+  const size_t col = pk_indexes_[0];
+  const size_t pos = Probe(s, h, [&](const Value* row) {
+    return row[col].EqualsValue(key);
+  });
+  return s.index_[pos].row != kNoRow ? &s.index_[pos] : nullptr;
 }
 
 const Value* Table::LookupSingleKey(const Value& key) const {
-  if (pk_indexes_.size() != 1 || index_.empty()) return nullptr;
-  const size_t col = pk_indexes_[0];
-  const size_t pos = Probe(HashSingleKey(key), [&](const Value* row) {
-    return row[col].EqualsValue(key);
-  });
-  return index_[pos].row != kNoRow ? CellsAt(index_[pos].row) : nullptr;
+  size_t k;
+  const IndexSlot* hit = ProbeSingleKey(key, k);
+  return hit != nullptr ? CellsAt(shards_[k], hit->row) : nullptr;
+}
+
+Table::RowId Table::FindSingleKey(const Value& key) const {
+  size_t k;
+  const IndexSlot* hit = ProbeSingleKey(key, k);
+  if (hit == nullptr || hit->row >= (kNoRowId >> 6)) return kNoRowId;
+  return static_cast<RowId>(hit->row) << 6 | static_cast<RowId>(k);
 }
 
 uint64_t Table::PrefetchIndexSlot(const Value& key) const {
-  if (pk_indexes_.size() != 1 || index_.empty()) return 0;
+  if (pk_indexes_.size() != 1) return 0;
   const uint64_t h = HashSingleKey(key);
-  PrefetchRead(&index_[Home(h)]);
+  const TableShard& s = shards_[KeySlotOf(h)];
+  if (!s.index_.empty()) PrefetchRead(&s.index_[Home(s, h)]);
   return h;
 }
 
 void Table::PrefetchRowCells(uint64_t key_hash) const {
-  if (pk_indexes_.size() != 1 || index_.empty()) return;
-  const size_t mask = index_.size() - 1;
-  for (size_t pos = Home(key_hash); index_[pos].row != kNoRow;
+  if (pk_indexes_.size() != 1) return;
+  const TableShard& s = shards_[KeySlotOf(key_hash)];
+  if (s.index_.empty()) return;
+  const size_t mask = s.index_.size() - 1;
+  for (size_t pos = Home(s, key_hash); s.index_[pos].row != kNoRow;
        pos = (pos + 1) & mask) {
-    if (index_[pos].hash != key_hash) continue;
+    if (s.index_[pos].hash != key_hash) continue;
     // A row spans ncols_ cells: warm its first and last line.
-    const Value* row = CellsAt(index_[pos].row);
+    const Value* row = CellsAt(s, s.index_[pos].row);
     PrefetchRead(row);
     PrefetchRead(row + ncols_ - 1);
     return;
@@ -261,47 +283,49 @@ void Table::PrefetchRowCells(uint64_t key_hash) const {
 
 const Value* Table::FindFirst(
     const std::function<bool(RowRef)>& pred) const {
-  for (size_t i = 0; i < nrows_; ++i) {
-    if (pred(RowRef(CellsAt(i), ncols_))) return CellsAt(i);
+  for (const RowRef row : rows()) {
+    if (pred(row)) return row.data();
   }
   return nullptr;
 }
 
 size_t Table::EraseWhere(const std::function<bool(RowRef)>& pred) {
-  // One in-order compaction pass: `pred` sees each row once, before any
-  // later row moves; cached hashes move with their rows, so the index is
-  // refilled without re-hashing a key.
+  // One in-order compaction pass per shard: `pred` sees each row once, in
+  // rows() order, before any later row moves; cached hashes move with
+  // their rows, so a shard's index is refilled without re-hashing a key.
   const bool keyed = !pk_indexes_.empty();
-  const size_t n = nrows_;
-  size_t dst = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (pred(RowRef(CellsAt(i), ncols_))) continue;
-    if (dst != i) {
-      std::move(CellsAt(i), CellsAt(i + 1), CellsAt(dst));
-      if (keyed) row_hash_[dst] = row_hash_[i];
+  const size_t before = nrows_;
+  for (TableShard& s : shards_) {
+    const size_t n = s.nrows_;
+    size_t dst = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (pred(RowRef(CellsAt(s, i), ncols_))) continue;
+      if (dst != i) {
+        std::move(CellsAt(s, i), CellsAt(s, i + 1), CellsAt(s, dst));
+        if (keyed) s.hashes_[dst] = s.hashes_[i];
+      }
+      ++dst;
     }
-    ++dst;
+    if (dst == n) continue;
+    s.cells_.resize(dst * ncols_);
+    s.nrows_ = dst;
+    nrows_ -= n - dst;
+    if (keyed) {
+      s.hashes_.resize(dst);
+      ReindexAll(s);
+    }
   }
-  if (dst == n) return 0;
-  cells_.resize(dst * ncols_);
-  nrows_ = dst;
-  if (keyed) {
-    row_hash_.resize(dst);
-    slot_pos_.resize(dst);
-    ReindexAll();
-    for (std::vector<uint32_t>& rows : slot_rows_) rows.clear();
-    for (size_t i = 0; i < dst; ++i) LinkRow(static_cast<uint32_t>(i));
-  }
-  return n - dst;
+  return before - nrows_;
 }
 
 void Table::Clear() {
-  cells_.clear();
+  for (TableShard& s : shards_) {
+    s.cells_.clear();
+    s.hashes_.clear();
+    s.nrows_ = 0;
+    std::fill(s.index_.begin(), s.index_.end(), IndexSlot{});
+  }
   nrows_ = 0;
-  row_hash_.clear();
-  slot_pos_.clear();
-  for (std::vector<uint32_t>& rows : slot_rows_) rows.clear();
-  std::fill(index_.begin(), index_.end(), IndexSlot{});
 }
 
 void Table::WriteHeader(ByteWriter& w) const {
@@ -319,7 +343,9 @@ Bytes Table::Snapshot() const {
   ByteWriter w(out);
   WriteHeader(w);
   w.WriteVarint(nrows_);
-  for (const Value& v : cells_) EncodeValue(v, w);  // row-major
+  for (const TableShard& s : shards_) {
+    for (const Value& v : s.cells_) EncodeValue(v, w);  // row-major
+  }
   return out;
 }
 
@@ -376,7 +402,6 @@ Result<Table> Table::Restore(std::span<const uint8_t> snapshot) {
   Table table(std::move(name), std::move(schema));
   std::vector<Value> cells;
   ADN_RETURN_IF_ERROR(table.DecodeRows(r, cells));
-  table.Reserve(cells.size() / std::max<size_t>(table.ncols_, 1));
   table.InsertDecoded(cells);
   return table;
 }
@@ -400,18 +425,36 @@ void Table::InsertDecoded(std::span<Value> cells) {
   if (ncols_ == 0) return;
   const size_t n = cells.size() / ncols_;
   if (pk_indexes_.empty()) {
-    cells_.insert(cells_.end(), std::make_move_iterator(cells.begin()),
-                  std::make_move_iterator(cells.begin() + n * ncols_));
+    TableShard& s = shards_[0];
+    s.cells_.insert(s.cells_.end(), std::make_move_iterator(cells.begin()),
+                    std::make_move_iterator(cells.begin() + n * ncols_));
+    s.nrows_ += n;
     nrows_ += n;
     return;
   }
-  ReserveIndex(nrows_ + n);
-  // Hash every row first (the block is warm), so each row's index home
-  // slot can be prefetched a few rows ahead of its probe.
+  // Hash every row first (the block is warm) and count each slot's rows,
+  // so every shard is sized once and each row's index home slot can be
+  // prefetched a few rows ahead of its probe.
   std::vector<uint64_t> hashes(n);
-  for (size_t i = 0; i < n; ++i) hashes[i] = KeyHashOf(&cells[i * ncols_]);
+  std::array<size_t, kKeySlots> counts{};
   for (size_t i = 0; i < n; ++i) {
-    if (i + kRowsAhead < n) PrefetchRead(&index_[Home(hashes[i + kRowsAhead])]);
+    hashes[i] = KeyHashOf(&cells[i * ncols_]);
+    ++counts[KeySlotOf(hashes[i])];
+  }
+  for (size_t k = 0; k < kKeySlots; ++k) {
+    if (counts[k] == 0) continue;
+    TableShard& s = shards_[k];
+    const size_t rows = s.nrows_ + counts[k];
+    s.cells_.reserve(rows * ncols_);
+    s.hashes_.reserve(rows);
+    ReserveIndex(s, rows);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (i + kRowsAhead < n) {
+      const uint64_t ahead = hashes[i + kRowsAhead];
+      const TableShard& s = shards_[KeySlotOf(ahead)];
+      PrefetchRead(&s.index_[Home(s, ahead)]);
+    }
     Put(&cells[i * ncols_], hashes[i]);
   }
 }
@@ -421,13 +464,23 @@ Result<std::vector<Bytes>> Table::SnapshotShards(size_t shards) const {
     return Error(ErrorCode::kInvalidArgument, "cannot split into 0 shards");
   }
   // Pass 1 places every row and counts each shard's rows, which lead their
-  // snapshots; pass 2 encodes each row straight into its shard. A shard
+  // snapshots; pass 2 encodes each row straight into its shard. A keyed
+  // table places whole key slots; a keyless one hashes each row. A shard
   // number is below kKeySlots, so it fits a byte.
-  std::vector<uint8_t> shard_of(nrows_);
+  const bool keyed = !pk_indexes_.empty();
+  std::vector<uint8_t> row_shard;  // keyless: each row's shard
   std::vector<size_t> counts(shards, 0);
-  for (size_t i = 0; i < nrows_; ++i) {
-    shard_of[i] = static_cast<uint8_t>(KeySlotOf(RowHashAt(i)) % shards);
-    ++counts[shard_of[i]];
+  if (keyed) {
+    for (size_t k = 0; k < kKeySlots; ++k) {
+      counts[k % shards] += shards_[k].nrows_;
+    }
+  } else {
+    row_shard.resize(nrows_);
+    for (size_t i = 0; i < nrows_; ++i) {
+      row_shard[i] = static_cast<uint8_t>(
+          KeySlotOf(KeyHashOf(CellsAt(shards_[0], i))) % shards);
+      ++counts[row_shard[i]];
+    }
   }
   std::vector<Bytes> out(shards);
   for (size_t s = 0; s < shards; ++s) {
@@ -435,9 +488,12 @@ Result<std::vector<Bytes>> Table::SnapshotShards(size_t shards) const {
     WriteHeader(w);
     w.WriteVarint(counts[s]);
   }
-  for (size_t i = 0; i < nrows_; ++i) {
-    ByteWriter w(out[shard_of[i]]);
-    for (const Value& v : RowRef(CellsAt(i), ncols_)) EncodeValue(v, w);
+  for (size_t k = 0; k < shards_.size(); ++k) {
+    const TableShard& s = shards_[k];
+    for (size_t i = 0; i < s.nrows_; ++i) {
+      ByteWriter w(out[keyed ? k % shards : row_shard[i]]);
+      for (const Value& v : RowRef(CellsAt(s, i), ncols_)) EncodeValue(v, w);
+    }
   }
   return out;
 }
@@ -450,143 +506,80 @@ Row Table::KeyOf(RowRef row) const {
 }
 
 size_t Table::EraseByKey(RowRef key) {
-  if (pk_indexes_.empty() || index_.empty()) return 0;
-  if (key.size() != pk_indexes_.size()) return 0;
-  const size_t pos = Probe(HashKeyValues(key), [&](const Value* row) {
+  if (pk_indexes_.empty() || key.size() != pk_indexes_.size()) return 0;
+  const uint64_t h = HashKeyValues(key);
+  TableShard& s = shards_[KeySlotOf(h)];
+  if (s.index_.empty()) return 0;
+  const size_t pos = Probe(s, h, [&](const Value* row) {
     for (size_t i = 0; i < pk_indexes_.size(); ++i) {
       if (row[pk_indexes_[i]].CompareTo(key[i]) != 0) return false;
     }
     return true;
   });
-  if (index_[pos].row == kNoRow) return 0;
-  EraseIndexed(pos, nullptr);
+  if (s.index_[pos].row == kNoRow) return 0;
+  PopRow(s, pos, nullptr);
   return 1;
 }
 
 size_t Table::EraseSingleKey(const Value& key, Row& erased) {
-  if (pk_indexes_.size() != 1 || index_.empty()) return 0;
+  if (pk_indexes_.size() != 1) return 0;
+  const uint64_t h = HashSingleKey(key);
+  TableShard& s = shards_[KeySlotOf(h)];
+  if (s.index_.empty()) return 0;
   const size_t col = pk_indexes_[0];
-  const size_t pos = Probe(HashSingleKey(key), [&](const Value* row) {
+  const size_t pos = Probe(s, h, [&](const Value* row) {
     return row[col].CompareTo(key) == 0;
   });
-  if (index_[pos].row == kNoRow) return 0;
-  EraseIndexed(pos, &erased);
+  if (s.index_[pos].row == kNoRow) return 0;
+  PopRow(s, pos, &erased);
   return 1;
 }
 
-void Table::EraseIndexed(size_t pos, Row* erased) {
-  UnlinkRow(index_[pos].row);
-  PopRow(pos, erased);
-}
-
-void Table::PopRow(size_t pos, Row* erased) {
-  // Swap-and-pop: the last row's cells fill the hole and its one index
+void Table::PopRow(TableShard& s, size_t pos, Row* erased) {
+  // Swap-and-pop: the shard's last row fills the hole and its one index
   // slot is re-pointed, so a per-key erase (delta replay, cache eviction)
   // costs O(1) and never touches the rest of the table.
-  const uint32_t hole = index_[pos].row;
-  const uint32_t last = static_cast<uint32_t>(nrows_ - 1);
-  EraseIndexSlot(pos);
+  const uint32_t hole = s.index_[pos].row;
+  const uint32_t last = static_cast<uint32_t>(s.nrows_ - 1);
+  EraseIndexSlot(s, pos);
   if (erased != nullptr) {
     erased->resize(ncols_);
-    std::move(CellsAt(hole), CellsAt(hole + 1), erased->begin());
+    std::move(CellsAt(s, hole), CellsAt(s, hole + 1), erased->begin());
   }
   if (hole != last) {
-    index_[SlotOfRow(last)].row = hole;
-    std::move(CellsAt(last), CellsAt(last + 1), CellsAt(hole));
-    row_hash_[hole] = row_hash_[last];
-    // The moved row keeps its place on its slot's list, renumbered.
-    slot_pos_[hole] = slot_pos_[last];
-    slot_rows_[KeySlotOf(row_hash_[hole])][slot_pos_[hole]] = hole;
+    s.index_[SlotOfRow(s, last)].row = hole;
+    std::move(CellsAt(s, last), CellsAt(s, last + 1), CellsAt(s, hole));
+    s.hashes_[hole] = s.hashes_[last];
   }
-  cells_.resize(last * ncols_);
-  nrows_ = last;
-  row_hash_.pop_back();
-  slot_pos_.pop_back();
+  s.cells_.resize(last * ncols_);
+  s.hashes_.pop_back();
+  s.nrows_ = last;
+  --nrows_;
 }
 
-size_t Table::KeySlotRowCount(size_t slot, size_t num_slots) const {
-  size_t n = 0;
-  ForEachKeySlot(slot, num_slots,
-                 [&](size_t s) { n += slot_rows_[s].size(); });
-  return n;
+TableShard Table::TakeKeySlot(size_t k) {
+  if (pk_indexes_.empty() || k >= kKeySlots) return TableShard{};
+  nrows_ -= shards_[k].nrows_;
+  return std::exchange(shards_[k], TableShard{});
 }
 
-void Table::PrefetchRow(uint32_t row) const {
-  // A row spans ncols_ cells: warm its first and last line, and its
-  // cached key hash.
-  PrefetchRead(CellsAt(row));
-  PrefetchRead(CellsAt(row) + ncols_ - 1);
-  PrefetchRead(&row_hash_[row]);
-}
-
-template <class Fn>
-void Table::ForEachSlotRowNumber(size_t slot, size_t num_slots,
-                                 const Fn& fn) const {
-  ForEachKeySlot(slot, num_slots, [&](size_t s) {
-    const std::vector<uint32_t>& rows = slot_rows_[s];
-    for (size_t j = 0; j < rows.size(); ++j) {
-      if (j + kRowsAhead < rows.size()) PrefetchRow(rows[j + kRowsAhead]);
-      fn(rows[j]);
-    }
-  });
-}
-
-void Table::ForEachKeySlotRow(
-    size_t slot, size_t num_slots,
-    const std::function<void(RowRef, uint64_t)>& fn) const {
-  ForEachSlotRowNumber(slot, num_slots, [&](uint32_t row) {
-    fn(RowRef(CellsAt(row), ncols_), row_hash_[row]);
-  });
-}
-
-Bytes Table::SnapshotKeySlot(size_t slot, size_t num_slots) const {
-  Bytes out;
-  ByteWriter w(out);
-  WriteHeader(w);
-  w.WriteVarint(KeySlotRowCount(slot, num_slots));
-  ForEachSlotRowNumber(slot, num_slots, [&](uint32_t row) {
-    for (const Value& v : RowRef(CellsAt(row), ncols_)) EncodeValue(v, w);
-  });
-  return out;
-}
-
-size_t Table::EraseKeySlot(size_t slot, size_t num_slots) {
-  // This runs on a live worker right after cutover: the slot's lists are
-  // dropped whole, then a swap-and-pop per slot row — no string hashing,
-  // and the rest of the index stays untouched. Highest row first: every
-  // row above the one being erased is then outside the slot, so the tail
-  // row that fills each hole is never a slot row still to come, and every
-  // listed row number stays valid. Each erase pops one row, so the j-th
-  // one moves row n - 1 - j: both rows' index slots, the erased row's
-  // cells and the moved row's list entry are known ahead and prefetched
-  // (the erased row's hash, which locates its index slot, further ahead).
-  std::vector<uint32_t> rows;
-  rows.reserve(KeySlotRowCount(slot, num_slots));
-  ForEachKeySlot(slot, num_slots, [&](size_t s) {
-    rows.insert(rows.end(), slot_rows_[s].begin(), slot_rows_[s].end());
-  });
-  ForEachKeySlot(slot, num_slots, [&](size_t s) { slot_rows_[s].clear(); });
-  std::sort(rows.begin(), rows.end(), std::greater<>());
-  const size_t n = nrows_;
-  for (size_t j = 0; j < rows.size(); ++j) {
-    if (j + 2 * kRowsAhead < rows.size()) {
-      PrefetchRow(rows[j + 2 * kRowsAhead]);
-      PrefetchRead(&slot_pos_[rows[j + 2 * kRowsAhead]]);
-    }
-    if (j + kRowsAhead < rows.size()) {
-      const uint32_t doomed = rows[j + kRowsAhead];
-      const size_t moved = n - 1 - j - kRowsAhead;
-      PrefetchRead(&index_[Home(row_hash_[doomed])]);
-      PrefetchRead(&index_[Home(row_hash_[moved])]);
-      const std::vector<uint32_t>& list =
-          slot_rows_[KeySlotOf(row_hash_[moved])];
-      if (slot_pos_[moved] < list.size()) {
-        PrefetchRead(&list[slot_pos_[moved]]);
-      }
-    }
-    PopRow(SlotOfRow(rows[j]), nullptr);
+void Table::AdoptKeySlot(size_t k, TableShard shard) {
+  if (shard.empty()) return;
+  if (!pk_indexes_.empty() && k < kKeySlots && shards_[k].empty()) {
+    nrows_ += shard.nrows_;
+    shards_[k] = std::move(shard);
+    return;
   }
-  return rows.size();
+  // The slot already holds rows (a table keyed by another field than the
+  // route key): upsert each row, its cached hash reused.
+  const bool keyed = !pk_indexes_.empty();
+  if (keyed && k < kKeySlots) {
+    ReserveIndex(shards_[k], shards_[k].nrows_ + shard.nrows_);
+  }
+  for (size_t i = 0; i < shard.nrows_; ++i) {
+    Value* row = CellsAt(shard, i);
+    Put(row, keyed ? shard.hashes_[i] : 0);
+  }
 }
 
 uint64_t Table::ContentHash() const {

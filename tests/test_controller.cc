@@ -392,22 +392,22 @@ TEST(Migration, StateDeltaReplaysMutationsSinceBaseline) {
   EXPECT_EQ(dest.StateContentHash(), source->instance().StateContentHash());
 }
 
-TEST(Migration, SliceSnapshotAndEraseMoveExactlyOneSlot) {
-  constexpr size_t kSlots = 64;
+TEST(Migration, TakeAndAdoptMoveExactlyOneSlot) {
   auto source = MakeQuotaStage(300, 1);
   const uint64_t original_hash = source->instance().StateContentHash();
   const size_t original_rows =
       source->instance().FindTable("quota")->RowCount();
 
-  // Move slot 5 into a fresh instance the way EnginePool does: slice
-  // snapshot -> MergeState at the destination -> EraseSlice at the source.
+  // Move key slot 5 into a fresh instance the way EnginePool does: the
+  // source hands the slot's shards out, the destination takes them in.
   auto parsed = dsl::ParseProgram(std::string(elements::QuotaTableSql()) +
                                   std::string(elements::QuotaSql()));
   auto program = compiler::LowerProgram(*parsed);
   ir::ElementInstance dest(program->elements[0], 2);
-  const Bytes slice = source->instance().SnapshotSlice(5, kSlots);
-  ASSERT_TRUE(dest.MergeState(slice).ok());
-  const size_t moved = source->instance().EraseSlice(5, kSlots);
+  std::vector<rpc::TableShard> shards = source->instance().TakeKeySlot(5);
+  size_t moved = 0;
+  for (const rpc::TableShard& shard : shards) moved += shard.RowCount();
+  dest.AdoptKeySlot(5, std::move(shards));
   EXPECT_GT(moved, 0u);
   EXPECT_EQ(dest.FindTable("quota")->RowCount(), moved);
   EXPECT_EQ(source->instance().FindTable("quota")->RowCount(),

@@ -153,6 +153,35 @@ TEST(FlatWire, RejectsSliceOutsideVarSection) {
   EXPECT_FALSE(status.ok());
 }
 
+TEST(FlatWire, CorruptSectionLeavesTheRequestIntact) {
+  // A cache blob that fails to decode must leave the live request as it
+  // was (the cache then passes it on down the chain as a miss): every
+  // record is checked before the first field is replaced.
+  const Message m = SampleMessage();
+  Bytes wire;
+  ASSERT_TRUE(EncodeFieldsFlat(m, wire).ok());
+  // Corrupt the first record's slice (field 0, TEXT), or the last field's
+  // type tag, so fields ahead of the bad record would decode fine.
+  const size_t last = 6 + (m.FieldCount() - 1) * kFlatRecordBytes;
+  Bytes bad_slice = wire;
+  bad_slice[6 + 4] = 11;  // len 11 runs past the 10-byte variable section
+  Bytes bad_tag = wire;
+  bad_tag[last + 2] = static_cast<uint8_t>(ValueType::kBytes) + 1;
+  ArenaPool pool(512);
+  for (const Bytes* bad : {&bad_slice, &bad_tag}) {
+    for (const bool arena : {false, true}) {
+      Message req = arena ? Message::WithArena(pool)
+                          : Message::MakeRequest(5, "Obj.Get", {});
+      req.SetText(InternFieldName("username"), "bob");
+      req.SetField(InternFieldName("object_id"), Value(int64_t{7}));
+      const Message before = req;
+      EXPECT_FALSE(DecodeFieldsFlatInto(*bad, req).ok());
+      ASSERT_EQ(req.FieldCount(), 2u);
+      ExpectSameFields(before, req);
+    }
+  }
+}
+
 Value RandomValue(std::mt19937_64& rng) {
   switch (rng() % 6) {
     case 0: return Value();

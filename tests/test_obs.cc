@@ -260,14 +260,13 @@ TEST(Trace, EventCountersFoldInAtDrainTimeNotPerEmit) {
 }
 
 TEST(Trace, ReconfigEventNamesAreInternedRuntimeConstants) {
-  // The tools/tests enumeration must cover exactly the five first-class
+  // The tools/tests enumeration must cover exactly the three first-class
   // reconfiguration transitions, each round-trippable through the interner
   // (the ring stores NameIds, the exporter resolves them back).
   const std::vector<std::string_view>& names = obs::ReconfigEventNames();
-  EXPECT_EQ(names.size(), 5u);
+  EXPECT_EQ(names.size(), 3u);
   for (std::string_view expected :
-       {obs::kEventReconfigSnapshot, obs::kEventReconfigBulkMerge,
-        obs::kEventReconfigCutover, obs::kEventReconfigReplay,
+       {obs::kEventReconfigDetach, obs::kEventReconfigCutover,
         obs::kEventReconfigSwapProgram}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
         << expected;

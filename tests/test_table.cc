@@ -107,7 +107,7 @@ TEST(Table, RestoreRejectsGarbage) {
   EXPECT_FALSE(Table::Restore(garbage).ok());
 }
 
-// Merge `from`'s rows into `into` the way a migration's bulk copy does:
+// Merge `from`'s rows into `into` the way a scale-in merge does:
 // through a snapshot, decoded and checked whole, then inserted.
 Status Merge(Table& into, const Table& from) {
   std::vector<Value> cells;
@@ -258,84 +258,203 @@ TEST(Table, EraseByKeyRemovesExactlyThatRow) {
   EXPECT_EQ(log.EraseByKey(Row{Value(1)}), 0u);  // keyless: never matches
 }
 
+// The first `n` keys "k<i>" whose key slot is `slot`.
+std::vector<std::string> KeysInSlot(size_t slot, size_t n) {
+  std::vector<std::string> keys;
+  for (int i = 0; keys.size() < n; ++i) {
+    std::string key = "k" + std::to_string(i);
+    if (HashSingleKey(Value(key)) % kKeySlots == slot) {
+      keys.push_back(std::move(key));
+    }
+  }
+  return keys;
+}
+
 TEST(Table, EraseSingleKeyHandsBackTheRowAndKeepsTheIndex) {
+  // Three keys of one key slot, so they share one shard.
+  const std::vector<std::string> keys = KeysInSlot(5, 3);
+  const std::string& a = keys[0];
+  const std::string& b = keys[1];
+  const std::string& c = keys[2];
   Table t("ac", AclSchema());
-  for (const char* u : {"a", "b", "c"}) {
-    ASSERT_TRUE(t.Insert({Value(u), Value(std::string(u) + "-perm")}).ok());
+  for (const std::string& u : keys) {
+    ASSERT_TRUE(t.Insert({Value(u), Value(u + "-perm")}).ok());
   }
   Row erased;
-  EXPECT_EQ(t.EraseSingleKey(Value("a"), erased), 1u);
+  EXPECT_EQ(t.EraseSingleKey(Value(a), erased), 1u);
   ASSERT_EQ(erased.size(), 2u);
-  EXPECT_EQ(erased[1].AsText(), "a-perm") << "the row moves out whole";
-  EXPECT_EQ(t.EraseSingleKey(Value("a"), erased), 0u);
-  // The last row filled the hole and is still found through the index.
-  EXPECT_EQ(t.rows()[0][0].AsText(), "c");
-  ASSERT_NE(t.LookupSingleKey(Value("c")), nullptr);
-  EXPECT_EQ(t.LookupSingleKey(Value("c"))[1].AsText(), "c-perm");
-  EXPECT_EQ(t.LookupSingleKey(Value("b"))[1].AsText(), "b-perm");
+  EXPECT_EQ(erased[1].AsText(), a + "-perm") << "the row moves out whole";
+  EXPECT_EQ(t.EraseSingleKey(Value(a), erased), 0u);
+  // The slot's last row filled the hole and is still found through the
+  // index.
+  EXPECT_EQ(t.rows()[0][0].AsText(), c);
+  ASSERT_NE(t.LookupSingleKey(Value(c)), nullptr);
+  EXPECT_EQ(t.LookupSingleKey(Value(c))[1].AsText(), c + "-perm");
+  EXPECT_EQ(t.LookupSingleKey(Value(b))[1].AsText(), b + "-perm");
 }
 
-// Slot `slot` of `num_slots` of `t`, restored from its slice snapshot.
-Table Slice(const Table& t, size_t slot, size_t num_slots) {
-  auto slice = Table::Restore(t.SnapshotKeySlot(slot, num_slots));
-  EXPECT_TRUE(slice.ok());
-  return slice.ok() ? std::move(slice).value() : Table();
+// Key slot `k` of `t`, taken out and adopted by a fresh table.
+Table TakeSlot(Table& t, size_t k) {
+  Table piece(t.name(), t.schema());
+  piece.AdoptKeySlot(k, t.TakeKeySlot(k));
+  return piece;
 }
 
-TEST(Table, SliceAndEraseKeySlotPartition) {
-  constexpr size_t kSlots = 16;
+TEST(Table, TakeKeySlotPartitionsTheTable) {
   Table t("ac", AclSchema());
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(
         t.Insert({Value("user" + std::to_string(i)), Value("W")}).ok());
   }
   const uint64_t original = t.ContentHash();
-  size_t sliced_total = 0;
+  Table copy = t;
+  size_t taken = 0;
   uint64_t xored = 0;
-  for (size_t slot = 0; slot < kSlots; ++slot) {
-    Table slice = Slice(t, slot, kSlots);
-    for (const RowRef row : slice.rows()) {
-      EXPECT_EQ(t.RowKeyHash(row) % kSlots, slot);
+  for (size_t k = 0; k < kKeySlots; ++k) {
+    const size_t before = copy.RowCount();
+    const Table piece = TakeSlot(copy, k);
+    for (const RowRef row : piece.rows()) {
+      EXPECT_EQ(t.RowKeyHash(row) % kKeySlots, k);
     }
-    EXPECT_EQ(slice.RowCount(), t.KeySlotRowCount(slot, kSlots));
-    sliced_total += slice.RowCount();
-    xored ^= slice.ContentHash();
+    EXPECT_EQ(copy.RowCount(), before - piece.RowCount());
+    EXPECT_EQ(TakeSlot(copy, k).RowCount(), 0u) << "the slot is left empty";
+    taken += piece.RowCount();
+    xored ^= piece.ContentHash();
   }
-  EXPECT_EQ(sliced_total, 200u);
-  EXPECT_EQ(xored, original);  // slices partition the content hash
+  EXPECT_EQ(taken, 200u);
+  EXPECT_EQ(xored, original);  // slots partition the content hash
+  EXPECT_TRUE(copy.empty());
+  EXPECT_TRUE(copy.rows().empty());
 
-  // Erasing a slot removes exactly what its slice held.
-  const size_t slot3 = Slice(t, 3, kSlots).RowCount();
-  EXPECT_EQ(t.EraseKeySlot(3, kSlots), slot3);
-  EXPECT_EQ(t.RowCount(), 200u - slot3);
-  EXPECT_EQ(Slice(t, 3, kSlots).RowCount(), 0u);
-
-  // Slot s of any count is the key slots k with k % count == s, whether or
-  // not the count divides kKeySlots; a slot past the count names no rows.
-  size_t mod3 = 0;
-  for (size_t k = 0; k < kKeySlots; k += 3) {
-    mod3 += t.KeySlotRowCount(k, kKeySlots);
+  // A slot past kKeySlots, and every slot of a keyless table, hands out
+  // nothing: append-log rows never move with a slot.
+  EXPECT_TRUE(t.TakeKeySlot(kKeySlots).empty());
+  EXPECT_EQ(t.RowCount(), 200u);
+  Table log("log", LogSchema());
+  ASSERT_TRUE(log.Insert({Value(1), Value(10)}).ok());
+  for (size_t k = 0; k < kKeySlots; ++k) {
+    EXPECT_TRUE(log.TakeKeySlot(k).empty());
   }
-  EXPECT_GT(mod3, 0u);
-  EXPECT_EQ(t.KeySlotRowCount(0, 3), mod3);
-  EXPECT_EQ(Slice(t, 0, 3).RowCount(), mod3);
-  EXPECT_EQ(t.KeySlotRowCount(3, 3), 0u);
-  EXPECT_EQ(t.KeySlotRowCount(kSlots, kSlots), 0u);
-  EXPECT_EQ(t.KeySlotRowCount(5, 100), t.KeySlotRowCount(5, kKeySlots));
-  EXPECT_EQ(t.KeySlotRowCount(70, 100), 0u);
-  const size_t before = t.RowCount();
-  EXPECT_EQ(t.EraseKeySlot(0, 3), mod3);
-  EXPECT_EQ(t.RowCount(), before - mod3);
-  EXPECT_EQ(t.KeySlotRowCount(0, 3), 0u);
-  // One slot of one is every keyed row.
-  EXPECT_EQ(t.KeySlotRowCount(0, 1), t.RowCount());
+  EXPECT_EQ(log.RowCount(), 1u);
+}
+
+TEST(Table, TakeAdoptRoundTripHandsTheStorageOver) {
+  const size_t k = 9;
+  const std::vector<std::string> keys = KeysInSlot(k, 40);
+  Table src("ac", AclSchema());
+  for (const std::string& u : keys) {
+    ASSERT_TRUE(src.Insert({Value(u), Value("R")}).ok());
+  }
+  ASSERT_TRUE(src.Insert({Value("elsewhere"), Value("W")}).ok());
+  ASSERT_NE(HashSingleKey(Value("elsewhere")) % kKeySlots, k);
+  const Value* cells = src.LookupSingleKey(Value(keys[7]));
+  ASSERT_NE(cells, nullptr);
+
+  Table dst("ac", AclSchema());
+  TableShard shard = src.TakeKeySlot(k);
+  EXPECT_EQ(shard.RowCount(), keys.size());
+  EXPECT_EQ(src.RowCount(), 1u);
+  EXPECT_EQ(src.LookupSingleKey(Value(keys[7])), nullptr);
+  dst.AdoptKeySlot(k, std::move(shard));
+  ASSERT_EQ(dst.RowCount(), keys.size());
+  // The slot's cells are the very allocation the source gave up: nothing
+  // was copied.
+  EXPECT_EQ(dst.LookupSingleKey(Value(keys[7])), cells);
+  EXPECT_EQ(dst.RowAt(dst.FindSingleKey(Value(keys[7]))), cells);
+  EXPECT_EQ(dst.FindSingleKey(Value("elsewhere")), Table::kNoRowId);
+  EXPECT_EQ(dst.RowAt(Table::kNoRowId), nullptr);
+
+  // The adopted shard keeps working: lookups, upserts, point UPDATEs,
+  // erases and inserts into the slot.
+  for (const std::string& u : keys) {
+    const Value* row = dst.LookupSingleKey(Value(u));
+    ASSERT_NE(row, nullptr) << u;
+    EXPECT_EQ(row[1].AsText(), "R");
+  }
+  ASSERT_TRUE(dst.Insert({Value(keys[0]), Value("W")}).ok());  // upsert
+  EXPECT_EQ(dst.LookupSingleKey(Value(keys[0]))[1].AsText(), "W");
+  Value* upd = dst.MutableRow(dst.LookupSingleKey(Value(keys[1])));
+  ASSERT_TRUE(dst.CheckCell(1, Value("X")).ok());
+  upd[1] = Value("X");  // point UPDATE in place
+  EXPECT_EQ(dst.LookupByKey(Row{Value(keys[1])})[1].AsText(), "X");
+  EXPECT_EQ(dst.EraseByKey(Row{Value(keys[2])}), 1u);
+  Row erased;
+  EXPECT_EQ(dst.EraseSingleKey(Value(keys[3]), erased), 1u);
+  EXPECT_EQ(erased[0].AsText(), keys[3]);
+  const std::vector<std::string> more = KeysInSlot(k, 60);
+  for (size_t i = 40; i < more.size(); ++i) {
+    ASSERT_TRUE(dst.Insert({Value(more[i]), Value("N")}).ok());
+  }
+  EXPECT_EQ(dst.RowCount(), keys.size() - 2 + 20);
+  EXPECT_EQ(dst.LookupSingleKey(Value(keys[2])), nullptr);
+  EXPECT_EQ(dst.LookupSingleKey(Value(keys[3])), nullptr);
+  for (size_t i = 40; i < more.size(); ++i) {
+    ASSERT_NE(dst.LookupSingleKey(Value(more[i])), nullptr) << more[i];
+  }
+
+  // And back: the source's slot is empty, so it takes the shard as is.
+  const uint64_t moved = dst.ContentHash();
+  const Value* back = dst.LookupSingleKey(Value(keys[5]));
+  src.AdoptKeySlot(k, dst.TakeKeySlot(k));
+  EXPECT_TRUE(dst.empty());
+  EXPECT_EQ(src.LookupSingleKey(Value(keys[5])), back);
+  EXPECT_EQ(src.RowCount(), 1 + keys.size() - 2 + 20);
+  Table elsewhere("ac", AclSchema());
+  ASSERT_TRUE(elsewhere.Insert({Value("elsewhere"), Value("W")}).ok());
+  EXPECT_EQ(src.ContentHash(), moved ^ elsewhere.ContentHash());
+  EXPECT_EQ(Table::Restore(src.Snapshot())->ContentHash(), src.ContentHash());
+}
+
+TEST(Table, AdoptIntoAnOccupiedSlotUpserts) {
+  // A table keyed by another field than the route key may already hold
+  // rows in the slot: the adopted rows upsert by key, the shard's winning.
+  const size_t k = 17;
+  const std::vector<std::string> keys = KeysInSlot(k, 6);
+  Table src("ac", AclSchema());
+  Table dst("ac", AclSchema());
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(src.Insert({Value(keys[i]), Value("src")}).ok());
+  }
+  for (size_t i = 2; i < 6; ++i) {
+    ASSERT_TRUE(dst.Insert({Value(keys[i]), Value("dst")}).ok());
+  }
+  dst.AdoptKeySlot(k, src.TakeKeySlot(k));
+  EXPECT_TRUE(src.empty());
+  ASSERT_EQ(dst.RowCount(), 6u);
+  for (size_t i = 0; i < 6; ++i) {
+    const Value* row = dst.LookupSingleKey(Value(keys[i]));
+    ASSERT_NE(row, nullptr) << keys[i];
+    EXPECT_EQ(row[1].AsText(), i < 4 ? "src" : "dst") << keys[i];
+  }
+  // An empty shard changes nothing.
+  dst.AdoptKeySlot(k, TableShard{});
+  EXPECT_EQ(dst.RowCount(), 6u);
+}
+
+TEST(Table, KeyDeletedWhileItsSlotWasAwayStaysDeleted) {
+  // The slot leaves A for B, a key is deleted at B, the slot comes back:
+  // A kept no copy of the slot, so the key cannot reappear.
+  const size_t k = 33;
+  const std::vector<std::string> keys = KeysInSlot(k, 5);
+  Table a("ac", AclSchema());
+  for (const std::string& u : keys) {
+    ASSERT_TRUE(a.Insert({Value(u), Value("W")}).ok());
+  }
+  Table b("ac", AclSchema());
+  b.AdoptKeySlot(k, a.TakeKeySlot(k));
+  ASSERT_EQ(b.EraseByKey(Row{Value(keys[1])}), 1u);
+  a.AdoptKeySlot(k, b.TakeKeySlot(k));
+  EXPECT_EQ(a.RowCount(), 4u);
+  EXPECT_EQ(a.LookupSingleKey(Value(keys[1])), nullptr);
+  for (const RowRef row : a.rows()) EXPECT_NE(row[0].AsText(), keys[1]);
+  EXPECT_TRUE(b.empty());
 }
 
 TEST(Table, SplitAgreesWithSlotRouter) {
   // shard = (key hash % kKeySlots) % n, the EnginePool routing function:
-  // every row lands on the shard its messages route to, a shard's keyed
-  // rows are exactly slot s of n, and each shard is the Snapshot() of the
-  // table holding its rows in this table's storage order.
+  // every row lands on the shard its messages route to, and each shard is
+  // the Snapshot() of the table holding its rows in this table's rows()
+  // order.
   Table t("ac", AclSchema());
   Table log("log", LogSchema());
   for (int i = 0; i < 150; ++i) {
@@ -364,9 +483,6 @@ TEST(Table, SplitAgreesWithSlotRouter) {
             EXPECT_EQ(mrpc::EnginePool::SlotOfKey(row[0]) % n, s)
                 << row[0].AsText() << " n=" << n;
           }
-          const Table slice = Slice(*table, s, n);
-          EXPECT_EQ(slice.RowCount(), shard->RowCount());
-          EXPECT_EQ(slice.ContentHash(), shard->ContentHash());
         }
         total += shard->RowCount();
       }
@@ -385,21 +501,30 @@ TEST(Table, ClearEmptiesAndKeepsWorking) {
 }
 
 TEST(Table, SlotChurnRoundTripsContent) {
-  // A slice leaving and coming back (live migration ping-pong): erase swaps
-  // tail rows into the holes and merge appends the slice's cells, so row
-  // order churns while content, count and every key's lookup must not.
-  constexpr size_t kSlots = 64;
+  // Slots leaving and coming back (live migration ping-pong), now and then
+  // through a table already holding some of the slot's keys, so shards
+  // move whole or merge row by row while content, count and every key's
+  // lookup must not change.
   Table t("ac", AclSchema());
   for (int i = 0; i < 10'000; ++i) {
     ASSERT_TRUE(
         t.Insert({Value("user" + std::to_string(i)), Value("W")}).ok());
   }
   const uint64_t original = t.ContentHash();
+  Table away("ac", AclSchema());
   for (size_t cycle = 0; cycle < 200; ++cycle) {
-    const size_t slot = (cycle * 7) % kSlots;
-    Table slice = Slice(t, slot, kSlots);
-    EXPECT_EQ(t.EraseKeySlot(slot, kSlots), slice.RowCount());
-    ASSERT_TRUE(Merge(t, slice).ok());
+    const size_t slot = (cycle * 7) % kKeySlots;
+    if (cycle % 5 == 0) {
+      // Seed `away` with a key of the slot that `t` also holds.
+      const Value* row = t.rows()[cycle * 37 % t.RowCount()].data();
+      const size_t k = t.RowKeyHash(RowRef(row, 2)) % kKeySlots;
+      ASSERT_TRUE(away.Insert(RowRef(row, 2)).ok());
+      away.AdoptKeySlot(k, t.TakeKeySlot(k));
+      t.AdoptKeySlot(k, away.TakeKeySlot(k));
+    }
+    away.AdoptKeySlot(slot, t.TakeKeySlot(slot));
+    t.AdoptKeySlot(slot, away.TakeKeySlot(slot));
+    ASSERT_TRUE(away.empty()) << "cycle " << cycle;
     ASSERT_EQ(t.RowCount(), 10'000u) << "cycle " << cycle;
   }
   EXPECT_EQ(t.ContentHash(), original);
@@ -446,9 +571,12 @@ std::string Hex(const Bytes& bytes) {
 }
 
 TEST(Table, SnapshotBytesAreStable) {
-  // The golden was recorded before the cell layout changed: the snapshot
-  // wire format (and the row order an upsert and a swap-and-pop erase
-  // leave) must not drift with the in-memory layout.
+  // The snapshot wire format (and the row order an upsert and a
+  // swap-and-pop erase leave) must not drift with the in-memory layout.
+  // Keyed rows are written key slot by key slot, so the keyed golden was
+  // re-recorded when tables gained per-slot shards; the encoding itself is
+  // unchanged, which the golden from before that still restoring to the
+  // same content shows.
   Table t("mixed", MixedSchema());
   ASSERT_TRUE(t.Insert({Value(1), Value("alice"), Value(Bytes{1, 2, 3}),
                         Value(1.5), Value(true)})
@@ -475,17 +603,34 @@ TEST(Table, SnapshotBytesAreStable) {
   EXPECT_EQ(Hex(keyed),
             "056d69786564050269640201046e616d65040004626c6f6205000573636f7265"
             "0300026f6b010003010d01000114a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5"
-            "a5a5019c7500883ce4377e010101040103626f62010109010000000000000040"
-            "000106000101ff0000");
+            "a5a5019c7500883ce4377e01010106000101ff000001040103626f6201010901"
+            "000000000000004000");
   EXPECT_EQ(Hex(keyless),
             "036c6f6702037270630200056279746573020002010a0164010100");
   auto restored = Table::Restore(keyed);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->Snapshot(), keyed);
+
+  // The keyed golden recorded before per-slot shards (rows in append
+  // order) still restores, to the same content.
+  const std::string before_shards =
+      "056d69786564050269640201046e616d65040004626c6f6205000573636f7265"
+      "0300026f6b010003010d01000114a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5a5"
+      "a5a5019c7500883ce4377e010101040103626f62010109010000000000000040"
+      "000106000101ff0000";
+  Bytes old_bytes;
+  for (size_t i = 0; i < before_shards.size(); i += 2) {
+    old_bytes.push_back(
+        static_cast<uint8_t>(std::stoi(before_shards.substr(i, 2), nullptr, 16)));
+  }
+  auto old_restored = Table::Restore(old_bytes);
+  ASSERT_TRUE(old_restored.ok());
+  EXPECT_EQ(old_restored->ContentHash(), t.ContentHash());
+  EXPECT_EQ(old_restored->Snapshot(), keyed);
 }
 
-// A slice snapshot, truncated or with one byte flipped, must never crash
-// MergeState or merge part of itself: each table blob is decoded and
+// One key slot's state blob (a SplitState shard), truncated or with one
+// byte flipped, must never crash MergeState or merge part of itself: each table blob is decoded and
 // checked whole before any row goes in, so an error leaves the state as it
 // was. (A flip inside a cell's payload can still decode; such a blob merges
 // whole, like any well-formed one.)
@@ -506,8 +651,13 @@ TEST(Table, MalformedBlobMergesNothing) {
                               Value(static_cast<int64_t>(i))})
                     .ok());
   }
-  const Bytes slice = source.SnapshotSlice(9, kKeySlots);
-  ASSERT_GT(source.FindTable("quota")->KeySlotRowCount(9, kKeySlots), 0u);
+  auto split = source.SplitState(kKeySlots);
+  ASSERT_TRUE(split.ok());
+  const Bytes slice = (*split)[9];
+  ir::ElementInstance slot9(quota, 4);
+  ASSERT_TRUE(slot9.RestoreState(slice).ok());
+  const size_t slot9_rows = slot9.FindTable("quota")->RowCount();
+  ASSERT_GT(slot9_rows, 0u);
 
   ir::ElementInstance dest(quota, 2);
   ASSERT_TRUE(dest.FindTable("quota")
@@ -544,8 +694,7 @@ TEST(Table, MalformedBlobMergesNothing) {
   EXPECT_GT(rejected, slice.size()) << "most flips must be caught";
   // The untouched slice still merges.
   ASSERT_TRUE(dest.MergeState(slice).ok());
-  EXPECT_EQ(dest.FindTable("quota")->RowCount(),
-            1 + source.FindTable("quota")->KeySlotRowCount(9, kKeySlots));
+  EXPECT_EQ(dest.FindTable("quota")->RowCount(), 1 + slot9_rows);
 }
 
 // --- Flat key index vs a std::map oracle ------------------------------------
@@ -661,13 +810,14 @@ class IndexOracle {
         model_.erase(it);
       }
     } else if (op < 965) {
+      // A slot handed away for good.
       const size_t slot = rng.NextBelow(64);
       const auto in_slot = [&](RowRef r) {
         return table_.RowKeyHash(r) % 64 == slot;
       };
       const size_t before = model_.size();
       EraseWhereModel(in_slot);
-      ASSERT_EQ(table_.EraseKeySlot(slot, 64), before - model_.size());
+      ASSERT_EQ(table_.TakeKeySlot(slot).RowCount(), before - model_.size());
     } else if (op < 975) {
       const uint64_t mod = rng.NextBelow(5) + 2;
       const auto pred = [&](RowRef r) { return HashRow(r) % mod == 0; };
@@ -685,22 +835,30 @@ class IndexOracle {
       for (const Bytes& blob : *shards) {
         auto shard = Table::Restore(blob);
         ASSERT_TRUE(shard.ok());
-        CheckSlotWalks(*shard);
+        CheckSlots(*shard);
         ASSERT_TRUE(Merge(whole, *shard).ok());
       }
       table_ = std::move(whole);
     } else if (op < 987) {
-      // A slot leaves and comes back, the way a migration moves it: slice
-      // snapshot, erase, then decode and re-insert the slice.
+      // A slot leaves and comes back, the way a migration moves it; the
+      // table may take in new keys (some of that slot) meanwhile, so the
+      // shard comes back whole or upserts into the refilled slot, its rows
+      // winning.
       const size_t slot = rng.NextBelow(64);
-      const Bytes slice = table_.SnapshotKeySlot(slot, 64);
-      const size_t n = table_.KeySlotRowCount(slot, 64);
-      ASSERT_EQ(table_.EraseKeySlot(slot, 64), n);
-      ASSERT_EQ(table_.KeySlotRowCount(slot, 64), 0u);
-      std::vector<Value> cells;
-      ASSERT_TRUE(table_.DecodeSnapshot(slice, cells).ok());
-      table_.InsertDecoded(cells);
-      ASSERT_EQ(table_.KeySlotRowCount(slot, 64), n);
+      std::vector<std::pair<std::string, Row>> away;
+      for (const auto& [key, row] : model_) {
+        if (table_.RowKeyHash(row) % 64 == slot) away.emplace_back(key, row);
+      }
+      TableShard shard = table_.TakeKeySlot(slot);
+      ASSERT_EQ(shard.RowCount(), away.size());
+      for (const auto& entry : away) model_.erase(entry.first);
+      const size_t fresh = rng.NextBelow(3) == 0 ? rng.NextBelow(300) : 0;
+      for (size_t i = 0; i < fresh; ++i) {
+        Upsert(rng.NextBelow(shape_.key_space),
+               static_cast<int64_t>(rng.NextBelow(1000)));
+      }
+      table_.AdoptKeySlot(slot, std::move(shard));
+      for (auto& [key, row] : away) model_[key] = std::move(row);
     } else if (op < 992) {
       // Merge a batch that both overlaps and extends the current keys.
       Table other("t", shape_.schema);
@@ -795,42 +953,40 @@ class IndexOracle {
     const bool single = shape_.schema.PrimaryKeyIndexes().size() == 1;
     for (uint64_t k = 0; k < shape_.key_space; ++k) CheckKey(k, single);
   }
-  // Each of the 64 slot walks (and its row count and slice snapshot)
-  // against a full scan of `t`'s rows.
-  static void CheckSlotWalks(const Table& t) {
+  // Each of the 64 key slots of `t`, taken from a copy into a table of its
+  // own, against a full scan of `t`'s rows.
+  static void CheckSlots(const Table& t) {
     std::vector<std::multiset<uint64_t>> want(64);
     for (const RowRef row : t.rows()) {
       want[t.RowKeyHash(row) % 64].insert(HashRow(row));
     }
+    Table copy = t;
     for (size_t slot = 0; slot < 64; ++slot) {
+      Table piece(t.name(), t.schema());
+      piece.AdoptKeySlot(slot, copy.TakeKeySlot(slot));
       std::multiset<uint64_t> got;
-      t.ForEachKeySlotRow(slot, 64, [&](RowRef row, uint64_t h) {
-        ASSERT_EQ(h, t.RowKeyHash(row));
+      for (const RowRef row : piece.rows()) {
+        ASSERT_EQ(piece.RowKeyHash(row) % 64, slot);
         got.insert(HashRow(row));
-      });
+      }
       ASSERT_EQ(got, want[slot]) << "slot " << slot;
-      ASSERT_EQ(t.KeySlotRowCount(slot, 64), want[slot].size());
-      auto slice = Table::Restore(t.SnapshotKeySlot(slot, 64));
-      ASSERT_TRUE(slice.ok());
-      ASSERT_EQ(slice->RowCount(), want[slot].size());
-      uint64_t hash = 0;
-      for (uint64_t h : want[slot]) hash ^= h;
-      ASSERT_EQ(slice->ContentHash(), hash) << "slot " << slot;
     }
+    ASSERT_TRUE(copy.empty());
   }
-  void CheckSlotWalks() { CheckSlotWalks(table_); }
+  void CheckSlots() { CheckSlots(table_); }
 
-  void CheckSlotPartition() {
+  // rows() walks the key slots in ascending order, each row once.
+  void CheckSlotOrder() {
     std::set<std::string> seen;
     uint64_t hash = 0;
-    for (size_t slot = 0; slot < 64; ++slot) {
-      table_.ForEachKeySlotRow(slot, 64, [&](RowRef row, uint64_t h) {
-        EXPECT_EQ(h, table_.RowKeyHash(row));
-        EXPECT_EQ(h % 64, slot);
-        EXPECT_TRUE(seen.insert(OracleKey(table_.KeyOf(row))).second)
-            << "row visited twice";
-        hash ^= HashRow(row);
-      });
+    size_t last_slot = 0;
+    for (const RowRef row : table_.rows()) {
+      const size_t slot = table_.RowKeyHash(row) % 64;
+      EXPECT_GE(slot, last_slot) << "rows() is slot-major";
+      last_slot = slot;
+      EXPECT_TRUE(seen.insert(OracleKey(table_.KeyOf(row))).second)
+          << "row visited twice";
+      hash ^= HashRow(row);
     }
     ASSERT_EQ(seen.size(), table_.RowCount());
     ASSERT_EQ(hash, table_.ContentHash());
@@ -861,12 +1017,12 @@ TEST(TableOracle, RandomOpsMatchStdMap) {
         peak = std::max(peak, oracle.rows());
         if (op % 100 == 99) {
           oracle.CheckWholeView();
-          oracle.CheckSlotWalks();
+          oracle.CheckSlots();
           if (HasFatalFailure()) return;
         }
         if (op % 500 == 499) {
           oracle.CheckAllKeys();
-          oracle.CheckSlotPartition();
+          oracle.CheckSlotOrder();
           if (HasFatalFailure()) return;
         }
       }

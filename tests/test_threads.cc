@@ -765,8 +765,8 @@ constexpr size_t kQuotaIdx = 2;
 
 // Logging + Acl + Quota: an append-only log, a read-only keyed table, and a
 // keyed table mutated on every message — the three state shapes the live
-// migration protocol must carry (log rows stay put, ACL rows bulk-copy,
-// quota rows need the mutation delta).
+// migration protocol must carry (log rows stay put, ACL and quota shards
+// change hands while quota rows are being updated).
 std::vector<std::shared_ptr<const ir::ElementIr>> LogAclQuotaElements() {
   auto parsed =
       dsl::ParseProgram(std::string(elements::AclTableSql()) +
@@ -863,12 +863,15 @@ TEST(EnginePoolReconfig, LiveSlotMigrationUnderTrafficIsLossless) {
   for (size_t i = 0; i < moved_slot.size(); ++i) {
     EXPECT_EQ(pool.WorkerOfSlot(moved_slot[i]), moved_to[i]);
   }
-  // The last migration's stats describe a real live cutover: state moved in
-  // bulk before the blackout window, which stayed finite.
+  // The last migration's stats describe a real hand-off: the slot's rows
+  // changed worker with no byte copied or delta replayed, and the blackout
+  // window stayed finite.
   const EnginePool::LiveMigrationStats& stats = pool.migration_stats();
   EXPECT_EQ(stats.slot, moved_slot.back());
   EXPECT_EQ(stats.to, moved_to.back());
-  EXPECT_GT(stats.bulk_bytes, 0u);
+  EXPECT_GT(stats.moved_rows, 0u);
+  EXPECT_EQ(stats.bulk_bytes, 0u);
+  EXPECT_EQ(stats.delta_upserts + stats.delta_deletes, 0u);
   EXPECT_GE(stats.blackout_ns, 0);
 }
 
@@ -921,7 +924,7 @@ TEST(EnginePoolReconfig, EverySlotMigratesAndReturnsLosslessly) {
   size_t migrations = 0;
   bool swapped = false;
   uint64_t id = 0;
-  size_t bulk_bytes = 0;
+  uint64_t moved_rows = 0;
   while (migrations < 2 * kSlots || pool.MigrationActive() ||
          id < kMinMessages) {
     ++id;
@@ -930,7 +933,8 @@ TEST(EnginePoolReconfig, EverySlotMigratesAndReturnsLosslessly) {
     if (pool.MigrationActive() || migrations == 2 * kSlots) continue;
     if (migrations > 0) {
       const EnginePool::LiveMigrationStats& st = pool.migration_stats();
-      bulk_bytes += st.bulk_bytes;
+      moved_rows += st.moved_rows;
+      EXPECT_EQ(st.bulk_bytes, 0u);
       for (size_t op = 0; op < EnginePool::kReconfigOps; ++op) {
         if (op == static_cast<size_t>(EnginePool::ReconfigOp::kSwap)) {
           EXPECT_EQ(st.op_ns[op], 0);
@@ -950,8 +954,7 @@ TEST(EnginePoolReconfig, EverySlotMigratesAndReturnsLosslessly) {
     ASSERT_TRUE(pool.BeginSlotMigration(slot, to).ok());
     ++migrations;
   }
-  const EnginePool::LiveMigrationStats& last = pool.migration_stats();
-  bulk_bytes += last.bulk_bytes;
+  moved_rows += pool.migration_stats().moved_rows;
   pool.Drain();
   EXPECT_TRUE(pool.SwapComplete());
   pool.Stop();
@@ -969,10 +972,12 @@ TEST(EnginePoolReconfig, EverySlotMigratesAndReturnsLosslessly) {
   for (size_t s = 0; s < kSlots; ++s) {
     EXPECT_EQ(pool.WorkerOfSlot(static_cast<int>(s)), home[s]);
   }
-  EXPECT_GT(bulk_bytes, 0u);
+  // Every slot held rows and moved twice: each keyed row (ACL and quota,
+  // kUsers each) changed worker exactly twice.
+  EXPECT_EQ(moved_rows, 2u * 2u * kUsers);
   // Every control op was timed into the contract histogram.
   const std::string label = "processor=\"every-slot\",op=\"";
-  for (const char* op : {"snapshot", "bulk_merge", "diff", "erase", "replay"}) {
+  for (const char* op : {"detach", "adopt"}) {
     EXPECT_EQ(obs::MetricsRegistry::Default()
                   .GetHistogram("adn_reconfig_op_ns", label + op + "\"")
                   .Count(),
@@ -1003,6 +1008,62 @@ TEST(EnginePoolReconfig, EverySlotMigratesAndReturnsLosslessly) {
     EXPECT_EQ(pool.MergedStateHash(e), ref.MergedStateHash(e))
         << "element " << e;
   }
+}
+
+TEST(EnginePoolReconfig, HandOffMovesTheSlotsStorageUncopied) {
+  constexpr int kUsers = 64;
+  EnginePool::Config config;
+  config.workers = 2;
+  config.shard_key_field = "username";
+  EnginePool pool(LogAclQuotaElements(), {}, config);
+  SeedUsers(pool, kUsers);
+  SeedQuota(pool, kUsers, 1'000);
+  ASSERT_TRUE(pool.Start().ok());
+  const std::string user = UserName(3);
+  const int slot = EnginePool::SlotOfKey(Value(user));
+  const int from = pool.WorkerOfSlot(slot);
+  const int to = 1 - from;
+  const Value* quota_row = pool.WorkerInstance(from, kQuotaIdx)
+                               .FindTable("quota")
+                               ->LookupSingleKey(Value(user));
+  const Value* acl_row = pool.WorkerInstance(from, kAclIdx)
+                             .FindTable("ac_tab")
+                             ->LookupSingleKey(Value(user));
+  ASSERT_NE(quota_row, nullptr);
+  ASSERT_NE(acl_row, nullptr);
+
+  // The user's traffic keeps arriving while its slot moves: it is held,
+  // then runs at the destination after the adopt.
+  ASSERT_TRUE(pool.BeginSlotMigration(slot, to).ok());
+  uint64_t id = 0;
+  for (int i = 0; i < 100; ++i) {
+    pool.Submit(MakeReq(++id, user));
+    pool.Submit(MakeReq(++id, UserName(i % kUsers == 3 ? 4 : i % kUsers)));
+    pool.PumpMigration();
+  }
+  while (pool.MigrationActive()) {
+    pool.PumpMigration();
+    std::this_thread::yield();
+  }
+  pool.Drain();
+  EXPECT_EQ(pool.dropped(), 0u);
+  EXPECT_EQ(pool.WorkerOfSlot(slot), to);
+  // The destination serves the very cells the source gave up.
+  const rpc::Table* quota = pool.WorkerInstance(to, kQuotaIdx).FindTable("quota");
+  EXPECT_EQ(quota->LookupSingleKey(Value(user)), quota_row);
+  EXPECT_EQ(pool.WorkerInstance(to, kAclIdx)
+                .FindTable("ac_tab")
+                ->LookupSingleKey(Value(user)),
+            acl_row);
+  EXPECT_EQ(quota_row[1].AsInt(), 1'000 - 100);
+  EXPECT_EQ(pool.WorkerInstance(from, kQuotaIdx)
+                .FindTable("quota")
+                ->LookupSingleKey(Value(user)),
+            nullptr);
+  const EnginePool::LiveMigrationStats& st = pool.migration_stats();
+  EXPECT_GT(st.held_messages, 0u);
+  EXPECT_GT(st.moved_rows, 0u);
+  pool.Stop();
 }
 
 TEST(EnginePoolReconfig, ProgramHotSwapUnderTrafficKeepsState) {
@@ -1116,6 +1177,57 @@ ELEMENT Acl ON REQUEST {
 // A filter element has no compiled form. The pool used to run it as an
 // interpreter no-op that passed every message; now Start() refuses the
 // chain and names the element.
+// A control op posted before a message is pushed runs before that message,
+// even when the worker is busy running another op at the moment of the
+// post. Each round begins a slot migration and a program swap together, so
+// the destination is often still swapping when the producer posts the
+// adopt and flushes the held messages behind it. A message run ahead of
+// its adopt finds no ACL row for its user and is denied.
+TEST(EnginePool, ControlOpRunsBeforeMessagesPushedAfterIt) {
+  constexpr int kUsers = 256;
+  constexpr int kRounds = 300;
+  std::atomic<uint64_t> denied{0};
+  EnginePool::Config config;
+  config.workers = 2;
+  config.shard_key_field = "username";
+  config.ring_capacity = 256;
+  config.on_done = [&](int, const rpc::Message&, const ir::ProcessResult& r) {
+    if (r.outcome != ir::ProcessOutcome::kPass) {
+      denied.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  EnginePool pool(LogAclQuotaElements(), {}, config);
+  SeedUsers(pool, kUsers);
+  SeedQuota(pool, kUsers, 1'000'000);
+  ASSERT_TRUE(pool.Start().ok());
+  const int slot = EnginePool::SlotOfKey(Value(UserName(0)));
+  std::vector<std::string> hot;
+  for (int i = 0; i < kUsers; ++i) {
+    if (EnginePool::SlotOfKey(Value(UserName(i))) == slot) {
+      hot.push_back(UserName(i));
+    }
+  }
+  uint64_t id = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(
+        pool.BeginSlotMigration(slot, 1 - pool.WorkerOfSlot(slot)).ok());
+    ASSERT_TRUE(pool.SwapProgram(round % 2 == 0 ? LogAclQuotaElementsV2()
+                                                : LogAclQuotaElements())
+                    .ok());
+    while (pool.MigrationActive() || !pool.SwapComplete()) {
+      ++id;
+      pool.Submit(MakeReq(id, id % 4 == 0
+                                  ? UserName(static_cast<int>(id % kUsers))
+                                  : hot[id % hot.size()]));
+      pool.PumpMigration();
+    }
+  }
+  pool.Stop();
+  EXPECT_EQ(pool.processed(), id);
+  EXPECT_EQ(denied.load(), 0u);
+  EXPECT_EQ(pool.dropped(), 0u);
+}
+
 TEST(EnginePool, FilterElementIsRejectedAtStart) {
   auto parsed = dsl::ParseProgram(std::string(elements::LogTableSql()) +
                                   std::string(elements::LoggingSql()) +
