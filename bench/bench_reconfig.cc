@@ -216,12 +216,13 @@ ELEMENT Acl ON REQUEST {
     pool.Drain();  // nothing serves from here...
     for (size_t e = 0; e < 3; ++e) {
       // Cost-equivalent full re-shard: snapshot every worker's state and
-      // restore/merge it into a fresh instance (scratch, so the live pool's
-      // state — and the live rounds above — stay untouched).
+      // restore it into a scratch instance, so every row is encoded and
+      // decoded once while the live pool's state — and the live rounds
+      // above — stay untouched.
       ir::ElementInstance scratch(Elements(*lowered_a)[e], 999);
       for (int w = 0; w < pool.workers(); ++w) {
         const Bytes snapshot = pool.WorkerInstance(w, e).SnapshotState();
-        if (!scratch.MergeState(snapshot).ok()) return 1;
+        if (!scratch.RestoreState(snapshot).ok()) return 1;
       }
     }
     pause_ns.push_back(ElapsedNs(t0));  // ...until here

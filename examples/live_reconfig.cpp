@@ -1,6 +1,6 @@
 // Live reconfiguration (paper §5.2): hot-update an element's processing
 // logic while carrying its state over, and scale a stateful element out and
-// back in with a lossless state split/merge — the operations that let an
+// back in with a lossless state move — the operations that let an
 // ADN "scale network processing without disruption".
 #include <cstdio>
 
@@ -75,7 +75,7 @@ int main() {
                     ->RowCount());
   }
 
-  std::vector<const mrpc::GeneratedStage*> shards;
+  std::vector<mrpc::GeneratedStage*> shards;
   for (const auto& instance : scaled->instances) {
     shards.push_back(instance.get());
   }

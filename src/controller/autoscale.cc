@@ -78,31 +78,23 @@ sim::SimTime Autoscaler::MigrateChain(mrpc::EngineChain& chain, int new_width,
                                       const std::string& processor) {
   // Even a stateless chain pays the reconfiguration handshake.
   sim::SimTime pause = EstimatePauseNs(0);
-  uint64_t replayed = 0;
   for (size_t i = 0; i < chain.size(); ++i) {
     auto* stage = dynamic_cast<mrpc::GeneratedStage*>(&chain.stage(i));
     if (stage == nullptr) continue;  // not a compiler-generated stage
-    // Shard the live state across the new pool, then merge back into the
-    // one logical instance the simulated chain executes. MigrateStageWidth
-    // verifies hash losslessness on both legs and charges the blackout per
-    // the configured cutover policy — full-state pause (kPauseDrain) or
-    // delta replay (kLive) — summed across stages since the chain migrates
-    // them in order.
+    // Move the live state out across the new pool, then back into the one
+    // logical instance the simulated chain executes. MigrateStageWidth
+    // verifies hash losslessness on both legs and charges the handshake
+    // blackout, summed across stages since the chain migrates them in order.
     auto merged = MigrateStageWidth(*stage, static_cast<size_t>(new_width),
-                                    seed_base_ += 200, options_.cutover);
+                                    seed_base_ += 200);
     if (!merged.ok()) continue;
     pause += merged.value().report.pause_ns;
-    replayed += merged.value().report.delta_replayed;
     chain.ReplaceStage(i, std::move(merged.value().instance));
   }
   registry_
       ->GetHistogram("adn_reconfig_blackout_ns",
                      "processor=\"" + processor + "\"")
       .Observe(static_cast<double>(pause));
-  registry_
-      ->GetCounter("adn_reconfig_delta_replayed",
-                   "processor=\"" + processor + "\"")
-      .Inc(replayed);
   return pause;
 }
 

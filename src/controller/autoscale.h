@@ -12,11 +12,11 @@
 //      the instance pool, bounded to [min_width, max_width]
 //
 // The command's migrate closure runs the *real* migration protocol on the
-// chain's stateful stages — ScaleOutStage shards each GeneratedStage's
-// state across the new pool, ScaleInStages merges it back into the one
+// chain's stateful stages — ScaleOutStage moves each GeneratedStage's
+// state out across the new pool, ScaleInStages moves it back into the one
 // logical instance the simulated chain executes (the station width models
 // the pool; see adn_path.h) — verifying hash losslessness and charging the
-// protocol's pause estimate as the data-plane pause.
+// reconfiguration handshake as the data-plane pause.
 #pragma once
 
 #include <map>
@@ -37,10 +37,6 @@ struct AutoscaleOptions {
   int cooldown_windows = 2;  // ticks a site rests after a reconfiguration
   int min_width = 1;
   int max_width = 8;
-  // How a width change cuts over (docs/RECONFIG.md): kLive replays only the
-  // mutation delta at cutover (blackout ≈ handshake); kPauseDrain is the
-  // classic full-state pause, kept as the fallback for incompatible edits.
-  CutoverPolicy cutover = CutoverPolicy::kLive;
 };
 
 // One acted-on decision, for experiment timelines.
@@ -72,10 +68,10 @@ class Autoscaler {
   }
 
  private:
-  // Round-trip shard/merge of every GeneratedStage on the chain (one
-  // MigrateStageWidth call per stage, under options_.cutover); returns the
-  // data-plane blackout and records it under `processor`'s reconfig
-  // metrics. Exposed to OnReport's command closures.
+  // Round-trip state move of every GeneratedStage on the chain (one
+  // MigrateStageWidth call per stage); returns the data-plane blackout and
+  // records it under `processor`'s reconfig metrics. Exposed to OnReport's
+  // command closures.
   sim::SimTime MigrateChain(mrpc::EngineChain& chain, int new_width,
                             const std::string& processor);
 

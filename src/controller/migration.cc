@@ -1,7 +1,5 @@
 #include "controller/migration.h"
 
-#include <algorithm>
-
 namespace adn::controller {
 
 sim::SimTime EstimatePauseNs(size_t state_bytes) {
@@ -12,64 +10,65 @@ sim::SimTime EstimatePauseNs(size_t state_bytes) {
          static_cast<sim::SimTime>(kPerByteNs * static_cast<double>(state_bytes));
 }
 
-Result<ScaleOutResult> ScaleOutStage(const mrpc::GeneratedStage& source,
-                                     size_t n, uint64_t seed_base) {
-  if (n == 0) {
-    return Error(ErrorCode::kInvalidArgument, "cannot scale out to 0");
-  }
-  const ir::ElementInstance& instance = source.instance();
-  ADN_ASSIGN_OR_RETURN(std::vector<Bytes> shards, instance.SplitState(n));
-
+Result<ScaleOutResult> ScaleOutStage(mrpc::GeneratedStage& source, size_t n,
+                                     uint64_t seed_base) {
+  ir::ElementInstance& instance = source.instance();
   ScaleOutResult out;
   out.report.source_state_hash = instance.StateContentHash();
   auto code = std::make_shared<const ir::ElementIr>(instance.code());
+  std::vector<ir::ElementInstance*> to;
   for (size_t i = 0; i < n; ++i) {
-    auto stage = std::make_unique<mrpc::GeneratedStage>(code, seed_base + i);
-    ADN_RETURN_IF_ERROR(stage->instance().RestoreState(shards[i]));
-    out.report.state_bytes += shards[i].size();
-    out.report.result_state_hash ^= stage->instance().StateContentHash();
-    out.instances.push_back(std::move(stage));
+    out.instances.push_back(
+        std::make_unique<mrpc::GeneratedStage>(code, seed_base + i));
+    to.push_back(&out.instances.back()->instance());
+  }
+  ADN_RETURN_IF_ERROR(instance.MoveStateTo(to));
+  for (const ir::ElementInstance* moved : to) {
+    out.report.state_bytes += moved->SnapshotState().size();
+    out.report.result_state_hash ^= moved->StateContentHash();
   }
   out.report.pause_ns = EstimatePauseNs(out.report.state_bytes);
   return out;
 }
 
 Result<ScaleInResult> ScaleInStages(
-    const std::vector<const mrpc::GeneratedStage*>& sources, uint64_t seed) {
+    const std::vector<mrpc::GeneratedStage*>& sources, uint64_t seed) {
   if (sources.empty()) {
     return Error(ErrorCode::kInvalidArgument, "no instances to merge");
   }
-  ScaleInResult out;
   auto code =
       std::make_shared<const ir::ElementIr>(sources[0]->instance().code());
-  out.instance = std::make_unique<mrpc::GeneratedStage>(code, seed);
+  // A move cannot be undone: check every source before the first one moves.
   for (const mrpc::GeneratedStage* source : sources) {
-    if (source->instance().code().name != code->name) {
+    const ir::ElementIr& source_code = source->instance().code();
+    if (source_code.name != code->name) {
       return Error(ErrorCode::kInvalidArgument,
                    "cannot merge instances of different elements ('" +
-                       code->name + "' vs '" +
-                       source->instance().code().name + "')");
+                       code->name + "' vs '" + source_code.name + "')");
     }
-    Bytes snapshot = source->instance().SnapshotState();
-    out.report.state_bytes += snapshot.size();
+    ADN_RETURN_IF_ERROR(ir::CheckStateCompatible(source_code, *code));
+  }
+  ScaleInResult out;
+  out.instance = std::make_unique<mrpc::GeneratedStage>(code, seed);
+  ir::ElementInstance* const to[] = {&out.instance->instance()};
+  for (mrpc::GeneratedStage* source : sources) {
+    out.report.state_bytes += source->instance().SnapshotState().size();
     out.report.source_state_hash ^= source->instance().StateContentHash();
-    ADN_RETURN_IF_ERROR(out.instance->instance().MergeState(snapshot));
+    ADN_RETURN_IF_ERROR(source->instance().MoveStateTo(to));
   }
   out.report.result_state_hash = out.instance->instance().StateContentHash();
   out.report.pause_ns = EstimatePauseNs(out.report.state_bytes);
   return out;
 }
 
-Result<ScaleInResult> MigrateStageWidth(const mrpc::GeneratedStage& source,
-                                        size_t width, uint64_t seed_base,
-                                        CutoverPolicy policy) {
-  // One cutover implementation, two blackout policies.
+Result<ScaleInResult> MigrateStageWidth(mrpc::GeneratedStage& source,
+                                        size_t width, uint64_t seed_base) {
   ADN_ASSIGN_OR_RETURN(ScaleOutResult out,
                        ScaleOutStage(source, width, seed_base));
   if (!out.report.lossless()) {
     return Error(ErrorCode::kInternal, "scale-out lost state rows");
   }
-  std::vector<const mrpc::GeneratedStage*> sources;
+  std::vector<mrpc::GeneratedStage*> sources;
   sources.reserve(out.instances.size());
   for (const auto& instance : out.instances) {
     sources.push_back(instance.get());
@@ -79,45 +78,24 @@ Result<ScaleInResult> MigrateStageWidth(const mrpc::GeneratedStage& source,
   if (!merged.report.lossless()) {
     return Error(ErrorCode::kInternal, "scale-in lost state rows");
   }
-  switch (policy) {
-    case CutoverPolicy::kPauseDrain:
-      // The stage is paused for both legs; the shards move concurrently, so
-      // the charged pause is the slower leg.
-      merged.report.pause_ns =
-          std::max(out.report.pause_ns, merged.report.pause_ns);
-      break;
-    case CutoverPolicy::kLive: {
-      // Run the live protocol's cutover legs for real: baseline the source,
-      // diff after the bulk copy (above), replay the delta at the result.
-      // The sim applies reconfigurations atomically, so no mutations race
-      // the copy and the delta is empty — which is exactly the point: the
-      // blackout charged is the delta replay, not the state size.
-      ir::StateBaseline baseline = ir::StateBaseline::Capture(source.instance());
-      ADN_ASSIGN_OR_RETURN(ir::StateDelta delta,
-                           baseline.Diff(source.instance()));
-      ADN_RETURN_IF_ERROR(delta.ApplyTo(merged.instance->instance()));
-      merged.report.delta_replayed = delta.replayed();
-      merged.report.delta_bytes = delta.bytes();
-      merged.report.pause_ns = EstimatePauseNs(delta.bytes());
-      break;
-    }
-  }
+  // The key slots moved without a row being copied: the blackout is the
+  // reconfiguration handshake alone.
+  merged.report.pause_ns = EstimatePauseNs(0);
   return merged;
 }
 
 Result<ScaleInResult> HotUpdateStage(
-    const mrpc::GeneratedStage& running,
+    mrpc::GeneratedStage& running,
     std::shared_ptr<const ir::ElementIr> new_code, uint64_t seed) {
-  // Schema compatibility (same state tables, same schemas) so the snapshot
-  // restores cleanly — the same gate EnginePool::SwapProgram applies.
-  const ir::ElementIr& old_code = running.instance().code();
-  ADN_RETURN_IF_ERROR(ir::CheckStateCompatible(old_code, *new_code));
+  // MoveStateTo applies the same schema gate as EnginePool::SwapProgram
+  // (ir::CheckStateCompatible) before anything moves.
+  ir::ElementInstance& old_instance = running.instance();
   ScaleInResult out;
   out.instance = std::make_unique<mrpc::GeneratedStage>(new_code, seed);
-  Bytes snapshot = running.instance().SnapshotState();
-  out.report.state_bytes = snapshot.size();
-  out.report.source_state_hash = running.instance().StateContentHash();
-  ADN_RETURN_IF_ERROR(out.instance->instance().RestoreState(snapshot));
+  out.report.state_bytes = old_instance.SnapshotState().size();
+  out.report.source_state_hash = old_instance.StateContentHash();
+  ir::ElementInstance* const to[] = {&out.instance->instance()};
+  ADN_RETURN_IF_ERROR(old_instance.MoveStateTo(to));
   out.report.result_state_hash = out.instance->instance().StateContentHash();
   out.report.pause_ns = EstimatePauseNs(out.report.state_bytes);
   return out;

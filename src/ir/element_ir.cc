@@ -117,4 +117,33 @@ const ExprNode* PointUpdateKeyExpr(const UpdateIr& upd,
   return nullptr;
 }
 
+Status CheckStateCompatible(const ElementIr& running, const ElementIr& next) {
+  if (next.state_tables.size() != running.state_tables.size()) {
+    return Status(ErrorCode::kFailedPrecondition,
+                  "hot swap of '" + running.name + "' -> '" + next.name +
+                      "' changes the number of state tables (" +
+                      std::to_string(running.state_tables.size()) + " -> " +
+                      std::to_string(next.state_tables.size()) +
+                      "); drain and redeploy instead");
+  }
+  for (size_t i = 0; i < next.state_tables.size(); ++i) {
+    if (next.state_tables[i].first != running.state_tables[i].first) {
+      return Status(ErrorCode::kFailedPrecondition,
+                    "hot swap of '" + running.name + "' -> '" + next.name +
+                        "' renames state table '" +
+                        running.state_tables[i].first + "' to '" +
+                        next.state_tables[i].first +
+                        "'; drain and redeploy instead");
+    }
+    if (!(next.state_tables[i].second == running.state_tables[i].second)) {
+      return Status(ErrorCode::kFailedPrecondition,
+                    "hot swap of '" + running.name + "' -> '" + next.name +
+                        "' changes the schema of state table '" +
+                        running.state_tables[i].first +
+                        "'; drain and redeploy instead");
+    }
+  }
+  return Status::Ok();
+}
+
 }  // namespace adn::ir

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "dsl/ast.h"
 #include "ir/expr.h"
 #include "rpc/schema.h"
@@ -163,5 +164,11 @@ struct ElementIr {
 
   const rpc::Schema* FindStateSchema(std::string_view table) const;
 };
+
+// State-layout gate: `next` may take over `running`'s tables (a DSL hot
+// reload, or a state move between instances) only when every state table
+// matches by position, name and schema. A mismatch is kFailedPrecondition;
+// element logic itself may differ freely.
+Status CheckStateCompatible(const ElementIr& running, const ElementIr& next);
 
 }  // namespace adn::ir

@@ -4,7 +4,6 @@
 #include <cstdint>
 
 #include "common/strings.h"
-#include "ir/state_delta.h"
 #include "obs/intern.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -596,7 +595,7 @@ ElementInstance::CacheRuntime& ElementInstance::EnsureCacheRuntime() {
     // migration (it is not state), so every key starts on T1; the adaptive
     // policy re-learns frequency from the traffic. Crucially this reads the
     // table without modifying it, keeping StateContentHash invariant across
-    // snapshot/restore/split/merge.
+    // snapshot/restore and state moves.
     if (const Table* table = FindTable(code_->cache_op->table);
         table != nullptr) {
       for (const rpc::RowRef row : table->rows()) {
@@ -768,9 +767,8 @@ Bytes ElementInstance::SnapshotState() const {
   return out;
 }
 
-Status ElementInstance::DecodeState(
-    std::span<const uint8_t> snapshot,
-    std::vector<std::vector<rpc::Value>>& cells) const {
+Status ElementInstance::RestoreState(std::span<const uint8_t> snapshot) {
+  // Decode and check every table blob before any table changes.
   ByteReader r(snapshot);
   ADN_ASSIGN_OR_RETURN(uint64_t count, r.ReadVarint());
   if (count != tables_.size()) {
@@ -779,7 +777,7 @@ Status ElementInstance::DecodeState(
                       " tables, element " + name() + " expects " +
                       std::to_string(tables_.size()));
   }
-  cells.resize(tables_.size());
+  std::vector<std::vector<rpc::Value>> cells(tables_.size());
   for (size_t i = 0; i < tables_.size(); ++i) {
     ADN_ASSIGN_OR_RETURN(auto blob, r.ReadLengthPrefixed());
     ADN_RETURN_IF_ERROR(tables_[i].DecodeSnapshot(blob, cells[i]));
@@ -788,12 +786,6 @@ Status ElementInstance::DecodeState(
     return Status(ErrorCode::kParseError,
                   "trailing bytes after the state of " + name());
   }
-  return Status::Ok();
-}
-
-Status ElementInstance::RestoreState(std::span<const uint8_t> snapshot) {
-  std::vector<std::vector<rpc::Value>> cells;
-  ADN_RETURN_IF_ERROR(DecodeState(snapshot, cells));
   for (size_t i = 0; i < tables_.size(); ++i) {
     tables_[i].Clear();
     tables_[i].InsertDecoded(cells[i]);
@@ -802,32 +794,39 @@ Status ElementInstance::RestoreState(std::span<const uint8_t> snapshot) {
   return Status::Ok();
 }
 
-Result<std::vector<Bytes>> ElementInstance::SplitState(size_t n) const {
-  // Shard each table, then assemble per-shard snapshots.
-  std::vector<std::vector<Bytes>> per_table_shards;
-  per_table_shards.reserve(tables_.size());
-  for (const Table& t : tables_) {
-    ADN_ASSIGN_OR_RETURN(std::vector<Bytes> shards, t.SnapshotShards(n));
-    per_table_shards.push_back(std::move(shards));
+Status ElementInstance::MoveStateTo(std::span<ElementInstance* const> to) {
+  if (to.empty()) {
+    return Status(ErrorCode::kInvalidArgument,
+                  "cannot move the state of " + name() + " into 0 instances");
   }
-  std::vector<Bytes> out(n);
-  for (size_t shard = 0; shard < n; ++shard) {
-    ByteWriter w(out[shard]);
-    w.WriteVarint(tables_.size());
-    for (const std::vector<Bytes>& shards : per_table_shards) {
-      w.WriteLengthPrefixed(shards[shard]);
+  for (const ElementInstance* dest : to) {
+    if (dest == this) {
+      return Status(ErrorCode::kInvalidArgument,
+                    "cannot move the state of " + name() + " into itself");
     }
+    ADN_RETURN_IF_ERROR(CheckStateCompatible(*code_, dest->code()));
   }
-  return out;
-}
-
-Status ElementInstance::MergeState(std::span<const uint8_t> snapshot) {
-  std::vector<std::vector<rpc::Value>> cells;
-  ADN_RETURN_IF_ERROR(DecodeState(snapshot, cells));
+  const size_t n = to.size();
+  Row row;
   for (size_t i = 0; i < tables_.size(); ++i) {
-    tables_[i].InsertDecoded(cells[i]);
+    Table& t = tables_[i];
+    if (t.HasPrimaryKey()) {
+      for (size_t k = 0; k < rpc::kKeySlots; ++k) {
+        to[k % n]->tables_[i].AdoptKeySlot(k, t.TakeKeySlot(k));
+      }
+      continue;
+    }
+    // Keyless rows have no key slot to hand over: each is copied to the
+    // instance its whole-row hash picks, in rows() order.
+    for (const rpc::RowRef r : t.rows()) {
+      row.assign(r.begin(), r.end());
+      const size_t dest = (t.RowKeyHash(r) % rpc::kKeySlots) % n;
+      (void)to[dest]->tables_[i].InsertFrom(row);  // same schema: cannot fail
+    }
+    t.Clear();
   }
   InvalidateCacheRuntime();
+  for (ElementInstance* dest : to) dest->InvalidateCacheRuntime();
   return Status::Ok();
 }
 

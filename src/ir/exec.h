@@ -3,8 +3,8 @@
 // This is the "generated implementation" the data-plane processors execute
 // per message. The code (ElementIr) is immutable and shared; the state
 // (tables, RNG, nonce counter) is instance-local and fully serializable,
-// which is what lets the controller migrate, split and merge instances
-// without disrupting the application (paper §5.2).
+// which is what lets the controller move it between instances — scale out,
+// scale in, hot update — without disrupting the application (paper §5.2).
 #pragma once
 
 #include <memory>
@@ -81,21 +81,26 @@ class ElementInstance {
   ProcessResult RunCache(rpc::Message& m, int64_t now_ns);
 
   // --- Migration support ----------------------------------------------------
-  // Snapshot/restore every table (format: varint count, then table snaps).
-  // Restore and merge decode and check the whole snapshot before any table
-  // changes: a malformed one is an error that leaves the state as it was.
+  // Snapshot/restore every table (format: varint count, then table snaps):
+  // the one byte format of element state, for checkpoints and the wire.
+  // Restore decodes and checks the whole snapshot before any table changes:
+  // a malformed one is an error that leaves the state as it was.
   Bytes SnapshotState() const;
   Status RestoreState(std::span<const uint8_t> snapshot);
-  // Shard every table into `n` snapshots for scale-out (pool start-up
-  // included): shard i holds each table's Table::SnapshotShards(n)[i], the
-  // rows whose key EnginePool routes to worker i of n.
-  Result<std::vector<Bytes>> SplitState(size_t n) const;
-  // Merge a peer's snapshot into this instance (scale-in, and the
-  // simulated controller's migration): keyed rows upsert by key.
-  Status MergeState(std::span<const uint8_t> snapshot);
   uint64_t StateContentHash() const;
 
-  // --- Live reconfiguration (see docs/RECONFIG.md) --------------------------
+  // --- Moving state (scale-out, scale-in, pool start-up, hot update) --------
+  // Move every row of this instance into `to`, leaving this one empty: key
+  // slot k of each keyed table goes to to[k % to.size()] whole (TakeKeySlot/
+  // AdoptKeySlot, no row copied); each keyless row is copied, row by row, to
+  // to[(RowKeyHash % kKeySlots) % to.size()], then the source log is
+  // cleared. That is the function EnginePool routes by, so with fresh
+  // destinations instance i holds exactly the keys whose messages route to
+  // worker i. A row that lands on a key a destination already holds
+  // replaces it. Fails, moving nothing, when `to` is empty, names this
+  // instance, or holds an instance whose tables do not match this one's
+  // (CheckStateCompatible).
+  Status MoveStateTo(std::span<ElementInstance* const> to);
   // Hand key slot `k` of every table out whole, one shard per table (a
   // keyless table's is empty — append-log rows never move with a slot), and
   // take such shards in from another instance of the same element. O(tables):
@@ -126,14 +131,10 @@ class ElementInstance {
   ProcessResult RunStatement(const StmtIr& stmt, rpc::Message& m,
                              EvalContext& ctx);
   // ARC recency/frequency metadata lives outside the state table and is
-  // rebuilt lazily from the rows after anything replaces or merges the
-  // tables (restore/merge/slot take or adopt/hot-reload) — the table alone is the
+  // rebuilt lazily from the rows after anything replaces or moves the
+  // tables (restore/move/slot take or adopt/hot-reload) — the table alone is the
   // durable state, which is what keeps StateContentHash migration-invariant.
   void InvalidateCacheRuntime();
-  // Decode every table blob of a SnapshotState-format `snapshot` into
-  // `cells` (one block per table) without changing any table.
-  Status DecodeState(std::span<const uint8_t> snapshot,
-                     std::vector<std::vector<rpc::Value>>& cells) const;
   CacheRuntime& EnsureCacheRuntime();
   // Resolve the interned span-name id and the element-latency histogram
   // once (construction / ReplaceCode), so Process never builds a label

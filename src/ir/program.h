@@ -13,12 +13,12 @@
 //     down to the process-global ids of rpc/intern.h — the executor reads
 //     message fields by integer compare, never by string scan),
 //   - table handles (element index, table index) bound to the deployed
-//     ElementInstances at deploy time — by index, so a state restore that
-//     swaps the table vector never invalidates the program.
+//     ElementInstances at deploy time — by index, so a state restore or
+//     move that empties or refills the tables never invalidates the program.
 //
 // Deliberately NOT in the program: element state. Tables, RNG streams and
 // nonce counters stay inside ElementInstance, which is what keeps
-// SnapshotState/SplitState/MergeState and controller migration working
+// SnapshotState/RestoreState, MoveStateTo and controller migration working
 // unchanged whichever tier executes (the program is immutable shared code;
 // instances are the movable state).
 #pragma once

@@ -584,7 +584,7 @@ struct Experiment {
   }
 
   // Pause-drain-resume: pause the site now, run the controller's migration
-  // (the real state split/merge — its cost is the data-plane pause), resume
+  // (the real state move — the pause it returns is charged), resume
   // at the new width and replay everything that arrived meanwhile.
   void ApplyReconfig(ReconfigCommand cmd) {
     for (auto& site : sites) {

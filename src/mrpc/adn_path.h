@@ -67,16 +67,15 @@ struct PlacedStage {
 //
 //   pause:  the site stops serving; messages arriving in either direction
 //           are queued (never dropped), counted by adn_ctrl_queued_msgs_total
-//   drain:  the command's `migrate` closure re-shards the chain's element
+//   drain:  the command's `migrate` closure moves the chain's element
 //           state for the new instance pool and returns the data-plane
-//           pause it cost (EstimatePauseNs of the state moved)
+//           pause it charges (controller::EstimatePauseNs)
 //   resume: the station continues at new_width and replays the queue in
 //           arrival order
 //
 // The station's width models the instance pool: the simulator charges
-// capacity at the station, while the state split/merge runs for real on the
-// chain's stages so the pause is proportional to true state size and
-// losslessness is verifiable (hash round-trip).
+// capacity at the station, while the state moves run for real on the
+// chain's stages so losslessness is verifiable (hash round-trip).
 
 // One active site's view over the last report window.
 struct SiteWindow {

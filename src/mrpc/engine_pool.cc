@@ -7,7 +7,6 @@
 #include <chrono>
 
 #include "compiler/chain_compile.h"
-#include "ir/state_delta.h"
 #include "obs/trace.h"
 #include "rpc/table.h"
 
@@ -73,9 +72,9 @@ EnginePool::EnginePool(
   } else {
     compile_status_ = chain.status();
   }
-  // Initial routing: slots dealt round-robin across workers. Start() shards
-  // tables with the same (slot % workers) assignment, so routing and state
-  // agree from the first message.
+  // Initial routing: slots dealt round-robin across workers. Start() moves
+  // the template's key slots with the same (slot % workers) assignment, so
+  // routing and state agree from the first message.
   for (size_t s = 0; s < kRouteSlots; ++s) {
     route_[s] = static_cast<int32_t>(s % static_cast<size_t>(config_.workers));
   }
@@ -101,16 +100,6 @@ Status EnginePool::Start() {
   }
   ADN_RETURN_IF_ERROR(compile_status_);
   const int n = config_.workers;
-  // Shard the template state by (key hash % kRouteSlots) % workers, so
-  // table placement matches the route_ slot table for ANY worker count —
-  // the invariant live migration preserves one slot at a time.
-  std::vector<std::vector<Bytes>> shards(elements_.size());
-  for (size_t e = 0; e < elements_.size(); ++e) {
-    auto split = template_instances_[e]->SplitState(static_cast<size_t>(n));
-    if (!split.ok()) return split.status();
-    shards[e] = std::move(split).value();
-  }
-
   workers_.reserve(static_cast<size_t>(n));
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
   for (int w = 0; w < n; ++w) {
@@ -124,19 +113,31 @@ Status EnginePool::Start() {
     worker->trace_processor_id = obs::InternName(worker->trace_processor);
     worker->instances.reserve(elements_.size());
     for (size_t e = 0; e < elements_.size(); ++e) {
-      auto inst = std::make_unique<ir::ElementInstance>(
+      worker->instances.push_back(std::make_unique<ir::ElementInstance>(
           elements_[e],
-          config_.seed * 1'000'003 + static_cast<uint64_t>(w) * 131 + e);
-      ADN_RETURN_IF_ERROR(inst->RestoreState(shards[e][w]));
-      worker->instances.push_back(std::move(inst));
+          config_.seed * 1'000'003 + static_cast<uint64_t>(w) * 131 + e));
     }
+    workers_.push_back(std::move(worker));
+  }
+  // Move the template state into the workers: key slot k goes to worker
+  // k % n, the route_ table's initial assignment, so table placement
+  // matches routing for ANY worker count — the invariant live migration
+  // preserves one slot at a time.
+  std::vector<ir::ElementInstance*> to(static_cast<size_t>(n));
+  for (size_t e = 0; e < elements_.size(); ++e) {
+    for (int w = 0; w < n; ++w) {
+      to[static_cast<size_t>(w)] =
+          workers_[static_cast<size_t>(w)]->instances[e].get();
+    }
+    ADN_RETURN_IF_ERROR(template_instances_[e]->MoveStateTo(to));
+  }
+  for (auto& worker : workers_) {
     std::vector<ir::ElementInstance*> raw;
     for (auto& inst : worker->instances) raw.push_back(inst.get());
     worker->chain_exec = std::make_unique<ir::ChainExecutor>(
         whole_chain_program_, std::move(raw));
     worker->chain_exec->set_trace_identity(obs::Tier::kEngine,
                                            worker->trace_processor_id);
-    workers_.push_back(std::move(worker));
   }
   stop_.store(false, std::memory_order_release);
   started_ = true;
@@ -436,17 +437,6 @@ ir::ElementInstance& EnginePool::WorkerInstance(int worker, size_t element) {
   return *workers_[static_cast<size_t>(worker)]->instances[element];
 }
 
-Result<std::unique_ptr<ir::ElementInstance>> EnginePool::MergedInstance(
-    size_t element) const {
-  auto merged = std::make_unique<ir::ElementInstance>(elements_[element],
-                                                      config_.seed);
-  for (const auto& worker : workers_) {
-    const Bytes snapshot = worker->instances[element]->SnapshotState();
-    ADN_RETURN_IF_ERROR(merged->MergeState(snapshot));
-  }
-  return merged;
-}
-
 uint64_t EnginePool::MergedStateHash(size_t element) const {
   uint64_t h = 0;
   for (const auto& worker : workers_) {
@@ -632,8 +622,8 @@ Status EnginePool::SwapProgram(
       swap_pending_.fetch_sub(1, std::memory_order_release);
     });
   }
-  // Producer-side bookkeeping so MergedInstance/TemplateInstance and any
-  // later Start-style rebuild see the new chain.
+  // Producer-side bookkeeping so TemplateInstance and any later
+  // Start-style rebuild see the new chain.
   for (size_t e = 0; e < new_elements.size(); ++e) {
     (void)template_instances_[e]->ReplaceCode(new_elements[e]);
   }

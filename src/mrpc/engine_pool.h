@@ -3,14 +3,14 @@
 // tier).
 //
 // An EnginePool owns N worker threads. Each worker runs the chain's compiled
-// ChainProgram against its OWN ElementInstances, whose tables are the
-// per-worker shards produced at Start(). A single producer thread routes
-// every RPC through a fixed table of kRouteSlots key slots: the shard-key
-// field hashes (HashSingleKey) into a slot, and the slot maps to a worker.
-// Start() shards the tables with the SAME two-level function
-// ((key hash % kRouteSlots) % workers, ElementInstance::SplitState),
-// so the worker that receives a message is exactly the worker whose shard
-// holds that key's rows — and the slot indirection is what makes live
+// ChainProgram against its OWN ElementInstances, whose tables hold the key
+// slots Start() moved into them. A single producer thread routes every RPC
+// through a fixed table of kRouteSlots key slots: the shard-key field
+// hashes (HashSingleKey) into a slot, and the slot maps to a worker.
+// Start() moves the template's tables with the SAME two-level function
+// ((key hash % kRouteSlots) % workers, ElementInstance::MoveStateTo), so
+// the worker that receives a message is exactly the worker whose tables
+// hold that key's rows — and the slot indirection is what makes live
 // migration possible: handing one slot's table shards to another worker and
 // flipping one route_ entry re-homes that key range without touching the
 // rest (docs/RECONFIG.md).
@@ -19,8 +19,7 @@
 //
 // State stays per-worker and unsynchronized (shared-nothing); anything
 // cross-worker is merge-on-read: processed()/dropped() sum worker counters,
-// MergedInstance() materializes the union of the worker shards into a fresh
-// instance, and MergedStateHash() XORs the shard hashes (ElementInstance::
+// and MergedStateHash() XORs the shard hashes (ElementInstance::
 // StateContentHash is XOR-decomposable, so the merged hash equals the
 // unsharded hash exactly when the shards partition the rows — the PR 4
 // migration invariant, now continuously checkable on a live pool).
@@ -152,14 +151,17 @@ class EnginePool {
   EnginePool& operator=(const EnginePool&) = delete;
 
   // --- Seeding (before Start) ------------------------------------------------
-  // Controller-style state seeding happens on the template instances; Start
-  // shards whatever the templates hold at that point.
+  // Controller-style state seeding happens on the template instances. Start
+  // TAKES their rows: it moves whatever the templates hold at that point
+  // into the workers, so a template is empty after Start. Seed before
+  // Start; read worker state through WorkerInstance afterwards.
   ir::ElementInstance* TemplateInstance(size_t element);
   ir::ElementInstance* FindTemplateInstance(std::string_view name);
 
-  // Shard the template state across `workers` instance sets and spawn the
-  // worker threads. Error to call twice, and an error (the compile error,
-  // e.g. kUnsupported for a filter element) when the chain did not compile.
+  // Move the template state into `workers` instance sets (key slot k to
+  // worker k % workers, ElementInstance::MoveStateTo) and spawn the worker
+  // threads. Error to call twice, and an error (the compile error, e.g.
+  // kUnsupported for a filter element) when the chain did not compile.
   Status Start();
   bool started() const { return started_; }
 
@@ -225,10 +227,6 @@ class EnginePool {
   // while running — read after Drain/Stop).
   ir::ElementInstance& WorkerInstance(int worker, size_t element);
 
-  // Union of the worker shards of element e, materialized into a fresh
-  // instance (MergeState over every worker snapshot).
-  Result<std::unique_ptr<ir::ElementInstance>> MergedInstance(
-      size_t element) const;
   // XOR of the worker shards' StateContentHash — equals the hash of the
   // equivalent unsharded instance when the shards partition the rows.
   uint64_t MergedStateHash(size_t element) const;
@@ -330,7 +328,7 @@ class EnginePool {
   rpc::FieldId shard_key_fid_ = 0;
   bool has_shard_key_ = false;
 
-  // Unsharded reference state (seeded pre-Start, sharded at Start).
+  // Seed state (filled before Start, moved into the workers by Start).
   std::vector<std::unique_ptr<ir::ElementInstance>> template_instances_;
 
   // Shared by every worker's executor; null when the chain did not compile,

@@ -459,45 +459,6 @@ void Table::InsertDecoded(std::span<Value> cells) {
   }
 }
 
-Result<std::vector<Bytes>> Table::SnapshotShards(size_t shards) const {
-  if (shards == 0) {
-    return Error(ErrorCode::kInvalidArgument, "cannot split into 0 shards");
-  }
-  // Pass 1 places every row and counts each shard's rows, which lead their
-  // snapshots; pass 2 encodes each row straight into its shard. A keyed
-  // table places whole key slots; a keyless one hashes each row. A shard
-  // number is below kKeySlots, so it fits a byte.
-  const bool keyed = !pk_indexes_.empty();
-  std::vector<uint8_t> row_shard;  // keyless: each row's shard
-  std::vector<size_t> counts(shards, 0);
-  if (keyed) {
-    for (size_t k = 0; k < kKeySlots; ++k) {
-      counts[k % shards] += shards_[k].nrows_;
-    }
-  } else {
-    row_shard.resize(nrows_);
-    for (size_t i = 0; i < nrows_; ++i) {
-      row_shard[i] = static_cast<uint8_t>(
-          KeySlotOf(KeyHashOf(CellsAt(shards_[0], i))) % shards);
-      ++counts[row_shard[i]];
-    }
-  }
-  std::vector<Bytes> out(shards);
-  for (size_t s = 0; s < shards; ++s) {
-    ByteWriter w(out[s]);
-    WriteHeader(w);
-    w.WriteVarint(counts[s]);
-  }
-  for (size_t k = 0; k < shards_.size(); ++k) {
-    const TableShard& s = shards_[k];
-    for (size_t i = 0; i < s.nrows_; ++i) {
-      ByteWriter w(out[keyed ? k % shards : row_shard[i]]);
-      for (const Value& v : RowRef(CellsAt(s, i), ncols_)) EncodeValue(v, w);
-    }
-  }
-  return out;
-}
-
 Row Table::KeyOf(RowRef row) const {
   Row key;
   key.reserve(pk_indexes_.size());
@@ -537,7 +498,7 @@ size_t Table::EraseSingleKey(const Value& key, Row& erased) {
 
 void Table::PopRow(TableShard& s, size_t pos, Row* erased) {
   // Swap-and-pop: the shard's last row fills the hole and its one index
-  // slot is re-pointed, so a per-key erase (delta replay, cache eviction)
+  // slot is re-pointed, so a per-key erase (EraseByKey, cache eviction)
   // costs O(1) and never touches the rest of the table.
   const uint32_t hole = s.index_[pos].row;
   const uint32_t last = static_cast<uint32_t>(s.nrows_ - 1);

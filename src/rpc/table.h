@@ -4,8 +4,10 @@
 // arbitrary in-memory data structures. The paper's §5.2 observation — "the
 // decoupling of code and state, and the tabular nature of state, enables us
 // to reconfigure the network without disrupting applications" — is realized
-// here: tables can be snapshotted to bytes, restored, split by key hash for
-// scale-out, and merged for scale-in (see controller/migration.h).
+// here: tables can be snapshotted to bytes and restored (checkpoints, the
+// wire), and their key slots handed between instances whole, which is how
+// state moves for scale-out, scale-in and pool start-up
+// (ElementInstance::MoveStateTo, controller/migration.h).
 //
 // Storage layout: a keyed table keeps one shard per key slot (key hash %
 // kKeySlots); a keyless one keeps a single shard. A shard holds its rows'
@@ -18,9 +20,9 @@
 // row. Row (an owning vector) stays the value type callers build and
 // receive; reads hand out RowRefs and cell pointers into the shards.
 //
-// Because a key slot owns its storage, live migration hands a slot between
-// in-process workers whole (TakeKeySlot / AdoptKeySlot): no row is copied,
-// diffed or erased, however large the table is.
+// Because a key slot owns its storage, every in-process state move hands a
+// slot over whole (TakeKeySlot / AdoptKeySlot): no row is copied, diffed or
+// erased, however large the table is.
 #pragma once
 
 #include <cstdint>
@@ -233,9 +235,8 @@ class Table {
   // (`ncols` cells per row, replacing its contents), checking every byte:
   // a schema other than this table's, a malformed cell or a byte left over
   // is an error. Adds nothing to the table, so a caller can validate every
-  // blob of a multi-table state before any table changes. With
-  // InsertDecoded, this is how a table absorbs a peer's rows (scale-in
-  // merges, pool start-up, the simulated controller's migration).
+  // blob of a multi-table state before any table changes
+  // (ElementInstance::RestoreState).
   Status DecodeSnapshot(std::span<const uint8_t> snapshot,
                         std::vector<Value>& cells) const;
   // Insert rows that DecodeSnapshot produced, moving their cells out: one
@@ -243,22 +244,14 @@ class Table {
   // shard is sized once, from the block's row count per key slot.
   void InsertDecoded(std::span<Value> cells);
 
-  // Partition the rows into `shards` Snapshot()s: a row goes to shard
-  // (RowKeyHash % kKeySlots) % shards, the function EnginePool routes
-  // messages by, so shard i holds exactly the keys whose messages route to
-  // worker i. Each shard keeps its rows in this table's rows() order. Used
-  // when scaling OUT a stateful element (pool start-up included): each new
-  // instance receives one shard. Zero shards is an error.
-  Result<std::vector<Bytes>> SnapshotShards(size_t shards) const;
-
   // Deterministic content hash (order-insensitive) — used by tests to prove
-  // split+merge round-trips state exactly.
+  // a state move or a snapshot round-trip keeps the rows exactly.
   uint64_t ContentHash() const;
 
   // --- Key slots (live migration; see docs/RECONFIG.md) --------------------
   bool HasPrimaryKey() const { return !pk_indexes_.empty(); }
   // Key hash of a row OF THIS TABLE (PK hash, whole-row hash when keyless) —
-  // exactly the hash key slots and shards partition by.
+  // exactly the hash key slots and state moves partition by.
   uint64_t RowKeyHash(RowRef row) const { return KeyHashOf(row.data()); }
   // The row's primary-key values in PK-column order (empty when keyless).
   Row KeyOf(RowRef row) const;
@@ -350,8 +343,8 @@ uint64_t HashRow(RowRef row);
 
 // Hash of one key value — exactly the hash KeyHashOf/LookupSingleKey use
 // for a single-column primary key. Shard routers (mrpc::EnginePool) hash the
-// message's shard-key field with this so that worker i's table shard from
-// SnapshotShards(n) holds precisely the keys whose messages route to i.
+// message's shard-key field with this so that the key slots a state move
+// hands worker i hold precisely the keys whose messages route to i.
 uint64_t HashSingleKey(const Value& key);
 
 }  // namespace adn::rpc

@@ -509,13 +509,21 @@ TEST(InstanceState, SplitMergePreservesHash) {
     (void)source.FindTable("ac_tab")->Insert(
         {Value("u" + std::to_string(i)), Value("W")});
   }
-  auto shards = source.SplitState(3);
-  ASSERT_TRUE(shards.ok());
+  const uint64_t hash = source.StateContentHash();
+  ElementInstance a(program->elements[0], 3);
+  ElementInstance b(program->elements[0], 4);
+  ElementInstance c(program->elements[0], 5);
+  ElementInstance* const shards[] = {&a, &b, &c};
+  ASSERT_TRUE(source.MoveStateTo(shards).ok());
+  EXPECT_EQ(source.StateContentHash(), 0u);
+  EXPECT_EQ(a.StateContentHash() ^ b.StateContentHash() ^ c.StateContentHash(),
+            hash);
   ElementInstance merged(program->elements[0], 2);
-  for (const Bytes& shard : shards.value()) {
-    ASSERT_TRUE(merged.MergeState(shard).ok());
+  ElementInstance* const into[] = {&merged};
+  for (ElementInstance* shard : shards) {
+    ASSERT_TRUE(shard->MoveStateTo(into).ok());
   }
-  EXPECT_EQ(merged.StateContentHash(), source.StateContentHash());
+  EXPECT_EQ(merged.StateContentHash(), hash);
 }
 
 TEST(InstanceState, RestoreRejectsWrongTableCount) {

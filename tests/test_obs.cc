@@ -46,8 +46,7 @@ constexpr const char* kContractMetricNames[] = {
     "adn_mesh_messages_total",    "adn_obs_events_dropped_total",
     "adn_obs_events_total",       "adn_obs_spans_evicted_total",
     "adn_obs_spans_total",        "adn_obs_traces_sampled_total",
-    "adn_reconfig_blackout_ns",   "adn_reconfig_delta_replayed",
-    "adn_reconfig_op_ns",
+    "adn_reconfig_blackout_ns",   "adn_reconfig_op_ns",
     "adn_rpc_latency_ns",         "adn_sim_busy_ns_total",
     "adn_sim_jobs_total",         "adn_sim_link_bytes_total",
     "adn_sim_link_messages_total", "adn_sim_queue_delay_ns",

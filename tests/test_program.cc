@@ -363,36 +363,74 @@ TEST(Migration, SplitMergeRoundTripsUnderCompiledExecutor) {
     (void)exec.Process(m, 0);
   }
 
-  // Scale-out then scale-in: shards of the source merge back into an empty
-  // instance and reproduce the exact state content.
-  auto shards = source.SplitState(3);
-  ASSERT_TRUE(shards.ok()) << shards.status().ToString();
-  ir::ElementInstance rejoined(code, 2);
-  for (const Bytes& shard : *shards) {
-    ASSERT_TRUE(rejoined.MergeState(shard).ok());
-  }
-  EXPECT_EQ(rejoined.StateContentHash(), source.StateContentHash());
+  // An oracle copy that never moves, to replay the same traffic against.
+  ir::ElementInstance oracle(code, 1);
+  ASSERT_TRUE(oracle.RestoreState(source.SnapshotState()).ok());
+  ir::ChainExecutor oracle_exec(program.value(), {&oracle});
+  const uint64_t original_hash = source.StateContentHash();
+  const size_t original_rows = source.FindTable("quota")->RowCount();
 
-  // Merging into a NON-empty instance (scale-in onto a live peer): both
-  // orders of arriving at the same union must hash identically, and the
-  // merged instance keeps working under the compiled executor.
+  // Scale-out: the source's rows move into three instances; the source is
+  // left empty and its executor, still live, now finds no user (handles
+  // are indexes, so nothing dangles).
+  ir::ElementInstance s0(code, 2);
+  ir::ElementInstance s1(code, 3);
+  ir::ElementInstance s2(code, 4);
+  ir::ElementInstance* const shards[] = {&s0, &s1, &s2};
+  ASSERT_TRUE(source.MoveStateTo(shards).ok());
+  EXPECT_EQ(s0.StateContentHash() ^ s1.StateContentHash() ^
+                s2.StateContentHash(),
+            original_hash);
+  EXPECT_TRUE(source.FindTable("quota")->empty());
+  {
+    Message m = QuotaRequest(0, stream);
+    EXPECT_EQ(exec.Process(m, 0).outcome, ProcessOutcome::kDropAbort);
+  }
+
+  // Scale-in: the shards move back into the source, whose executor —
+  // built before any move — reproduces the oracle message for message.
+  ir::ElementInstance* const home[] = {&source};
+  for (ir::ElementInstance* shard : shards) {
+    ASSERT_TRUE(shard->MoveStateTo(home).ok());
+  }
+  EXPECT_EQ(source.StateContentHash(), original_hash);
+  EXPECT_EQ(source.FindTable("quota")->RowCount(), original_rows);
+  for (uint64_t i = 20; i < 60; ++i) {
+    Message m1 = QuotaRequest(i, stream);
+    Message m2 = m1;
+    const ir::ProcessResult r1 = exec.Process(m1, 0);
+    const ir::ProcessResult r2 = oracle_exec.Process(m2, 0);
+    EXPECT_EQ(r1.outcome, r2.outcome);
+    EXPECT_EQ(r1.abort_message, r2.abort_message);
+    EXPECT_EQ(m1.DebugString(), m2.DebugString());
+  }
+  EXPECT_EQ(source.StateContentHash(), oracle.StateContentHash());
+
+  // Moving into a NON-empty instance (scale-in onto a live peer): arriving
+  // at the same union from three shards or from one whole copy hashes
+  // identically, and the merged instance keeps working under the compiled
+  // executor.
   auto seed_extra = [](ir::ElementInstance& inst) {
     rpc::Table* quota = inst.FindTable("quota");
     ASSERT_NE(quota, nullptr);
     ASSERT_TRUE(quota->Insert({Value("w0"), Value(7)}).ok());
     ASSERT_TRUE(quota->Insert({Value("w1"), Value(1)}).ok());
   };
-  ir::ElementInstance busy(code, 3);
+  ir::ElementInstance copy(code, 5);
+  ASSERT_TRUE(copy.RestoreState(source.SnapshotState()).ok());
+  ASSERT_TRUE(source.MoveStateTo(shards).ok());
+  ir::ElementInstance busy(code, 6);
   seed_extra(busy);
-  for (const Bytes& shard : *shards) {
-    ASSERT_TRUE(busy.MergeState(shard).ok());
+  ir::ElementInstance* const into_busy[] = {&busy};
+  for (ir::ElementInstance* shard : shards) {
+    ASSERT_TRUE(shard->MoveStateTo(into_busy).ok());
   }
-  ir::ElementInstance busy_twin(code, 4);
+  ir::ElementInstance busy_twin(code, 7);
   seed_extra(busy_twin);
-  ASSERT_TRUE(busy_twin.MergeState(source.SnapshotState()).ok());
+  ir::ElementInstance* const into_twin[] = {&busy_twin};
+  ASSERT_TRUE(copy.MoveStateTo(into_twin).ok());
   EXPECT_EQ(busy.StateContentHash(), busy_twin.StateContentHash());
-  EXPECT_EQ(busy.FindTable("quota")->RowCount(),
-            source.FindTable("quota")->RowCount() + 2);
+  EXPECT_EQ(busy.FindTable("quota")->RowCount(), original_rows + 2);
 
   ir::ChainExecutor merged_exec(program.value(), {&busy});
   Message m = Message::MakeRequest(100, "M", {{"username", Value("w0")}});

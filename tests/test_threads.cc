@@ -554,24 +554,30 @@ TEST(EnginePool, ShardTotalsMergeToTheUnshardedResult) {
   // content hash is order-insensitive and partition-invariant).
   for (size_t e : {kLoggingIdx, kAclIdx}) {
     EXPECT_EQ(four->MergedStateHash(e), one->MergedStateHash(e));
-    auto merged = four->MergedInstance(e);
-    ASSERT_TRUE(merged.ok());
-    EXPECT_EQ((*merged)->StateContentHash(), one->MergedStateHash(e));
   }
   // The ACL table is read-only traffic: sharding round-trips it exactly
   // (the PR 4 migration invariant, live).
-  auto merged_acl = four->MergedInstance(kAclIdx);
-  ASSERT_TRUE(merged_acl.ok());
-  const rpc::Table* acl = (*merged_acl)->FindTable("ac_tab");
-  ASSERT_NE(acl, nullptr);
-  EXPECT_EQ(acl->RowCount(), static_cast<size_t>(kUsers));
-  // Log rows partition exactly: per-worker row counts sum to the total.
+  size_t acl_rows = 0;
   size_t log_rows = 0;
   for (int w = 0; w < four->workers(); ++w) {
+    acl_rows += four->WorkerInstance(w, kAclIdx).FindTable("ac_tab")->RowCount();
     log_rows +=
         four->WorkerInstance(w, kLoggingIdx).FindTable("log_tab")->RowCount();
   }
+  EXPECT_EQ(acl_rows, static_cast<size_t>(kUsers));
+  // Log rows partition exactly: per-worker row counts sum to the total.
   EXPECT_EQ(log_rows, kMessages);
+  // Scale-in of the stopped pool: moving every worker's state into one
+  // instance reproduces the single-worker state.
+  const auto elements = LogAclElements();
+  for (size_t e : {kLoggingIdx, kAclIdx}) {
+    ir::ElementInstance merged(elements[e], 7);
+    ir::ElementInstance* const into[] = {&merged};
+    for (int w = 0; w < four->workers(); ++w) {
+      ASSERT_TRUE(four->WorkerInstance(w, e).MoveStateTo(into).ok());
+    }
+    EXPECT_EQ(merged.StateContentHash(), one->MergedStateHash(e));
+  }
 }
 
 TEST(EnginePool, StateHashInvariantAfterStart) {
@@ -620,6 +626,95 @@ TEST(EnginePool, StartPlacesEverySeededKeyOnItsRoutedWorker) {
     }
     EXPECT_EQ(pool.MergedStateHash(kAclIdx), seeded_hash)
         << workers << " workers";
+  }
+}
+
+// Start's placement, pinned: each worker's per-element state hash and
+// per-table row counts after Start, recorded from the byte split/restore
+// that Start used before it handed the template's key-slot shards over.
+// The chain holds a route-keyed table (Acl's ac_tab), a table keyed by
+// another field (HashLb's endpoints) and a keyless log seeded before Start.
+struct StartGolden {
+  uint64_t hash[3];  // Logging, Acl, HashLb
+  size_t rows[3];    // log_tab, ac_tab, endpoints
+};
+
+TEST(EnginePool, StartPlacementMatchesRecordedGolden) {
+  auto parsed = dsl::ParseProgram(
+      std::string(elements::AclTableSql()) +
+      std::string(elements::LogTableSql()) +
+      std::string(elements::EndpointsTableSql()) +
+      std::string(elements::LoggingSql()) + std::string(elements::AclSql()) +
+      std::string(elements::HashLbSql()));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  auto lowered = compiler::LowerProgram(*parsed);
+  ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
+  const std::vector<std::shared_ptr<const ir::ElementIr>> elements = {
+      lowered->FindElement("Logging"), lowered->FindElement("Acl"),
+      lowered->FindElement("HashLb")};
+  const char* const tables[3] = {"log_tab", "ac_tab", "endpoints"};
+
+  // Indexed by worker count - 1, then worker.
+  const std::vector<std::vector<StartGolden>> golden = {
+      {{{0x041d66096a4e8405ULL, 0xbdf7301b83497dd0ULL, 0x1733e1c758b04dd2ULL},
+        {50, 200, 16}}},
+      {{{0x4e5237099a47103eULL, 0x544ed646965b74f8ULL, 0x271ac0d3d43dddc9ULL},
+        {25, 100, 7}},
+       {{0x4a4f5100f009943bULL, 0xe9b9e65d15120928ULL, 0x302921148c8d901bULL},
+        {25, 100, 9}}},
+      {{{0x2cef1f1e49025ad1ULL, 0x7e4494c3e4814462ULL, 0x1357a67a50971e2dULL},
+        {20, 70, 6}},
+       {{0xce19c29fd5737063ULL, 0xa5b8b07a217d25bfULL, 0x0d8daa60dcd4aa74ULL},
+        {15, 62, 7}},
+       {{0xe6ebbb88f63faeb7ULL, 0x660b14a246b51c0dULL, 0x09e9edddd4f3f98bULL},
+        {15, 68, 3}}},
+      {{{0x31e8bc3550f0c608ULL, 0x13fd940d766568f0ULL, 0xb673c9e28f0a4e4aULL},
+        {12, 50, 1}},
+       {{0x98d15f42be5c59ecULL, 0xfd44e016990be280ULL, 0xf027370de26b67c3ULL},
+        {12, 50, 8}},
+       {{0x7fba8b3ccab7d636ULL, 0x47b3424be03e1c08ULL, 0x916909315b379383ULL},
+        {13, 50, 6}},
+       {{0xd29e0e424e55cdd7ULL, 0x14fd064b8c19eba8ULL, 0xc00e16196ee6f7d8ULL},
+        {13, 50, 1}}},
+  };
+
+  for (int workers = 1; workers <= 4; ++workers) {
+    EnginePool::Config config;
+    config.workers = workers;
+    config.shard_key_field = "username";
+    EnginePool pool(elements, {}, config);
+    ir::ElementInstance* log = pool.FindTemplateInstance("Logging");
+    for (int i = 0; i < 50; ++i) {
+      ASSERT_TRUE(log->FindTable("log_tab")
+                      ->Insert({Value(static_cast<int64_t>(i)),
+                                Value(UserName(i % 7)),
+                                Value(static_cast<int64_t>(i * 3))})
+                      .ok());
+    }
+    SeedUsers(pool, 200);
+    rpc::Table* endpoints =
+        pool.FindTemplateInstance("HashLb")->FindTable("endpoints");
+    for (int64_t s = 0; s < 16; ++s) {
+      ASSERT_TRUE(endpoints->Insert({Value(s), Value(100 + s)}).ok());
+    }
+    ASSERT_TRUE(pool.Start().ok());
+    pool.Stop();
+    // Start takes the template's rows: none stay behind.
+    for (size_t e = 0; e < 3; ++e) {
+      EXPECT_TRUE(pool.TemplateInstance(e)->FindTable(tables[e])->empty())
+          << tables[e] << ", " << workers << " workers";
+    }
+    for (int w = 0; w < workers; ++w) {
+      const StartGolden& want =
+          golden[static_cast<size_t>(workers - 1)][static_cast<size_t>(w)];
+      for (size_t e = 0; e < 3; ++e) {
+        const ir::ElementInstance& inst = pool.WorkerInstance(w, e);
+        EXPECT_EQ(inst.StateContentHash(), want.hash[e])
+            << tables[e] << " on worker " << w << " of " << workers;
+        EXPECT_EQ(inst.FindTable(tables[e])->RowCount(), want.rows[e])
+            << tables[e] << " on worker " << w << " of " << workers;
+      }
+    }
   }
 }
 
@@ -1119,15 +1214,14 @@ ELEMENT Acl ON REQUEST {
   EXPECT_EQ(pool.dropped(), kAfter);
   // State carried over the swap: the ACL rows survived, and Logging (which
   // runs before the drop) kept appending across the boundary.
-  auto merged_acl = pool.MergedInstance(kAclIdx);
-  ASSERT_TRUE(merged_acl.ok());
-  EXPECT_EQ((*merged_acl)->FindTable("ac_tab")->RowCount(),
-            static_cast<size_t>(kUsers));
+  size_t acl_rows = 0;
   size_t log_rows = 0;
   for (int w = 0; w < pool.workers(); ++w) {
+    acl_rows += pool.WorkerInstance(w, kAclIdx).FindTable("ac_tab")->RowCount();
     log_rows +=
         pool.WorkerInstance(w, kLoggingIdx).FindTable("log_tab")->RowCount();
   }
+  EXPECT_EQ(acl_rows, static_cast<size_t>(kUsers));
   EXPECT_EQ(log_rows, kBefore + kAfter);
 }
 
