@@ -84,7 +84,7 @@ int64_t NowNs() {
 
 // The cached chain on one engine: per-element GeneratedStage over seeded
 // state tables. Every stage runs the ChainExecutor; the cache stage's
-// program is a single kCacheProbe.
+// program is a single kBuiltin.
 struct Harness {
   mrpc::EngineChain chain;
   ir::ElementInstance* cache = nullptr;

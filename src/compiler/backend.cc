@@ -97,10 +97,6 @@ bool ForEachExpr(const ElementIr& element, Fn&& fn) {
   return true;
 }
 
-// Aggregation observers (agg_count / agg_sum / agg_topk) are the filter ops
-// constrained processors CAN host: bounded map/register state, no drops.
-bool IsAggFilterOp(std::string_view op) { return op.substr(0, 4) == "agg_"; }
-
 FeasibilityReport CheckEbpf(const ElementIr& element) {
   if (element.IsCache()) {
     return FeasibilityReport::No(
@@ -111,9 +107,9 @@ FeasibilityReport CheckEbpf(const ElementIr& element) {
     // Timer-based stream shaping needs user-space cooperation; only the
     // stateless-ish ones run in kernel. Aggregations are bounded per-CPU
     // map updates — exactly the workload BPF maps exist for.
-    if (element.filter_op->op == "rate_limit" ||
-        element.filter_op->op == "dedup" ||
-        IsAggFilterOp(element.filter_op->op)) {
+    const ir::FilterKind kind = element.filter_op->kind;
+    if (kind == ir::FilterKind::kRateLimit ||
+        kind == ir::FilterKind::kDedup || element.filter_op->IsAggregation()) {
       return FeasibilityReport::Yes();
     }
     return FeasibilityReport::No(
@@ -164,8 +160,9 @@ FeasibilityReport CheckP4(const ElementIr& element) {
         "control-plane-written only");
   }
   if (element.IsFilter()) {
-    if (IsAggFilterOp(element.filter_op->op)) {
-      // Counters, register sums and HashPipe-style heavy hitters are native
+    if (element.filter_op->IsAggregation()) {
+      // Aggregations are the filters constrained processors CAN host:
+      // bounded map/register state, no drops. Counters, register sums and HashPipe-style heavy hitters are native
       // match-action constructs. Whether a given placement works then hinges
       // on CheckP4ParseDepth over the fields the aggregation keys on.
       return FeasibilityReport::Yes();

@@ -344,10 +344,12 @@ Status ProgramBuilder::AddStatement(const ElementIr& element,
 
 Status ProgramBuilder::AddElement(const ElementIr& element, uint16_t elem_idx,
                                   bool kind_guard) {
-  if (element.IsFilter()) {
+  if (element.IsFilter() && element.filter_op->IsClientSide()) {
     return Error(ErrorCode::kUnsupported,
-                 "filter element " + element.name +
-                     " has no SQL body to compile; use its FilterOp stage");
+                 "filter element " + element.name + " uses operator '" +
+                     element.filter_op->op +
+                     "', which runs in the client library (RetryPolicy, "
+                     "core/client_policy.h), not in a chain");
   }
   ChainProgram::ElementSeg seg;
   seg.name = element.name;
@@ -361,9 +363,9 @@ Status ProgramBuilder::AddElement(const ElementIr& element, uint16_t elem_idx,
         {Instr::Op::kSkipUnlessKind, KindMask(element.direction)});
   }
   Emit({Instr::Op::kBeginElement, 0, 0, elem_idx});
-  if (element.IsCache()) {
-    // The whole cache is one probe over the instance's CacheRuntime.
-    Emit({Instr::Op::kCacheProbe, 0, 0, elem_idx});
+  if (element.IsCache() || element.IsFilter()) {
+    // The whole body is one call into the instance's built-in operator.
+    Emit({Instr::Op::kBuiltin, 0, 0, elem_idx});
   }
   for (const StmtIr& stmt : element.statements) {
     ADN_RETURN_IF_ERROR(AddStatement(element, elem_idx, stmt));

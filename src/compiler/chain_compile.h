@@ -33,9 +33,9 @@ struct ChainCompileOptions {
 // Lower an ordered element list (an optimized chain) into one ChainProgram.
 // Each element is wrapped in a message-kind guard, so one program serves
 // requests and responses (the pool and the mesh-path tier run whole chains
-// this way). SQL elements lower to register code; a CACHE element lowers
-// to a single kCacheProbe. Filter elements (retry/timeout/...) carry opaque
-// operators and stay on their FilterOp stages: passing one is a
+// this way). SQL elements lower to register code; a CACHE or FILTER element
+// lowers to a single kBuiltin. A `retry` or `timeout` filter runs in the
+// client library (core/client_policy.h), not in a chain: passing one is a
 // kUnsupported error naming the element.
 Result<std::shared_ptr<const ir::ChainProgram>> CompileChainProgram(
     const std::vector<std::shared_ptr<const ir::ElementIr>>& elements,

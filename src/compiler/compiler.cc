@@ -76,24 +76,16 @@ Result<CompiledChain> Compiler::CompileChain(
                           options.app_reads, priority_fields));
 
   // Lower the whole optimized chain to one flat ChainProgram, with field IDs
-  // following the wire-header field order just synthesized. Filter elements
-  // have no lowering (CompileChainProgram rejects them), so a chain with one
-  // keeps a null program.
-  bool compilable = !optimized.chain.elements.empty();
-  for (const auto& element : optimized.chain.elements) {
-    if (element->IsFilter()) compilable = false;
-  }
-  if (compilable) {
-    ChainCompileOptions cc_options;
-    if (!out.headers.schemas.empty()) {
-      for (const rpc::Column& c : out.headers.schemas[0].columns()) {
-        cc_options.field_order_hint.push_back(c.name);
-      }
+  // following the wire-header field order just synthesized. A chain with a
+  // client-library filter (retry/timeout) does not compile.
+  ChainCompileOptions cc_options;
+  if (!out.headers.schemas.empty()) {
+    for (const rpc::Column& c : out.headers.schemas[0].columns()) {
+      cc_options.field_order_hint.push_back(c.name);
     }
-    ADN_ASSIGN_OR_RETURN(
-        out.program,
-        CompileChainProgram(optimized.chain.elements, cc_options));
   }
+  ADN_ASSIGN_OR_RETURN(
+      out.program, CompileChainProgram(optimized.chain.elements, cc_options));
 
   for (size_t i = 0; i < optimized.chain.elements.size(); ++i) {
     const auto& element = optimized.chain.elements[i];

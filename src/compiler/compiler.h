@@ -53,8 +53,7 @@ struct CompiledChain {
   rpc::Schema request_schema;
 
   // Whole-chain compiled program (ir/program.h), field IDs seeded from the
-  // wire-header field order. Null when any element is a filter, which has
-  // no lowering into a ChainProgram.
+  // wire-header field order.
   std::shared_ptr<const ir::ChainProgram> program;
 };
 

@@ -678,49 +678,54 @@ class ElementLowerer {
   std::vector<std::string> used_tables_;
 };
 
-// Filter operator contracts: name -> (required args, optional args).
+// Filter operator contracts: name, argument types (INT is accepted for
+// FLOAT), and the simulated charge per message in CostModel::adn_op_ns
+// units (agg_topk adds k: its eviction scans the tracked keys).
 struct FilterOpSpec {
   std::string_view name;
+  ir::FilterKind kind;
+  double cost_ops;
   std::vector<std::pair<std::string_view, ValueType>> required;
   std::vector<std::pair<std::string_view, ValueType>> optional;
 };
 
 const std::vector<FilterOpSpec>& FilterOpSpecs() {
+  using K = ir::FilterKind;
   static const std::vector<FilterOpSpec> kSpecs = {
-      {"retry",
+      {"retry", K::kRetry, 0,
        {{"max_attempts", ValueType::kInt}},
        {{"timeout_ms", ValueType::kInt}}},
-      {"timeout", {{"timeout_ms", ValueType::kInt}}, {}},
-      {"rate_limit",
+      {"timeout", K::kTimeout, 0, {{"timeout_ms", ValueType::kInt}}, {}},
+      {"rate_limit", K::kRateLimit, 5,
        {{"rps", ValueType::kInt}},
        {{"burst", ValueType::kInt}}},
-      {"circuit_breaker",
+      {"circuit_breaker", K::kCircuitBreaker, 6,
        {{"error_threshold", ValueType::kFloat}},
        {{"window", ValueType::kInt}, {"cooldown_ms", ValueType::kInt}}},
-      {"dedup", {}, {{"window", ValueType::kInt}}},
+      {"dedup", K::kDedup, 4, {}, {{"window", ValueType::kInt}}},
       // Aggregation primitives (paper §5.1 "telemetry in the network"):
       // pass-through observers that fold a stream statistic into local
       // state. Field-name arguments are TEXT (the parser turns bare
       // identifiers into text values); they feed fields_read so the P4
       // parse-depth check and header prioritization see exactly which
       // bytes a constrained processor must parse.
-      {"agg_count",
+      {"agg_count", K::kAggCount, 2,
        {},
        {{"key", ValueType::kText}, {"groups", ValueType::kInt}}},
-      {"agg_sum",
+      {"agg_sum", K::kAggSum, 3,
        {{"field", ValueType::kText}},
        {{"key", ValueType::kText}, {"groups", ValueType::kInt}}},
-      {"agg_topk",
+      {"agg_topk", K::kAggTopk, 4,
        {{"key", ValueType::kText}},
        {{"k", ValueType::kInt}}},
   };
   return kSpecs;
 }
 
-bool IsAggOp(std::string_view op) {
-  return op == "agg_count" || op == "agg_sum" || op == "agg_topk";
-}
-
+// FILTER decl -> ElementIr with a resolved filter_op and the operator's
+// state declared as `__filter_<name>` tables (ir/exec.cc RunFilter reads
+// them by position). Keyless one-row tables hold per-instance state, which
+// a live slot migration never moves; keyed ones move key slot by key slot.
 Result<ElementIr> LowerFilter(const dsl::FilterDecl& decl) {
   const FilterOpSpec* spec = nullptr;
   for (const auto& s : FilterOpSpecs()) {
@@ -733,49 +738,126 @@ Result<ElementIr> LowerFilter(const dsl::FilterDecl& decl) {
     return At(decl.location, ErrorCode::kNotFound,
               "unknown filter operator '" + decl.op + "'");
   }
-  // Validate arguments.
+  // Validate arguments: every one known and of its declared type, every
+  // required one present.
   auto find_arg = [&](std::string_view name) -> const rpc::Value* {
     for (const auto& [k, v] : decl.args) {
       if (k == name) return &v;
     }
     return nullptr;
   };
-  for (const auto& [name, type] : spec->required) {
-    const rpc::Value* v = find_arg(name);
-    if (v == nullptr) {
-      return At(decl.location, ErrorCode::kInvalidArgument,
-                decl.op + " requires argument '" + std::string(name) + "'");
-    }
-    if (v->type() != type &&
-        !(type == ValueType::kFloat && v->type() == ValueType::kInt)) {
-      return At(decl.location, ErrorCode::kTypeError,
-                "argument '" + std::string(name) + "' of " + decl.op +
-                    " must be " + std::string(ValueTypeName(type)));
-    }
-  }
   for (const auto& [k, v] : decl.args) {
-    (void)v;
-    bool known = false;
-    for (const auto& [name, type] : spec->required) {
-      (void)type;
-      if (name == k) known = true;
+    const ValueType* type = nullptr;
+    for (const auto* list : {&spec->required, &spec->optional}) {
+      for (const auto& [name, t] : *list) {
+        if (name == k) type = &t;
+      }
     }
-    for (const auto& [name, type] : spec->optional) {
-      (void)type;
-      if (name == k) known = true;
-    }
-    if (!known) {
+    if (type == nullptr) {
       return At(decl.location, ErrorCode::kInvalidArgument,
                 decl.op + " has no argument '" + k + "'");
     }
+    if (v.type() != *type &&
+        !(*type == ValueType::kFloat && v.type() == ValueType::kInt)) {
+      return At(decl.location, ErrorCode::kTypeError,
+                "argument '" + k + "' of " + decl.op + " must be " +
+                    std::string(ValueTypeName(*type)));
+    }
   }
+  for (const auto& [name, type] : spec->required) {
+    (void)type;
+    if (find_arg(name) == nullptr) {
+      return At(decl.location, ErrorCode::kInvalidArgument,
+                decl.op + " requires argument '" + std::string(name) + "'");
+    }
+  }
+  auto int_arg = [&](std::string_view name, int64_t fallback) {
+    const rpc::Value* v = find_arg(name);
+    return v != nullptr ? v->AsInt() : fallback;
+  };
+  auto count_arg = [&](std::string_view name, int64_t fallback) {
+    return std::max<size_t>(static_cast<size_t>(int_arg(name, fallback)), 1);
+  };
+  auto field_arg = [&](std::string_view name) -> std::optional<rpc::FieldId> {
+    const rpc::Value* v = find_arg(name);
+    if (v == nullptr) return std::nullopt;
+    return rpc::InternFieldName(v->AsText());
+  };
 
   ElementIr out;
   out.name = decl.name;
-  out.direction = decl.direction;
   out.abort_message = decl.name + ": rejected";
-  out.filter_op = ir::FilterIr{decl.op, decl.args};
-  if (IsAggOp(decl.op)) {
+  // The operator decides which messages it sees: a circuit breaker counts
+  // responses as well, every other operator runs on requests only.
+  out.direction = spec->kind == ir::FilterKind::kCircuitBreaker
+                      ? dsl::Direction::kBoth
+                      : dsl::Direction::kRequest;
+  const std::string table = "__filter_" + decl.name;
+  auto declare = [&out](std::string name,
+                        std::initializer_list<rpc::Column> columns) {
+    Schema schema;
+    for (const rpc::Column& c : columns) (void)schema.AddColumn(c);
+    out.state_tables.emplace_back(std::move(name), std::move(schema));
+  };
+  ir::FilterIr f;
+  f.kind = spec->kind;
+  f.op = decl.op;
+  f.cost_ops = spec->cost_ops;
+  switch (f.kind) {
+    case ir::FilterKind::kRateLimit:
+      f.rps = static_cast<double>(int_arg("rps", 1000));
+      f.burst = static_cast<double>(std::max<int64_t>(int_arg("burst", 16), 1));
+      declare(table, {{"tokens", ValueType::kFloat, false},
+                      {"refilled_at", ValueType::kInt, false}});
+      break;
+    case ir::FilterKind::kDedup:
+      f.window = count_arg("window", 1024);
+      declare(table, {{"rpc_id", ValueType::kInt, true},
+                      {"seq", ValueType::kInt, false}});
+      break;
+    case ir::FilterKind::kCircuitBreaker:
+      f.error_threshold = find_arg("error_threshold")->NumericAsDouble();
+      f.window = count_arg("window", 64);
+      f.cooldown_ns = int_arg("cooldown_ms", 100) * 1'000'000;
+      declare(table, {{"open_until", ValueType::kInt, false}});
+      declare(table + "_outcomes", {{"seq", ValueType::kInt, true},
+                                    {"error", ValueType::kBool, false}});
+      break;
+    case ir::FilterKind::kAggCount:
+      f.key = field_arg("key");
+      f.groups = count_arg("groups", 1024);
+      declare(table, {{"total", ValueType::kInt, false},
+                      {"overflow", ValueType::kInt, false}});
+      if (f.key.has_value()) {
+        declare(table + "_groups", {{"grp", ValueType::kInt, true},
+                                    {"n", ValueType::kInt, false}});
+      }
+      break;
+    case ir::FilterKind::kAggSum:
+      f.field = *field_arg("field");
+      f.key = field_arg("key");
+      f.groups = count_arg("groups", 1024);
+      declare(table, {{"samples", ValueType::kInt, false},
+                      {"overflow", ValueType::kInt, false},
+                      {"total", ValueType::kFloat, false}});
+      if (f.key.has_value()) {
+        declare(table + "_groups", {{"grp", ValueType::kInt, true},
+                                    {"sum", ValueType::kFloat, false}});
+      }
+      break;
+    case ir::FilterKind::kAggTopk:
+      f.key = field_arg("key");
+      f.k = count_arg("k", 8);
+      f.cost_ops += static_cast<double>(f.k);
+      declare(table, {{"key", ValueType::kText, true},
+                      {"n", ValueType::kInt, false},
+                      {"err", ValueType::kInt, false}});
+      break;
+    case ir::FilterKind::kRetry:
+    case ir::FilterKind::kTimeout:
+      break;
+  }
+  if (f.IsAggregation()) {
     // Aggregations never drop and read only their named fields — precise
     // effects are what lets the placement pass put them on constrained
     // processors (the parse-depth check needs the exact field set).
@@ -783,7 +865,7 @@ Result<ElementIr> LowerFilter(const dsl::FilterDecl& decl) {
     out.effects.nondeterministic = false;
     out.effects.reads_metadata = true;
     for (const auto& [k, v] : decl.args) {
-      if ((k == "key" || k == "field") && v.type() == ValueType::kText) {
+      if (k == "key" || k == "field") {
         out.effects.fields_read.push_back(std::string(v.AsText()));
       }
     }
@@ -799,6 +881,7 @@ Result<ElementIr> LowerFilter(const dsl::FilterDecl& decl) {
     out.effects.nondeterministic = true;
     out.effects.reads_metadata = true;
   }
+  out.filter_op = std::move(f);
   return out;
 }
 
@@ -874,13 +957,6 @@ Result<ElementIr> LowerCache(const dsl::CacheDecl& decl) {
 }
 
 }  // namespace
-
-bool IsKnownFilterOp(std::string_view op) {
-  for (const auto& s : FilterOpSpecs()) {
-    if (s.name == op) return true;
-  }
-  return false;
-}
 
 Result<ir::ElementIr> LowerElement(const dsl::ElementDecl& decl,
                                    const dsl::Program& program,

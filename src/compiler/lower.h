@@ -37,10 +37,6 @@ struct ProgramIr {
   const ChainIr* FindChain(std::string_view name) const;
 };
 
-// Filter operators the data plane implements (elements/filter_ops.h keeps
-// the implementations; this list is the compile-time contract).
-bool IsKnownFilterOp(std::string_view op);
-
 Result<ProgramIr> LowerProgram(
     const dsl::Program& program,
     std::shared_ptr<const ir::FunctionRegistry> functions =

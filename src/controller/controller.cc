@@ -1,7 +1,5 @@
 #include "controller/controller.h"
 
-#include "elements/filter_ops.h"
-
 namespace adn::controller {
 
 AdnController::AdnController(ClusterState* cluster, ControllerOptions options)
@@ -125,29 +123,19 @@ Result<std::vector<mrpc::PlacedStage>> AdnController::BuildStages(
     }
     auto code = element.ir;
     uint64_t seed = seed_base + i * 7919;
-    if (code->IsFilter()) {
-      const ir::FilterIr filter = *code->filter_op;
-      placed.factory = [filter]() -> std::unique_ptr<mrpc::EngineStage> {
-        auto stage = elements::MakeFilterStage(filter);
-        // Validated at compile time; factory failure means a programming
-        // error in the op registry.
-        return stage.ok() ? std::move(stage).value() : nullptr;
-      };
-    } else {
-      placed.factory = [code, seed,
-                        seeds]() -> std::unique_ptr<mrpc::EngineStage> {
-        auto stage = std::make_unique<mrpc::GeneratedStage>(code, seed);
-        for (const auto& [table, rows] : seeds) {
-          rpc::Table* t = stage->instance().FindTable(table);
-          if (t == nullptr) continue;
-          for (const rpc::Row& row : rows) {
-            Status s = t->Insert(row);
-            (void)s;  // seed rows are schema-checked by tests
-          }
+    placed.factory = [code, seed,
+                      seeds]() -> std::unique_ptr<mrpc::EngineStage> {
+      auto stage = std::make_unique<mrpc::GeneratedStage>(code, seed);
+      for (const auto& [table, rows] : seeds) {
+        rpc::Table* t = stage->instance().FindTable(table);
+        if (t == nullptr) continue;
+        for (const rpc::Row& row : rows) {
+          Status s = t->Insert(row);
+          (void)s;  // seed rows are schema-checked by tests
         }
-        return stage;
-      };
-    }
+      }
+      return stage;
+    };
     out.push_back(std::move(placed));
   }
   return out;

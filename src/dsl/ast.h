@@ -170,9 +170,9 @@ struct ElementDecl {
 };
 
 // FILTER name ON dir USING op(key => literal, ...);
-// Stream-shaping elements whose operator bodies are platform-specific
-// implementations registered in elements/filter_ops.h (paper §5.1: "complex
-// ones will use operators with platform-specific implementations").
+// Stream-shaping elements whose bodies are operators built into the runtime
+// (paper §5.1: "complex ones will use operators with platform-specific
+// implementations"); lowering resolves `op` and declares its state tables.
 struct FilterDecl {
   std::string name;
   Direction direction = Direction::kRequest;

@@ -118,29 +118,27 @@ const ExprNode* PointUpdateKeyExpr(const UpdateIr& upd,
 }
 
 Status CheckStateCompatible(const ElementIr& running, const ElementIr& next) {
-  if (next.state_tables.size() != running.state_tables.size()) {
+  // Worded for every caller: a hot swap, a scale-out or scale-in move and
+  // pool start-up all land here.
+  auto reject = [&](const std::string& why) {
     return Status(ErrorCode::kFailedPrecondition,
-                  "hot swap of '" + running.name + "' -> '" + next.name +
-                      "' changes the number of state tables (" +
-                      std::to_string(running.state_tables.size()) + " -> " +
-                      std::to_string(next.state_tables.size()) +
-                      "); drain and redeploy instead");
+                  "state of '" + running.name + "' does not fit '" +
+                      next.name + "': " + why);
+  };
+  if (next.state_tables.size() != running.state_tables.size()) {
+    return reject(std::to_string(running.state_tables.size()) +
+                  " state tables vs " +
+                  std::to_string(next.state_tables.size()));
   }
   for (size_t i = 0; i < next.state_tables.size(); ++i) {
-    if (next.state_tables[i].first != running.state_tables[i].first) {
-      return Status(ErrorCode::kFailedPrecondition,
-                    "hot swap of '" + running.name + "' -> '" + next.name +
-                        "' renames state table '" +
-                        running.state_tables[i].first + "' to '" +
-                        next.state_tables[i].first +
-                        "'; drain and redeploy instead");
+    const std::string& have = running.state_tables[i].first;
+    if (next.state_tables[i].first != have) {
+      return reject("state table '" + have + "' vs '" +
+                    next.state_tables[i].first + "'");
     }
     if (!(next.state_tables[i].second == running.state_tables[i].second)) {
-      return Status(ErrorCode::kFailedPrecondition,
-                    "hot swap of '" + running.name + "' -> '" + next.name +
-                        "' changes the schema of state table '" +
-                        running.state_tables[i].first +
-                        "'; drain and redeploy instead");
+      return reject("state table '" + have + "' has another schema in '" +
+                    next.name + "'");
     }
   }
   return Status::Ok();

@@ -16,6 +16,7 @@
 #include "common/status.h"
 #include "dsl/ast.h"
 #include "ir/expr.h"
+#include "rpc/intern.h"
 #include "rpc/schema.h"
 
 namespace adn::ir {
@@ -117,12 +118,46 @@ struct EffectSummary {
   std::string DebugString() const;
 };
 
-// A "filter" element (retry/timeout/rate-limit/...) carries its operator
-// name and arguments instead of SQL statements; the data-plane binds it to a
-// platform-specific FilterOp implementation (elements/filter_ops.h).
+// A "filter" element (rate-limit/dedup/...) carries a built-in operator,
+// resolved by lowering, instead of SQL statements. Its state lives in the
+// synthetic `__filter_<name>...` tables lowering declares, so it snapshots,
+// moves and hot-swaps like any other element's (ir/exec.cc runs it).
+enum class FilterKind : uint8_t {
+  kRateLimit,
+  kDedup,
+  kCircuitBreaker,
+  kAggCount,
+  kAggSum,
+  kAggTopk,
+  kRetry,    // client-library operators (core/client_policy.h): lowered
+  kTimeout,  // for analysis, but no chain compiles with one
+};
+
 struct FilterIr {
-  std::string op;
-  std::vector<std::pair<std::string, rpc::Value>> args;
+  FilterKind kind = FilterKind::kRateLimit;
+  std::string op;  // the operator's DSL name
+  // Arguments, set by lowering (LowerFilter applies each operator's
+  // defaults); the counts are >= 1.
+  double rps = 0;        // rate_limit
+  double burst = 1;      // rate_limit: bucket depth
+  size_t window = 1;     // dedup / circuit_breaker
+  double error_threshold = 0;
+  int64_t cooldown_ns = 0;
+  size_t groups = 1;     // agg_count / agg_sum: bounded group rows
+  size_t k = 1;          // agg_topk: tracked keys
+  std::optional<rpc::FieldId> key;  // agg_*: the grouping / tracked field
+  rpc::FieldId field = 0;           // agg_sum: the summed field
+  // Simulated CPU per message, in units of CostModel::adn_op_ns.
+  double cost_ops = 0;
+
+  bool IsClientSide() const {
+    return kind == FilterKind::kRetry || kind == FilterKind::kTimeout;
+  }
+  // agg_count / agg_sum / agg_topk: pass-through observers, never drop.
+  bool IsAggregation() const {
+    return kind == FilterKind::kAggCount || kind == FilterKind::kAggSum ||
+           kind == FilterKind::kAggTopk;
+  }
 };
 
 // A cache element (CACHE decl): memoizes responses of idempotent RPCs keyed
@@ -143,7 +178,8 @@ struct ElementIr {
   std::string abort_message;
 
   // SQL elements have statements; filter elements have filter_op instead;
-  // cache elements have cache_op (and a synthesized backing state table).
+  // cache elements have cache_op. Both of the latter are built-in bodies
+  // over synthesized state tables.
   std::vector<StmtIr> statements;
   std::optional<FilterIr> filter_op;
   std::optional<CacheIr> cache_op;

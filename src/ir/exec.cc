@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <utility>
 
 #include "common/strings.h"
 #include "obs/intern.h"
@@ -135,7 +137,7 @@ struct SlotList {
 // ARC (adaptive replacement cache) bookkeeping for a cache element. Only the
 // response rows live in the state table; this recency/frequency metadata is
 // derived, rebuilt from the rows whenever migration machinery replaces them
-// (InvalidateCacheRuntime), so the table alone defines the element's
+// (InvalidateDerivedState), so the table alone defines the element's
 // migratable state. Counters survive rebuilds — they describe the instance,
 // not the current rows.
 //
@@ -278,6 +280,63 @@ struct ElementInstance::CacheRuntime {
   }
 };
 
+namespace {
+
+// Cell readers that take NULL (or a seeded cell of another type) as empty.
+int64_t IntOr0(const Value& v) {
+  return v.type() == rpc::ValueType::kInt ? v.AsInt() : 0;
+}
+double FloatOr0(const Value& v) {
+  return v.type() == rpc::ValueType::kFloat ? v.AsFloat() : 0.0;
+}
+bool IsTrue(const Value& v) {
+  return v.type() == rpc::ValueType::kBool && v.AsBool();
+}
+
+}  // namespace
+
+// Derived from a dedup's or a circuit breaker's log table and rebuilt from
+// its rows (InvalidateDerivedState), like CacheRuntime: the rows' order by
+// their `seq` column, oldest first, which is the eviction order of the
+// window. A dedup logs (rpc_id PRIMARY KEY, seq), a breaker (seq PRIMARY
+// KEY, error).
+struct ElementInstance::FilterRuntime {
+  std::deque<std::pair<int64_t, int64_t>> log;  // (seq, primary key)
+  int64_t next_seq = 0;
+  int64_t errors = 0;  // circuit_breaker: error outcomes in the log
+  bool built = false;
+  Row erased;  // EraseSingleKey scratch
+
+  // Append a row whose primary key is `key` (already inserted).
+  void Push(int64_t key) { log.emplace_back(next_seq++, key); }
+  // Drop the oldest rows of `table` until at most `window` remain.
+  void Trim(Table& table, size_t window) {
+    while (log.size() > window) {
+      const int64_t key = log.front().second;
+      log.pop_front();
+      if (table.EraseSingleKey(Value(key), erased) == 1 && IsTrue(erased[1])) {
+        --errors;
+      }
+    }
+  }
+};
+
+namespace {
+
+// The writable cells of a keyless one-row table's row (LowerFilter declares
+// them with at most three columns), appended all NULL when the table is
+// empty. After a merge of several instances the first row is the one that
+// counts.
+Value* OnlyRow(Table& table) {
+  if (table.RowAt(0) == nullptr) {
+    Value cells[3];
+    (void)table.InsertFrom(std::span<Value>(cells, table.schema().size()));
+  }
+  return table.MutableRow(table.RowAt(0));
+}
+
+}  // namespace
+
 ElementInstance::ElementInstance(std::shared_ptr<const ElementIr> code,
                                  uint64_t seed)
     : code_(std::move(code)), rng_(seed), nonce_counter_(seed) {
@@ -285,12 +344,15 @@ ElementInstance::ElementInstance(std::shared_ptr<const ElementIr> code,
   for (const auto& [name, schema] : code_->state_tables) {
     tables_.emplace_back(name, schema);
   }
-  ResolveObsInstruments();
+  BindCode();
 }
 
 ElementInstance::~ElementInstance() = default;
 
-void ElementInstance::ResolveObsInstruments() {
+void ElementInstance::BindCode() {
+  builtin_ = code_->IsCache()    ? &ElementInstance::RunCache
+             : code_->IsFilter() ? &ElementInstance::RunFilter
+                                 : nullptr;
   obs_name_id_ = obs::InternName(code_->name);
   obs_hist_ = &obs::MetricsRegistry::Default().GetHistogram(
       "adn_element_latency_ns", "element=\"" + code_->name + "\"");
@@ -338,8 +400,8 @@ ProcessResult ElementInstance::Process(Message& m, int64_t now_ns) {
     }
     if (trace != nullptr) trace->CloseSpan(span);
   };
-  if (code_->IsCache()) {
-    ProcessResult r = RunCache(m, now_ns);
+  if (builtin_ != nullptr) {
+    ProcessResult r = RunBuiltin(m, now_ns);
     if (r.outcome != ProcessOutcome::kPass &&
         r.outcome != ProcessOutcome::kReply) {
       ++dropped_;
@@ -578,8 +640,9 @@ ProcessResult ElementInstance::RunStatement(const StmtIr& stmt, Message& m,
   return AbortWith("internal: unhandled statement kind");
 }
 
-void ElementInstance::InvalidateCacheRuntime() {
+void ElementInstance::InvalidateDerivedState() {
   if (cache_rt_ != nullptr) cache_rt_->built = false;
+  if (filter_rt_ != nullptr) filter_rt_->built = false;
 }
 
 ElementInstance::CacheRuntime& ElementInstance::EnsureCacheRuntime() {
@@ -756,6 +819,168 @@ ProcessResult ElementInstance::RunCache(Message& m, int64_t now_ns) {
   return ProcessResult::Pass();
 }
 
+ElementInstance::FilterRuntime& ElementInstance::EnsureFilterRuntime() {
+  if (filter_rt_ == nullptr) filter_rt_ = std::make_unique<FilterRuntime>();
+  FilterRuntime& rt = *filter_rt_;
+  if (rt.built) return rt;
+  const bool dedup = code_->filter_op->kind == FilterKind::kDedup;
+  rt.log.clear();
+  rt.errors = 0;
+  for (const rpc::RowRef row : tables_[dedup ? 0 : 1].rows()) {
+    rt.log.emplace_back(IntOr0(row[dedup ? 1 : 0]), IntOr0(row[0]));
+    rt.errors += !dedup && IsTrue(row[1]);
+  }
+  std::sort(rt.log.begin(), rt.log.end());
+  rt.next_seq = rt.log.empty() ? 0 : rt.log.back().first + 1;
+  rt.built = true;
+  return rt;
+}
+
+ProcessResult ElementInstance::RunFilter(Message& m, int64_t now_ns) {
+  const FilterIr& f = *code_->filter_op;
+  switch (f.kind) {
+    case FilterKind::kRateLimit: {
+      // Token bucket (tokens, refilled_at); an empty table is a full bucket
+      // that starts refilling at the first message.
+      Value* bucket = OnlyRow(tables_[0]);
+      if (bucket[1].is_null()) {
+        bucket[0] = Value(f.burst);
+        bucket[1] = Value(now_ns);
+      }
+      double tokens = FloatOr0(bucket[0]);
+      const double elapsed_s =
+          static_cast<double>(now_ns - IntOr0(bucket[1])) / 1e9;
+      if (elapsed_s > 0) {
+        tokens = std::min(f.burst, tokens + elapsed_s * f.rps);
+        bucket[1] = Value(now_ns);
+      }
+      if (tokens < 1.0) {
+        bucket[0] = Value(tokens);
+        return AbortWith("rate limit exceeded");
+      }
+      bucket[0] = Value(tokens - 1.0);
+      return ProcessResult::Pass();
+    }
+    case FilterKind::kDedup: {
+      // A repeated RPC id within the last `window` distinct ids is dropped.
+      Table& seen = tables_[0];
+      const auto id = static_cast<int64_t>(m.id());
+      if (seen.LookupSingleKey(Value(id)) != nullptr) {
+        ProcessResult r;
+        r.outcome = ProcessOutcome::kDropSilent;
+        return r;
+      }
+      FilterRuntime& rt = EnsureFilterRuntime();
+      Value row[2] = {Value(id), Value(rt.next_seq)};
+      (void)seen.InsertFrom(row);
+      rt.Push(id);
+      rt.Trim(seen, f.window);
+      return ProcessResult::Pass();
+    }
+    case FilterKind::kCircuitBreaker: {
+      // Opens (a row holding open_until) when more than error_threshold of
+      // the last `window` outcomes were errors; a request after the cooldown
+      // closes it again. Responses record a success each.
+      Table& state = tables_[0];
+      if (m.kind() == rpc::MessageKind::kResponse) {
+        Table& outcomes = tables_[1];
+        FilterRuntime& rt = EnsureFilterRuntime();
+        Value row[2] = {Value(rt.next_seq), Value(false)};
+        (void)outcomes.InsertFrom(row);
+        rt.Push(rt.next_seq);
+        rt.Trim(outcomes, f.window);
+        if (rt.log.size() == f.window &&
+            static_cast<double>(rt.errors) / static_cast<double>(f.window) >
+                f.error_threshold) {
+          state.Clear();
+          Value until[1] = {Value(now_ns + f.cooldown_ns)};
+          (void)state.InsertFrom(until);
+          outcomes.Clear();
+          rt.log.clear();
+          rt.errors = 0;
+        }
+        return ProcessResult::Pass();
+      }
+      if (const Value* open = state.RowAt(0); open != nullptr) {
+        if (now_ns < IntOr0(open[0])) return AbortWith("circuit open");
+        state.Clear();  // half-open: let traffic probe again
+      }
+      return ProcessResult::Pass();
+    }
+    case FilterKind::kAggCount:
+    case FilterKind::kAggSum: {
+      // Totals (count: total, overflow; sum: samples, overflow, total) and,
+      // with a key, one row per group hash, at most `groups` of them; an
+      // arrival whose new group does not fit counts as overflow.
+      const bool sum = f.kind == FilterKind::kAggSum;
+      double x = 1;
+      if (sum) {
+        const Value* v = m.FindField(f.field);
+        if (v == nullptr || !v->IsNumeric()) return ProcessResult::Pass();
+        x = v->NumericAsDouble();
+      }
+      Value* totals = OnlyRow(tables_[0]);
+      totals[0] = Value(IntOr0(totals[0]) + 1);
+      if (sum) totals[2] = Value(FloatOr0(totals[2]) + x);
+      if (!f.key.has_value()) return ProcessResult::Pass();
+      auto add = [&](const Value& cell) {
+        return sum ? Value(FloatOr0(cell) + x) : Value(IntOr0(cell) + 1);
+      };
+      Table& groups = tables_[1];
+      const Value group(
+          static_cast<int64_t>(rpc::HashValue(m.GetFieldOrNull(*f.key))));
+      if (const Value* hit = groups.LookupSingleKey(group); hit != nullptr) {
+        groups.MutableRow(hit)[1] = add(hit[1]);
+      } else if (groups.RowCount() < f.groups) {
+        Value row[2] = {group, add(Value())};
+        (void)groups.InsertFrom(row);
+      } else {
+        totals[1] = Value(IntOr0(totals[1]) + 1);
+      }
+      return ProcessResult::Pass();
+    }
+    case FilterKind::kAggTopk: {
+      // Space-saving heavy hitters over the key field's display text: rows
+      // (key, n, err), at most k of them.
+      const Value* v = m.FindField(*f.key);
+      if (v == nullptr) return ProcessResult::Pass();
+      Table& tracked = tables_[0];
+      Value key = v->type() == rpc::ValueType::kText
+                      ? Value(std::string(v->AsText()))
+                      : Value(v->ToDisplayString());
+      if (const Value* hit = tracked.LookupSingleKey(key); hit != nullptr) {
+        tracked.MutableRow(hit)[1] = Value(IntOr0(hit[1]) + 1);
+        return ProcessResult::Pass();
+      }
+      int64_t floor = 0;
+      if (tracked.RowCount() >= f.k) {
+        // The lowest count yields its row, the smallest key among equal
+        // counts (so the choice never depends on storage order), and the
+        // newcomer inherits that count as both base and error bound.
+        rpc::RowRef min;
+        for (const rpc::RowRef row : tracked.rows()) {
+          if (min.data() == nullptr || IntOr0(row[1]) < IntOr0(min[1]) ||
+              (IntOr0(row[1]) == IntOr0(min[1]) &&
+               row[0].CompareTo(min[0]) < 0)) {
+            min = row;
+          }
+        }
+        floor = IntOr0(min[1]);
+        const Row victim_key = {min[0]};
+        tracked.EraseByKey(victim_key);
+      }
+      Value row[3] = {std::move(key), Value(floor + 1), Value(floor)};
+      (void)tracked.InsertFrom(row);
+      return ProcessResult::Pass();
+    }
+    case FilterKind::kRetry:
+    case FilterKind::kTimeout:
+      break;
+  }
+  return AbortWith("filter operator '" + f.op + "' of " + name() +
+                   " runs in the client library (core/client_policy.h)");
+}
+
 Bytes ElementInstance::SnapshotState() const {
   Bytes out;
   ByteWriter w(out);
@@ -790,7 +1015,7 @@ Status ElementInstance::RestoreState(std::span<const uint8_t> snapshot) {
     tables_[i].Clear();
     tables_[i].InsertDecoded(cells[i]);
   }
-  InvalidateCacheRuntime();
+  InvalidateDerivedState();
   return Status::Ok();
 }
 
@@ -825,8 +1050,8 @@ Status ElementInstance::MoveStateTo(std::span<ElementInstance* const> to) {
     }
     t.Clear();
   }
-  InvalidateCacheRuntime();
-  for (ElementInstance* dest : to) dest->InvalidateCacheRuntime();
+  InvalidateDerivedState();
+  for (ElementInstance* dest : to) dest->InvalidateDerivedState();
   return Status::Ok();
 }
 
@@ -834,7 +1059,7 @@ std::vector<rpc::TableShard> ElementInstance::TakeKeySlot(size_t k) {
   std::vector<rpc::TableShard> shards;
   shards.reserve(tables_.size());
   for (Table& t : tables_) shards.push_back(t.TakeKeySlot(k));
-  InvalidateCacheRuntime();
+  InvalidateDerivedState();
   return shards;
 }
 
@@ -843,14 +1068,14 @@ void ElementInstance::AdoptKeySlot(size_t k,
   for (size_t i = 0; i < tables_.size() && i < shards.size(); ++i) {
     tables_[i].AdoptKeySlot(k, std::move(shards[i]));
   }
-  InvalidateCacheRuntime();
+  InvalidateDerivedState();
 }
 
 Status ElementInstance::ReplaceCode(std::shared_ptr<const ElementIr> new_code) {
   ADN_RETURN_IF_ERROR(CheckStateCompatible(*code_, *new_code));
   code_ = std::move(new_code);
-  ResolveObsInstruments();
-  InvalidateCacheRuntime();
+  BindCode();
+  InvalidateDerivedState();
   return Status::Ok();
 }
 

@@ -73,12 +73,15 @@ class ElementInstance {
   uint64_t BumpNonce() { return ++nonce_counter_; }
   void NoteProcessed() { ++processed_; }
   void NoteDropped() { ++dropped_; }
-  // Cache elements' per-message work: request-path lookup (kReply on hit,
-  // pending record on miss) and response-path fill with ARC admission/
-  // eviction. See docs/ARCHITECTURE.md "Reply-path short-circuit". Counts
-  // nothing in processed/dropped: Process and kCacheProbe's kBeginElement
-  // do that around it.
-  ProcessResult RunCache(rpc::Message& m, int64_t now_ns);
+  // The body of a built-in element — a CACHE, or a FILTER's operator — over
+  // this instance's tables: the one implementation both the interpreter's
+  // Process and the compiled kBuiltin call. Which body runs is bound with
+  // the code (construction, ReplaceCode), never chosen per message. Counts
+  // nothing in processed/dropped: Process and kBuiltin's kBeginElement do
+  // that around it. Call only when code().IsCache() or code().IsFilter().
+  ProcessResult RunBuiltin(rpc::Message& m, int64_t now_ns) {
+    return (this->*builtin_)(m, now_ns);
+  }
 
   // --- Migration support ----------------------------------------------------
   // Snapshot/restore every table (format: varint count, then table snaps):
@@ -127,19 +130,28 @@ class ElementInstance {
 
  private:
   struct CacheRuntime;
+  struct FilterRuntime;
 
   ProcessResult RunStatement(const StmtIr& stmt, rpc::Message& m,
                              EvalContext& ctx);
-  // ARC recency/frequency metadata lives outside the state table and is
-  // rebuilt lazily from the rows after anything replaces or moves the
-  // tables (restore/move/slot take or adopt/hot-reload) — the table alone is the
-  // durable state, which is what keeps StateContentHash migration-invariant.
-  void InvalidateCacheRuntime();
+  // Cache elements' per-message work: request-path lookup (kReply on hit,
+  // pending record on miss) and response-path fill with ARC admission/
+  // eviction. See docs/ARCHITECTURE.md "Reply-path short-circuit".
+  ProcessResult RunCache(rpc::Message& m, int64_t now_ns);
+  // A FILTER operator's per-message work (docs/DSL.md "Filters").
+  ProcessResult RunFilter(rpc::Message& m, int64_t now_ns);
+  // A cache's ARC metadata and a filter's log order live outside the state
+  // tables and are rebuilt lazily from the rows after anything replaces or
+  // moves the tables (restore/move/slot take or adopt/hot-reload) — the
+  // tables alone are the durable state, which is what keeps
+  // StateContentHash migration-invariant.
+  void InvalidateDerivedState();
   CacheRuntime& EnsureCacheRuntime();
-  // Resolve the interned span-name id and the element-latency histogram
-  // once (construction / ReplaceCode), so Process never builds a label
-  // string or takes the registry mutex per message.
-  void ResolveObsInstruments();
+  FilterRuntime& EnsureFilterRuntime();
+  // Bind, once per code (construction / ReplaceCode), the built-in body,
+  // the interned span-name id and the element-latency histogram, so Process
+  // never builds a label string or takes the registry mutex per message.
+  void BindCode();
 
   std::shared_ptr<const ElementIr> code_;
   uint32_t obs_name_id_ = 0;  // obs::NameId of code_->name
@@ -149,7 +161,10 @@ class ElementInstance {
   uint64_t nonce_counter_;
   uint64_t processed_ = 0;
   uint64_t dropped_ = 0;
+  ProcessResult (ElementInstance::*builtin_)(rpc::Message&, int64_t) =
+      nullptr;  // RunCache / RunFilter; null for SQL elements
   std::unique_ptr<CacheRuntime> cache_rt_;  // null unless code().IsCache()
+  std::unique_ptr<FilterRuntime> filter_rt_;  // dedup / circuit_breaker only
 };
 
 }  // namespace adn::ir

@@ -39,7 +39,7 @@ std::string_view OpName(Instr::Op op) {
     case Instr::Op::kDeleteRows: return "delete_rows";
     case Instr::Op::kDrop: return "drop";
     case Instr::Op::kBeginElement: return "begin_element";
-    case Instr::Op::kCacheProbe: return "cache_probe";
+    case Instr::Op::kBuiltin: return "builtin";
     case Instr::Op::kSkipUnlessKind: return "skip_unless_kind";
     case Instr::Op::kReturnPass: return "return_pass";
     case Instr::Op::kReturnValue: return "return_value";
@@ -113,7 +113,7 @@ std::string ChainProgram::DebugString() const {
         out += " '" + strings[in.b] + "'";
         break;
       case Instr::Op::kBeginElement:
-      case Instr::Op::kCacheProbe:
+      case Instr::Op::kBuiltin:
         out += " " + elements[in.b].name;
         break;
       case Instr::Op::kSkipUnlessKind:
@@ -755,11 +755,11 @@ ProcessResult ChainExecutor::Run(Message& m, int64_t now_ns, bool sampled,
         }
         break;
       }
-      case Instr::Op::kCacheProbe: {
-        // The element's one cache implementation (its flat CacheRuntime);
-        // kBeginElement already counted the message, so RunCache, not
-        // Process, or processed would be counted twice.
-        ProcessResult r = instances_[in.b]->RunCache(m, now_ns);
+      case Instr::Op::kBuiltin: {
+        // The element's one built-in implementation, shared with the
+        // interpreter; kBeginElement already counted the message, so
+        // RunBuiltin, not Process, or processed would be counted twice.
+        ProcessResult r = instances_[in.b]->RunBuiltin(m, now_ns);
         if (r.outcome == ProcessOutcome::kPass) break;
         end_lane();
         if (r.outcome != ProcessOutcome::kReply) {

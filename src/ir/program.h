@@ -62,8 +62,9 @@ struct Instr {
     kDeleteRows,     // run delete_specs[b]
     kDrop,           // stop: aux!=0 silent else abort, message strings[b]
     kBeginElement,   // enter elements[b]: bump processed/nonce, bind state
-    kCacheProbe,     // run elements[b]'s cache (lookup/fill); kReply or a
-                     // drop ends the program, kPass falls through
+    kBuiltin,        // run elements[b]'s built-in body (a cache, a filter
+                     // operator); kReply or a drop ends the program, kPass
+                     // falls through
     kSkipUnlessKind, // if !(aux & (1 << message kind)) ip = d  (chain mode)
     kReturnPass,     // end of chain: ProcessResult::Pass()
     kReturnValue,    // end of subprogram: value is r[a]

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "compiler/backend.h"
 #include "compiler/chain_compile.h"
 
 namespace adn::mrpc {
@@ -45,14 +44,14 @@ double GeneratedStage::CostNs(const sim::CostModel& model,
            (1.0 - model.cache_default_hit_rate) *
                static_cast<double>(model.cache_fill_ns);
   }
-  if (program_ != nullptr) {
-    const ir::ChainProgram::ElementSeg& seg = program_->elements[0];
-    return model.CompiledElementCostNs(seg.instr_count, seg.per_byte_cost_ns,
-                                       payload_bytes);
+  if (instance_.code().IsFilter()) {
+    // The operator's charge from lowering's FilterOpSpecs table.
+    return instance_.code().filter_op->cost_ops * model.adn_op_ns;
   }
-  return compiler::EstimateCostNs(instance_.code(),
-                                  compiler::TargetPlatform::kNative, model,
-                                  payload_bytes);
+  if (program_ == nullptr) return 0;  // Reject aborts before any work
+  const ir::ChainProgram::ElementSeg& seg = program_->elements[0];
+  return model.CompiledElementCostNs(seg.instr_count, seg.per_byte_cost_ns,
+                                     payload_bytes);
 }
 
 void EngineChain::EnsureCounters() {

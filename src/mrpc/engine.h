@@ -49,9 +49,9 @@ class EngineStage {
 // at construction and executed by the register-based ChainExecutor; the
 // StmtIr tree stays on the ElementInstance as reference semantics only.
 // State lives in the ElementInstance, so controller-side seeding, snapshot
-// and migration code is tier-agnostic. An element the lowering declines (a
-// filter, which belongs on its FilterOp stage) aborts every message with
-// the compile error instead of passing it unexamined.
+// and migration code is tier-agnostic. An element the chain compiler
+// declines (a client-library `retry`/`timeout` filter) aborts every message
+// with the compile error instead of passing it unexamined.
 class GeneratedStage : public EngineStage {
  public:
   explicit GeneratedStage(std::shared_ptr<const ir::ElementIr> code,
@@ -82,8 +82,8 @@ class GeneratedStage : public EngineStage {
     if (executor_.has_value()) executor_->set_trace_identity(tier, processor_id);
   }
 
-  // False only when the element did not compile (a filter): every message
-  // is then aborted with the compile error.
+  // False only when the element did not compile (a client-library filter):
+  // every message is then aborted with the compile error.
   bool compiled() const { return executor_.has_value(); }
   const ir::ChainProgram* program() const { return program_.get(); }
 

@@ -25,9 +25,10 @@
 // migration invariant, now continuously checkable on a live pool).
 //
 // One execution tier: every worker runs the whole chain as one compiled
-// ChainProgram (SQL elements as register code, caches as one kCacheProbe
-// each). A chain that does not compile whole — one with a filter element,
-// which belongs on its FilterOp stage — is rejected by Start(). The
+// ChainProgram (SQL elements as register code, caches and filters as one
+// kBuiltin each, their state in ordinary tables placed like any other).
+// A chain that does not compile whole — one with a client-library
+// retry/timeout filter — is rejected by Start(). The
 // compiler's parallel groups (paper §5.2) run back-to-back on the worker:
 // pool parallelism comes from sharding across workers, with zero
 // per-message synchronization. A fork-join mode that ran a group's members
@@ -140,9 +141,9 @@ class EnginePool {
   };
 
   // Compiles the chain into one ChainProgram; Start() reports the compile
-  // error if it does not compile (a filter element). `parallel_groups` is
-  // unused — groups run sequentially in a worker — and is kept so existing
-  // callers that pass the compiler's group ids still build.
+  // error if it does not compile (a retry/timeout filter). `parallel_groups`
+  // is unused — groups run sequentially in a worker — and is kept so
+  // existing callers that pass the compiler's group ids still build.
   EnginePool(std::vector<std::shared_ptr<const ir::ElementIr>> elements,
              std::vector<int> parallel_groups, Config config);
   ~EnginePool();
@@ -161,7 +162,7 @@ class EnginePool {
   // Move the template state into `workers` instance sets (key slot k to
   // worker k % workers, ElementInstance::MoveStateTo) and spawn the worker
   // threads. Error to call twice, and an error (the compile error, e.g.
-  // kUnsupported for a filter element) when the chain did not compile.
+  // kUnsupported for a retry filter) when the chain did not compile.
   Status Start();
   bool started() const { return started_; }
 

@@ -15,7 +15,6 @@
 #include "compiler/lower.h"
 #include "controller/placement.h"
 #include "dsl/parser.h"
-#include "elements/filter_ops.h"
 #include "elements/library.h"
 #include "ir/exec.h"
 #include "ir/program.h"
@@ -277,11 +276,11 @@ Message ChainResponse(const Message& request) {
        {"payload", Value(Bytes(16, static_cast<uint8_t>(object_id)))}});
 }
 
-// The cache has one implementation (ElementInstance::RunCache over its flat
+// The cache has one implementation (ElementInstance::RunBuiltin, its flat
 // CacheRuntime), reached through three paths over the whole cached chain:
 // the interpreter element by element (the oracle), GeneratedStages one
 // message at a time, and one whole-chain ChainExecutor's burst loop, where
-// the cache is a single kCacheProbe. All three must produce identical
+// the cache is a single kBuiltin. All three must produce identical
 // outcomes, message rewrites, counters and state hashes.
 TEST(CacheParity, ScalarStageAndBurstAgree) {
   auto parsed = dsl::ParseProgram(SmallCacheChainSource());
@@ -624,6 +623,35 @@ Message AggMessage(uint64_t id, const std::string& user, int64_t amount) {
       id, "M", {{"username", Value(user)}, {"amount", Value(amount)}});
 }
 
+// Readers of the aggregations' __filter_<Name> tables: the one-row totals
+// table, a group's row (keyed by the key value's hash), the tracked keys.
+const Value* OnlyRow(const ir::ElementInstance& inst) {
+  return inst.tables()[0].RowAt(0);
+}
+
+const Value* GroupRow(const ir::ElementInstance& inst, const Value& key) {
+  return inst.tables()[1].LookupSingleKey(
+      Value(static_cast<int64_t>(rpc::HashValue(key))));
+}
+
+struct Hitter {
+  std::string key;
+  int64_t count = 0;
+  int64_t err = 0;
+};
+
+std::vector<Hitter> TopK(const ir::ElementInstance& inst) {
+  std::vector<Hitter> out;
+  for (const rpc::RowRef row : inst.tables()[0].rows()) {
+    out.push_back({std::string(row[0].AsText()), row[1].AsInt(),
+                   row[2].AsInt()});
+  }
+  std::sort(out.begin(), out.end(), [](const Hitter& a, const Hitter& b) {
+    return a.count != b.count ? a.count > b.count : a.key < b.key;
+  });
+  return out;
+}
+
 TEST(AggOps, CountSumTopkTrackTheStream) {
   auto parsed = dsl::ParseProgram(kAggSrc);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -633,16 +661,13 @@ TEST(AggOps, CountSumTopkTrackTheStream) {
   auto stage = [&](const char* name) {
     auto element = program->FindElement(name);
     EXPECT_NE(element, nullptr);
-    auto made = elements::MakeFilterStage(*element->filter_op);
-    EXPECT_TRUE(made.ok()) << made.status().ToString();
-    return std::move(made).value();
+    auto made = std::make_unique<mrpc::GeneratedStage>(element, 1);
+    EXPECT_TRUE(made->compiled()) << name;
+    return made;
   };
-  auto count_stage = stage("CountAll");
-  auto sum_stage = stage("SumBytes");
-  auto topk_stage = stage("Hot");
-  auto* count = static_cast<elements::AggCountOp*>(count_stage.get());
-  auto* sum = static_cast<elements::AggSumOp*>(sum_stage.get());
-  auto* topk = static_cast<elements::AggTopkOp*>(topk_stage.get());
+  auto count = stage("CountAll");
+  auto sum = stage("SumBytes");
+  auto topk = stage("Hot");
 
   // u0 x6, u1 x3, u2 x1 — all observers see the same stream and pass.
   const struct { const char* user; int n; } mix[] = {
@@ -657,26 +682,28 @@ TEST(AggOps, CountSumTopkTrackTheStream) {
     }
   }
 
-  EXPECT_EQ(count->total(), 10u);
-  EXPECT_EQ(count->CountFor(Value("u0")), 6u);
-  EXPECT_EQ(count->CountFor(Value("u2")), 1u);
-  EXPECT_EQ(count->CountFor(Value("nobody")), 0u);
+  // agg_count: (total, overflow) and (grp, n).
+  EXPECT_EQ(OnlyRow(count->instance())[0].AsInt(), 10);
+  EXPECT_EQ(GroupRow(count->instance(), Value("u0"))[1].AsInt(), 6);
+  EXPECT_EQ(GroupRow(count->instance(), Value("u2"))[1].AsInt(), 1);
+  EXPECT_EQ(GroupRow(count->instance(), Value("nobody")), nullptr);
 
-  EXPECT_DOUBLE_EQ(sum->total(), 100.0);
-  EXPECT_EQ(sum->samples(), 10u);
-  EXPECT_DOUBLE_EQ(sum->SumFor(Value("u0")), 60.0);
+  // agg_sum: (samples, overflow, total) and (grp, sum).
+  EXPECT_DOUBLE_EQ(OnlyRow(sum->instance())[2].AsFloat(), 100.0);
+  EXPECT_EQ(OnlyRow(sum->instance())[0].AsInt(), 10);
+  EXPECT_DOUBLE_EQ(GroupRow(sum->instance(), Value("u0"))[1].AsFloat(), 60.0);
 
   // k=2: the heavy hitters are u0 and u1; space-saving error bound holds.
-  auto hitters = topk->TopK();
+  auto hitters = TopK(topk->instance());
   ASSERT_EQ(hitters.size(), 2u);
   EXPECT_EQ(hitters[0].key, "u0");
-  EXPECT_GE(hitters[0].count, 6u);
-  EXPECT_LE(hitters[0].count - hitters[0].err, 6u);
+  EXPECT_GE(hitters[0].count, 6);
+  EXPECT_LE(hitters[0].count - hitters[0].err, 6);
 
   // A message without the summed field passes through uncounted.
   Message bare = Message::MakeRequest(id++, "M", {{"username", Value("u0")}});
   EXPECT_EQ(sum->Process(bare, 0).outcome, ProcessOutcome::kPass);
-  EXPECT_EQ(sum->samples(), 10u);
+  EXPECT_EQ(OnlyRow(sum->instance())[0].AsInt(), 10);
 }
 
 TEST(AggOps, PreciseEffectsAndConstrainedProcessorFeasibility) {

@@ -35,6 +35,24 @@ TEST(Network, CreateRejectsInfeasibleDeployment) {
   EXPECT_FALSE(network.ok());
 }
 
+TEST(Network, ClientLibraryFilterInAChainFailsToCompile) {
+  // retry/timeout run in the client library, so a chain naming one must be
+  // refused at deploy time rather than reach the simulator's data path.
+  for (const char* op : {"retry(max_attempts => 3)", "timeout(timeout_ms => 5)"}) {
+    const std::string source = std::string(elements::LogTableSql()) +
+                               std::string(elements::LoggingSql()) +
+                               "FILTER Retry ON REQUEST USING " + op +
+                               ";\nCHAIN c FOR CALLS a -> b { Logging, Retry }\n";
+    auto network = Network::Create(source, {});
+    ASSERT_FALSE(network.ok()) << op;
+    EXPECT_EQ(network.error().code(), ErrorCode::kUnsupported) << op;
+    const std::string& message = network.error().message();
+    EXPECT_NE(message.find("Retry"), std::string::npos) << message;
+    EXPECT_NE(message.find("core/client_policy.h"), std::string::npos)
+        << message;
+  }
+}
+
 TEST(Network, ExposesCompiledArtifacts) {
   NetworkOptions options;
   auto network = Network::Create(elements::Fig5ProgramSource(), options);

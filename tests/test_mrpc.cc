@@ -2,10 +2,10 @@
 // ADN data path driver.
 #include <gtest/gtest.h>
 
+#include "compiler/chain_compile.h"
 #include "compiler/lower.h"
 #include "core/network.h"
 #include "dsl/parser.h"
-#include "elements/filter_ops.h"
 #include "elements/handcoded.h"
 #include "elements/library.h"
 #include "mrpc/adn_path.h"
@@ -129,9 +129,17 @@ TEST(EngineChain, CostSumsApplicableStages) {
 }
 
 // --- Filter operators --------------------------------------------------------------
+// Each FILTER lowers to one kBuiltin over its __filter_<Name> tables; these
+// run the deployed form, a GeneratedStage (compiled executor).
+
+GeneratedStage FilterStage(const std::string& decl) {
+  return GeneratedStage(LowerElement(decl), 1);
+}
 
 TEST(RateLimit, EnforcesRate) {
-  elements::RateLimitOp limiter(/*rps=*/1000, /*burst=*/10);
+  GeneratedStage limiter = FilterStage(
+      "FILTER L ON REQUEST USING rate_limit(rps => 1000, burst => 10);");
+  ASSERT_TRUE(limiter.compiled());
   Message m = Message::MakeRequest(1, "M", {});
   int passed = 0;
   // 10k requests in one simulated second => ~1000 pass + burst.
@@ -145,7 +153,8 @@ TEST(RateLimit, EnforcesRate) {
 }
 
 TEST(RateLimit, BurstAllowsSpikes) {
-  elements::RateLimitOp limiter(/*rps=*/10, /*burst=*/5);
+  GeneratedStage limiter = FilterStage(
+      "FILTER L ON REQUEST USING rate_limit(rps => 10, burst => 5);");
   Message m = Message::MakeRequest(1, "M", {});
   int passed = 0;
   for (int i = 0; i < 8; ++i) {
@@ -155,7 +164,8 @@ TEST(RateLimit, BurstAllowsSpikes) {
 }
 
 TEST(Dedup, DropsDuplicateIdsSilently) {
-  elements::DedupOp dedup(16);
+  GeneratedStage dedup =
+      FilterStage("FILTER D ON REQUEST USING dedup(window => 16);");
   Message a = Message::MakeRequest(7, "M", {});
   Message b = Message::MakeRequest(7, "M", {});
   Message c = Message::MakeRequest(8, "M", {});
@@ -165,7 +175,8 @@ TEST(Dedup, DropsDuplicateIdsSilently) {
 }
 
 TEST(Dedup, WindowEvictsOldEntries) {
-  elements::DedupOp dedup(2);
+  GeneratedStage dedup =
+      FilterStage("FILTER D ON REQUEST USING dedup(window => 2);");
   Message m1 = Message::MakeRequest(1, "M", {});
   Message m2 = Message::MakeRequest(2, "M", {});
   Message m3 = Message::MakeRequest(3, "M", {});
@@ -174,34 +185,50 @@ TEST(Dedup, WindowEvictsOldEntries) {
   (void)dedup.Process(m2, 0);
   (void)dedup.Process(m3, 0);  // evicts id 1
   EXPECT_EQ(dedup.Process(m1_again, 0).outcome, ir::ProcessOutcome::kPass);
+  EXPECT_EQ(dedup.instance().tables()[0].RowCount(), 2u);  // the window
 }
 
 TEST(CircuitBreaker, OpensOnErrorsAndCoolsDown) {
-  elements::CircuitBreakerOp breaker(/*error_threshold=*/0.5, /*window=*/4,
-                                     /*cooldown_ns=*/1'000'000);
+  GeneratedStage breaker = FilterStage(
+      "FILTER B ON BOTH USING circuit_breaker(error_threshold => 0.5, "
+      "window => 4, cooldown_ms => 1);");
+  // No chain feeds the breaker an error (docs/DSL.md "Filters"), so seed its
+  // outcome log with three; one response then fills the window at 3 of 4.
+  rpc::Table* outcomes = breaker.instance().FindTable("__filter_B_outcomes");
+  ASSERT_NE(outcomes, nullptr);
+  for (int64_t seq = 0; seq < 3; ++seq) {
+    ASSERT_TRUE(outcomes->Insert({Value(seq), Value(true)}).ok());
+  }
   Message req = Message::MakeRequest(1, "M", {});
-  // Feed 4 outcomes, 3 errors -> opens.
-  breaker.RecordOutcome(true, 0);
-  breaker.RecordOutcome(true, 0);
-  breaker.RecordOutcome(false, 0);
-  breaker.RecordOutcome(true, 0);
-  EXPECT_TRUE(breaker.open());
-  EXPECT_EQ(breaker.Process(req, 100).outcome,
-            ir::ProcessOutcome::kDropAbort);
+  Message resp = Message::MakeResponse(req, {});
+  EXPECT_EQ(breaker.Process(resp, 0).outcome, ir::ProcessOutcome::kPass);
+  EXPECT_EQ(breaker.instance().FindTable("__filter_B")->RowCount(), 1u);
+  const ir::ProcessResult open = breaker.Process(req, 100);
+  EXPECT_EQ(open.outcome, ir::ProcessOutcome::kDropAbort);
+  EXPECT_EQ(open.abort_message, "circuit open");
   // After the cooldown, half-open lets a probe through.
   EXPECT_EQ(breaker.Process(req, 2'000'000).outcome,
             ir::ProcessOutcome::kPass);
+  EXPECT_EQ(breaker.instance().FindTable("__filter_B")->RowCount(), 0u);
 }
 
 TEST(FilterFactory, BindsKnownOps) {
-  ir::FilterIr limit{"rate_limit", {{"rps", Value(100)}}};
-  EXPECT_TRUE(elements::MakeFilterStage(limit).ok());
-  ir::FilterIr dedup{"dedup", {}};
-  EXPECT_TRUE(elements::MakeFilterStage(dedup).ok());
-  ir::FilterIr retry{"retry", {{"max_attempts", Value(3)}}};
-  EXPECT_FALSE(elements::MakeFilterStage(retry).ok());  // client-side op
-  ir::FilterIr nope{"warp", {}};
-  EXPECT_FALSE(elements::MakeFilterStage(nope).ok());
+  // Every engine-side operator lowers and compiles to one built-in call.
+  for (const char* decl :
+       {"FILTER F USING rate_limit(rps => 100);", "FILTER F USING dedup();"}) {
+    auto code = LowerElement(decl);
+    ASSERT_NE(code, nullptr) << decl;
+    EXPECT_TRUE(compiler::CompileElementProgram(*code).ok()) << decl;
+  }
+  // retry runs in the client library: it lowers, but does not compile.
+  auto retry = LowerElement("FILTER F USING retry(max_attempts => 3);");
+  auto compiled = compiler::CompileElementProgram(*retry);
+  ASSERT_FALSE(compiled.ok());
+  EXPECT_EQ(compiled.error().code(), ErrorCode::kUnsupported);
+  // An unknown operator does not lower.
+  auto parsed = dsl::ParseProgram("FILTER F USING warp();");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_FALSE(compiler::LowerProgram(*parsed).ok());
 }
 
 // --- AdnPath driver ------------------------------------------------------------------

@@ -84,24 +84,30 @@ TEST(ChainProgram, TwinCalibrationInstructionCounts) {
   }
 }
 
-TEST(ChainProgram, FilterElementsAreRejected) {
+TEST(ChainProgram, FilterElementsCompileToOneBuiltin) {
   auto program = Lower(std::string(elements::RateLimitFilterSql()));
   auto filter = program.FindElement("Limiter");
   ASSERT_NE(filter, nullptr);
   auto compiled = compiler::CompileElementProgram(*filter);
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_EQ(compiled.error().code(), ErrorCode::kUnsupported);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  // The whole body is one call into the instance's built-in operator.
+  const ir::ChainProgram& code = *compiled.value();
+  ASSERT_EQ(code.code.size(), 3u) << code.DebugString();
+  EXPECT_EQ(code.code[0].op, ir::Instr::Op::kBeginElement);
+  EXPECT_EQ(code.code[1].op, ir::Instr::Op::kBuiltin);
+  EXPECT_EQ(code.code[2].op, ir::Instr::Op::kReturnPass);
 
-  // A GeneratedStage over it has no interpreter to fall back on: it aborts
-  // every message with the reason instead of passing it unexamined.
+  // A GeneratedStage over it runs the operator against its state table.
   mrpc::GeneratedStage stage(filter, 1);
-  EXPECT_FALSE(stage.compiled());
+  EXPECT_TRUE(stage.compiled());
   Message m = Message::MakeRequest(1, "Get", {{"username", Value("alice")}});
-  const ir::ProcessResult r = stage.Process(m, 0);
-  EXPECT_EQ(r.outcome, ProcessOutcome::kDropAbort);
-  EXPECT_NE(r.abort_message.find("Limiter"), std::string::npos)
-      << r.abort_message;
-  EXPECT_EQ(stage.instance().dropped(), 1u);
+  EXPECT_EQ(stage.Process(m, 0).outcome, ProcessOutcome::kPass);
+  EXPECT_EQ(stage.instance().processed(), 1u);
+  EXPECT_EQ(stage.instance().dropped(), 0u);
+  const rpc::Table* bucket = stage.instance().FindTable("__filter_Limiter");
+  ASSERT_NE(bucket, nullptr);
+  ASSERT_EQ(bucket->RowCount(), 1u);
+  EXPECT_DOUBLE_EQ(bucket->RowAt(0)[0].AsFloat(), 127.0);  // burst 128 - 1
 }
 
 TEST(ChainProgram, CompileSourceAttachesProgramToChain) {
@@ -237,7 +243,7 @@ TEST(ChainExecutor, RunsInsideMeshSidecar) {
   EXPECT_NEAR(drop_rate, 0.5, 0.05);
 }
 
-// A deployed cached chain compiles whole (the cache is one kCacheProbe), so
+// A deployed cached chain compiles whole (the cache is one kBuiltin), so
 // the sidecar runs it as one program like any other chain.
 TEST(ChainExecutor, RunsCachedChainInsideMeshSidecar) {
   compiler::Compiler c;

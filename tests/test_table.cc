@@ -249,6 +249,31 @@ TEST(Table, SplitIntoZeroShardsRejected) {
   EXPECT_EQ(fresh.StateContentHash(), 0u);
 }
 
+// Every caller of CheckStateCompatible gets the same wording, so a refused
+// move names both elements and both tables and mentions no hot swap.
+TEST(Table, MoveIntoAnotherLayoutNamesBothSides) {
+  auto parsed = dsl::ParseProgram(
+      std::string(elements::AclTableSql()) + std::string(elements::AclSql()) +
+      std::string(elements::LogTableSql()) + std::string(elements::LoggingSql()));
+  ASSERT_TRUE(parsed.ok());
+  auto lowered = compiler::LowerProgram(*parsed);
+  ASSERT_TRUE(lowered.ok());
+  ir::ElementInstance acl(lowered->FindElement("Acl"), 1);
+  ir::ElementInstance logging(lowered->FindElement("Logging"), 2);
+  ASSERT_TRUE(
+      acl.FindTable("ac_tab")->Insert({Value("alice"), Value("W")}).ok());
+  ir::ElementInstance* const into[] = {&logging};
+  const Status moved = acl.MoveStateTo(into);
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.error().code(), ErrorCode::kFailedPrecondition);
+  const std::string& text = moved.error().message();
+  EXPECT_EQ(text.find("hot swap"), std::string::npos) << text;
+  for (const char* name : {"Acl", "Logging", "ac_tab", "log_tab"}) {
+    EXPECT_NE(text.find(name), std::string::npos) << name << ": " << text;
+  }
+  EXPECT_EQ(acl.FindTable("ac_tab")->RowCount(), 1u);  // nothing moved
+}
+
 TEST(Table, SplitIsDisjointByKey) {
   const auto code = AclLogElement();
   ir::ElementInstance source(code, 1);

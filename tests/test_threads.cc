@@ -20,6 +20,7 @@
 #include "common/arena.h"
 #include "common/codec.h"
 #include "common/rng.h"
+#include "compiler/chain_compile.h"
 #include "compiler/lower.h"
 #include "dsl/parser.h"
 #include "elements/library.h"
@@ -1322,23 +1323,157 @@ TEST(EnginePool, ControlOpRunsBeforeMessagesPushedAfterIt) {
   EXPECT_EQ(pool.dropped(), 0u);
 }
 
-TEST(EnginePool, FilterElementIsRejectedAtStart) {
-  auto parsed = dsl::ParseProgram(std::string(elements::LogTableSql()) +
-                                  std::string(elements::LoggingSql()) +
-                                  std::string(elements::RateLimitFilterSql()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+// Count -> Logging -> Acl -> Limiter -> Dedup over the given limiter rate:
+// agg_count first, so its totals see every message. Filters are ordinary
+// elements over __filter_<Name> tables, so the pool runs the chain whole.
+std::vector<std::shared_ptr<const ir::ElementIr>> FilterChainElements(
+    int64_t rps) {
+  auto parsed = dsl::ParseProgram(
+      std::string(elements::AclTableSql()) +
+      std::string(elements::LogTableSql()) +
+      std::string(elements::LoggingSql()) + std::string(elements::AclSql()) +
+      "FILTER Count ON REQUEST USING agg_count(key => username);\n"
+      "FILTER Limiter ON REQUEST USING rate_limit(rps => " +
+      std::to_string(rps) +
+      ", burst => 300);\n"
+      "FILTER Dedup ON REQUEST USING dedup(window => 64);\n");
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   auto lowered = compiler::LowerProgram(*parsed);
-  ASSERT_TRUE(lowered.ok()) << lowered.status().ToString();
-  EnginePool pool(
-      {lowered->FindElement("Logging"), lowered->FindElement("Limiter")}, {},
-      EnginePool::Config{});
-  EXPECT_FALSE(pool.whole_chain_compiled());
-  const Status started = pool.Start();
-  ASSERT_FALSE(started.ok());
-  EXPECT_EQ(started.error().code(), ErrorCode::kUnsupported);
-  EXPECT_NE(started.error().message().find("Limiter"), std::string::npos)
-      << started.error().message();
-  EXPECT_FALSE(pool.started());
+  EXPECT_TRUE(lowered.ok()) << lowered.status().ToString();
+  return {lowered->FindElement("Count"), lowered->FindElement("Logging"),
+          lowered->FindElement("Acl"), lowered->FindElement("Limiter"),
+          lowered->FindElement("Dedup")};
+}
+
+TEST(EnginePool, FilterChainStartsAndMatchesOneThreadExecutor) {
+  // A client-library filter still has no place in a pool.
+  auto retry = dsl::ParseProgram(
+      "FILTER Retry ON REQUEST USING retry(max_attempts => 3);");
+  ASSERT_TRUE(retry.ok());
+  auto retry_ir = compiler::LowerProgram(*retry);
+  ASSERT_TRUE(retry_ir.ok());
+  EnginePool rejected({retry_ir->FindElement("Retry")}, {},
+                      EnginePool::Config{});
+  const Status refused = rejected.Start();
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code(), ErrorCode::kUnsupported);
+  EXPECT_NE(refused.error().message().find("Retry"), std::string::npos);
+
+  constexpr int kUsers = 8;
+  const auto elements = FilterChainElements(1000);
+  std::vector<std::pair<uint64_t, ir::ProcessOutcome>> done;
+  EnginePool::Config config;
+  config.workers = 1;
+  config.shard_key_field = "username";
+  config.on_done = [&done](int, const rpc::Message& m,
+                           const ir::ProcessResult& r) {
+    done.emplace_back(m.id(), r.outcome);
+  };
+  EnginePool pool(elements, {}, config);
+  SeedUsers(pool, kUsers - 1);  // the last user is denied
+  ASSERT_TRUE(pool.whole_chain_compiled());
+  ASSERT_TRUE(pool.Start().ok());
+
+  // The oracle: fresh instances under a one-thread ChainExecutor.
+  std::vector<std::unique_ptr<ir::ElementInstance>> oracle;
+  std::vector<ir::ElementInstance*> ptrs;
+  for (size_t e = 0; e < elements.size(); ++e) {
+    oracle.push_back(std::make_unique<ir::ElementInstance>(elements[e], 1));
+    ptrs.push_back(oracle.back().get());
+  }
+  rpc::Table* acl = oracle[2]->FindTable("ac_tab");
+  ASSERT_NE(acl, nullptr);
+  for (int i = 0; i < kUsers - 1; ++i) {
+    ASSERT_TRUE(acl->Insert({Value(UserName(i)), Value("W")}).ok());
+  }
+  auto program = compiler::CompileChainProgram(elements);
+  ASSERT_TRUE(program.ok());
+  ir::ChainExecutor exec(program.value(), ptrs);
+
+  // 600 requests, one in eight a retransmitted id: the limiter's 300-token
+  // bucket empties (the pool clock is constant), dedup drops repeats, the
+  // ACL denies one user.
+  Rng rng(4242);
+  std::vector<rpc::Message> sent;
+  for (uint64_t i = 1; i <= 600; ++i) {
+    const uint64_t id = i > 8 && rng.NextBelow(8) == 0 ? i - rng.NextBelow(8) : i;
+    sent.push_back(MakeReq(id, UserName(static_cast<int>(rng.NextBelow(kUsers)))));
+    pool.Submit(sent.back());
+  }
+  pool.Drain();
+  pool.Stop();
+  ASSERT_EQ(done.size(), sent.size());
+  size_t by_kind[4] = {0, 0, 0, 0};
+  for (size_t i = 0; i < sent.size(); ++i) {
+    rpc::Message m = sent[i];
+    const ir::ProcessOutcome want = exec.Process(m, 0).outcome;
+    EXPECT_EQ(done[i].first, sent[i].id());
+    EXPECT_EQ(done[i].second, want) << "message " << i;
+    ++by_kind[static_cast<size_t>(want)];
+  }
+  EXPECT_GT(by_kind[static_cast<size_t>(ir::ProcessOutcome::kPass)], 0u);
+  EXPECT_GT(by_kind[static_cast<size_t>(ir::ProcessOutcome::kDropAbort)], 0u);
+  EXPECT_GT(by_kind[static_cast<size_t>(ir::ProcessOutcome::kDropSilent)], 0u);
+  for (size_t e = 0; e < elements.size(); ++e) {
+    EXPECT_EQ(pool.WorkerInstance(0, e).StateContentHash(),
+              oracle[e]->StateContentHash())
+        << elements[e]->name;
+  }
+}
+
+TEST(EnginePoolReconfig, FilterChainSurvivesMigrationAndSwap) {
+  constexpr int kUsers = 32;
+  constexpr uint64_t kMessages = 8'000;
+  std::vector<std::atomic<uint32_t>> completions(kMessages + 1);
+  EnginePool::Config config;
+  config.workers = 2;
+  config.shard_key_field = "username";
+  config.ring_capacity = 256;
+  config.on_done = [&completions](int, const rpc::Message& m,
+                                  const ir::ProcessResult&) {
+    completions[m.id()].fetch_add(1, std::memory_order_relaxed);
+  };
+  EnginePool pool(FilterChainElements(1000), {}, config);
+  SeedUsers(pool, kUsers);
+  ASSERT_TRUE(pool.Start().ok());
+  const uint64_t v0 = pool.program_version();
+
+  const int slot = EnginePool::SlotOfKey(Value(UserName(0)));
+  const int to = 1 - pool.WorkerOfSlot(slot);
+  for (uint64_t id = 1; id <= kMessages; ++id) {
+    pool.Submit(MakeReq(id, UserName(static_cast<int>(id % kUsers))));
+    if (id == 2'000) ASSERT_TRUE(pool.BeginSlotMigration(slot, to).ok());
+    if (id == 4'000) {
+      // Same tables, a new rate: the buckets carry over the swap.
+      ASSERT_TRUE(pool.SwapProgram(FilterChainElements(5000)).ok());
+    }
+    pool.PumpMigration();
+  }
+  while (pool.MigrationActive()) {
+    pool.PumpMigration();
+    std::this_thread::yield();
+  }
+  pool.Drain();
+  EXPECT_TRUE(pool.SwapComplete());
+  pool.Stop();
+
+  EXPECT_EQ(pool.WorkerOfSlot(slot), to);
+  EXPECT_GT(pool.program_version(), v0);
+  EXPECT_EQ(pool.processed(), kMessages);
+  for (uint64_t id = 1; id <= kMessages; ++id) {
+    ASSERT_EQ(completions[id].load(), 1u) << "rpc " << id;
+  }
+  // Each worker's agg_count total is its own keyless row, which no slot
+  // migration moves: summed over the workers they count every message.
+  int64_t counted = 0;
+  for (int w = 0; w < pool.workers(); ++w) {
+    const ir::ElementInstance& count = pool.WorkerInstance(w, 0);
+    if (const Value* totals = count.tables()[0].RowAt(0)) {
+      counted += totals[0].AsInt();
+    }
+    EXPECT_EQ(pool.WorkerInstance(w, 3).code().filter_op->rps, 5000.0);
+  }
+  EXPECT_EQ(counted, static_cast<int64_t>(kMessages));
 }
 
 // RespCache -> Logging -> Acl -> HashLb -> Compress
