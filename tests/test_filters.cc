@@ -93,11 +93,11 @@ const FilterCase kCases[] = {
     {"agg_topk", "FILTER F ON REQUEST USING agg_topk(key => username, k => 3);\n"},
 };
 
-// Recorded from the RateLimitOp/DedupOp/CircuitBreakerOp/AggCountOp/
-// AggSumOp/AggTopkOp stage classes (run one message at a time through an
+// Recorded from the hand-written stage classes that implemented the six
+// operators before they were lowered (run one message at a time through an
 // EngineChain of GeneratedStage(Logging), GeneratedStage(Acl) and the
-// filter's stage) before they were deleted: the FNV-1a hash of the outcome
-// string ('P'ass, 'A'bort, 'S'ilent, 'R'eply per message) and the counts.
+// filter's stage): the FNV-1a hash of the outcome string ('P'ass, 'A'bort,
+// 'S'ilent, 'R'eply per message) and the counts.
 struct Golden {
   const char* op;
   bool chained;
